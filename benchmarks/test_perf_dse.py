@@ -13,8 +13,9 @@ DSE pipeline in three phases, each timed separately so the committed
 * **warm** — the persisted sweep resumed against the warm store, asserting
   *zero* re-evaluations and a bit-identical frontier.
 
-The scalar per-task path (``eval_mode="task"``) evaluates ~1.1k points/s on
-this grid (the PR 9 baseline); the batched path must stay ≥ 50x that.
+Evaluating one point at a time through the scalar ``evaluate_point`` oracle
+runs at ~1.1k points/s on this grid (the rate before batching); the batched
+path must stay ≥ 50x that.
 """
 
 import gc

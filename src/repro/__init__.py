@@ -34,7 +34,6 @@ from .core import (
     GemmWorkload,
     LinearLayerConfig,
     PerformanceModel,
-    ScalingStudy,
     TrafficEstimate,
     TrafficModel,
     TrainingStepEstimate,
@@ -94,7 +93,6 @@ __all__ = [
     "GemmShape",
     "GemmWorkload",
     "PerformanceModel",
-    "ScalingStudy",
     "TrafficEstimate",
     "TrafficModel",
     "TrainingStepEstimate",

@@ -97,38 +97,20 @@ def pareto_frontier(metric_rows: Sequence[Mapping[str, float]],
     Duplicated metric vectors are all kept (they dominate nothing and are
     dominated by nothing), so equal-merit designs stay visible side by side.
     """
-    if len(metric_rows) > 64:
-        # np.negative flips the sign bit exactly, so the oriented columns
-        # are bitwise equal to the scalar Objective.oriented values.
-        values = np.empty((len(metric_rows), len(objectives)))
-        for j, objective in enumerate(objectives):
-            values[:, j] = list(map(operator.itemgetter(objective.metric),
-                                    metric_rows))
-            if objective.direction == "min":
-                np.negative(values[:, j], out=values[:, j])
-        return _pareto_frontier_vectorized(values)
-    oriented = [
-        tuple(objective.oriented(float(row[objective.metric]))
-              for objective in objectives)
-        for row in metric_rows
-    ]
-    frontier: List[int] = []
-    for i, candidate in enumerate(oriented):
-        dominated = False
-        for j, other in enumerate(oriented):
-            if i == j:
-                continue
-            if all(o >= c for o, c in zip(other, candidate)) and \
-                    any(o > c for o, c in zip(other, candidate)):
-                dominated = True
-                break
-        if not dominated:
-            frontier.append(i)
-    return frontier
+    # np.negative flips the sign bit exactly, so the oriented columns are
+    # bitwise equal to the scalar Objective.oriented values.
+    values = np.empty((len(metric_rows), len(objectives)))
+    for j, objective in enumerate(objectives):
+        values[:, j] = list(map(operator.itemgetter(objective.metric),
+                                metric_rows))
+        if objective.direction == "min":
+            np.negative(values[:, j], out=values[:, j])
+    return _pareto_frontier_vectorized(values)
 
 
 def _pareto_frontier_vectorized(oriented) -> List[int]:
-    """NumPy domination filter, identical to the scalar O(n^2) loop above.
+    """NumPy domination filter, identical to the O(n^2) pairwise loop
+    (every row checked against every other with :func:`dominates`).
 
     ``oriented`` is an (n, d) array-like of larger-is-better values.
 
@@ -143,16 +125,17 @@ def _pareto_frontier_vectorized(oriented) -> List[int]:
     cost is O(n * frontier) instead of O(n^2).
 
     Points are visited in descending order of their oriented-value sum: a
-    dominator always has a strictly larger sum than its dominatee, so
-    strong points enter the archive before the points they dominate, the
-    cheap archive prefilter absorbs almost everything, and the quadratic
+    dominator almost always has a larger sum than its dominatee, so strong
+    points enter the archive before the points they dominate, the cheap
+    archive prefilter absorbs almost everything, and the quadratic
     recompute rarely sees survivors.  The visit order is only a heuristic —
     the returned set is the exact non-dominated set either way.
 
-    The sums double as the strictness test: ``all(a >= b)`` plus a strictly
-    larger sum implies strict domination, while ``all(a >= b)`` with equal
-    sums forces ``a == b`` componentwise (a duplicate, which must survive).
-    That replaces the elementwise ``>`` broadcast with an O(n) sum compare.
+    Strictness is one id compare per pair: rows are numbered by value
+    (one ``lexsort``), and under ``all(a >= b)`` the rows differ — so ``a``
+    strictly dominates — exactly when their ids differ.  That replaces the
+    elementwise ``>`` broadcast.  (Float sums cannot serve here: rounding
+    can make a dominator's sum equal its dominatee's.)
 
     Domination matrices are accumulated per objective with in-place ``&=``
     over 2-D comparisons — one contiguous column at a time — instead of one
@@ -164,6 +147,14 @@ def _pareto_frontier_vectorized(oriented) -> List[int]:
     count, width = values.shape
     sums = values.sum(axis=1)
     order = np.argsort(-sums, kind="stable")
+    # number the rows by value (-0.0 == 0.0): equal ids <=> equal rows,
+    # the exact strictness test under all(a >= b).
+    by_value = np.lexsort(values.T)
+    ranked = values[by_value]
+    distinct = np.ones(count, dtype=bool)
+    distinct[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(count, dtype=np.int64)
+    ids[by_value] = np.cumsum(distinct)
     cols = [np.ascontiguousarray(values[:, j]) for j in range(width)]
     archive = np.empty(0, dtype=np.int64)
     # a small first block seeds the archive cheaply (its recompute is the
@@ -175,24 +166,22 @@ def _pareto_frontier_vectorized(oriented) -> List[int]:
         start += block
         block = 256
         if archive.size:
-            first = cols[0]
-            dominated = first[archive][:, None] >= first[cand][None, :]
-            for col in cols[1:]:
-                dominated &= col[archive][:, None] >= col[cand][None, :]
-            dominated &= sums[archive][:, None] > sums[cand][None, :]
-            cand = cand[~dominated.any(axis=0)]
+            cand = cand[~_dominated(cols, ids, archive, cand)]
             if cand.size == 0:
                 continue
         combined = np.concatenate([archive, cand])
-        combined_sums = sums[combined]
-        first = cols[0][combined]
-        dominated = first[:, None] >= first[None, :]
-        for col in cols[1:]:
-            taken = col[combined]
-            dominated &= taken[:, None] >= taken[None, :]
-        dominated &= combined_sums[:, None] > combined_sums[None, :]
-        archive = combined[~dominated.any(axis=0)]
+        archive = combined[~_dominated(cols, ids, combined, combined)]
     return [int(i) for i in np.sort(archive)]
+
+
+def _dominated(cols, ids, rows, targets) -> np.ndarray:
+    """Per target: is it Pareto-dominated by any of ``rows``?"""
+    first = cols[0]
+    dominated = first[rows][:, None] >= first[targets][None, :]
+    for col in cols[1:]:
+        dominated &= col[rows][:, None] >= col[targets][None, :]
+    dominated &= ids[rows][:, None] != ids[targets][None, :]
+    return dominated.any(axis=0)
 
 
 # ----------------------------------------------------------------------

@@ -100,8 +100,8 @@ def run_sweep(parameter: str, gpu: GpuSpec,
     """Sweep one parameter and compare model vs simulated traffic.
 
     With a :class:`repro.api.Session`, measurements route through the
-    session (engine policy, in-memory memo and optional disk cache apply);
-    without one a plain simulator runs inline.
+    session (its in-memory memo and optional disk cache apply); without
+    one a plain simulator runs inline.
     """
     if values is None:
         values = DEFAULT_SWEEPS[parameter]
@@ -109,8 +109,6 @@ def run_sweep(parameter: str, gpu: GpuSpec,
     model = DeltaModel(gpu)
     sim_config = simulator_config or SimulatorConfig(max_ctas=60)
     if session is not None:
-        sim_config = session.simulator_config(sim_config)
-
         def measure(layer: ConvLayerConfig):
             return session.simulate(gpu, layer, sim_config)
     else:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,25 +47,6 @@ from ..sim.engine import (ConvLayerSimulator, SimResult, SimTraffic,
 from .metrics import AccuracySummary
 
 MEMORY_LEVELS: Tuple[str, ...] = ("l1", "l2", "dram")
-
-
-def set_simulation_defaults(jobs: Optional[int] = None,
-                            sim_cache_dir: Optional[str] = None) -> None:
-    """Deprecated shim: configure the default :class:`repro.api.Session`.
-
-    Execution policy (worker processes, on-disk simulation cache) now lives on
-    session objects; build a ``repro.api.Session`` and pass it around — or use
-    ``repro.api.configure_default_session`` — instead of mutating process-wide
-    state through this function.
-    """
-    if jobs is not None and jobs <= 0:
-        raise ValueError("jobs must be positive")
-    warnings.warn(
-        "set_simulation_defaults is deprecated; construct a repro.api.Session "
-        "(or call repro.api.configure_default_session) instead",
-        DeprecationWarning, stacklevel=2)
-    from ..api.session import configure_default_session
-    configure_default_session(jobs=jobs, sim_cache_dir=sim_cache_dir)
 
 
 @dataclass(frozen=True)
@@ -222,7 +202,7 @@ def select_layers(config: ValidationConfig = QUICK_VALIDATION
 # ----------------------------------------------------------------------
 # Simulation with optional on-disk result cache
 # ----------------------------------------------------------------------
-_SIM_CACHE_VERSION = 2
+_SIM_CACHE_VERSION = 3
 
 #: corrupt cache entries are renamed aside with this suffix for post-mortem.
 QUARANTINE_SUFFIX = ".corrupt"
@@ -401,8 +381,3 @@ def validation_report(gpu: GpuSpec,
     session = session if session is not None else current_session()
     return session.validation_report(gpu, config)
 
-
-def cached_validation(gpu: GpuSpec,
-                      config: ValidationConfig = QUICK_VALIDATION) -> ValidationReport:
-    """Backward-compatible alias for :func:`validation_report`."""
-    return validation_report(gpu, config)

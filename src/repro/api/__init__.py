@@ -15,7 +15,7 @@ Quick start::
         print(fig13.to_json(indent=2))
 
 * :class:`Session` owns all execution policy (worker processes, on-disk
-  simulation cache, engine selection, render precision) plus the memoized
+  simulation cache, render precision, timeouts and retries) plus the memoized
   simulation/validation results shared across requests.
 * Request dataclasses (:class:`EstimateRequest`, :class:`SweepRequest`,
   :class:`ValidateRequest`, :class:`ExperimentRequest`) say *what* to compute.

@@ -120,7 +120,6 @@ def _base_meta(session: "Session", request: Request) -> Dict[str, object]:
     meta: Dict[str, object] = {
         "request": type(request).__name__,
         "jobs": session.jobs,
-        "vectorized": session.vectorized,
         "precision": session.precision,
     }
     if session.sim_cache_dir:
@@ -321,8 +320,7 @@ def _run_dse(session: "Session", request: DseRequest) -> Report:
                               objectives=objectives, store=store,
                               session=session, unique=request.unique,
                               timeout=request.timeout,
-                              retries=request.retries,
-                              eval_mode=request.eval_mode)
+                              retries=request.retries)
     finally:
         if store is not None:
             store.close()
@@ -382,7 +380,6 @@ def _run_dse(session: "Session", request: DseRequest) -> Report:
         "objectives": list(request.objectives),
         "unique": request.unique,
         "space_size": len(request.space),
-        "eval_mode": request.eval_mode,
     })
     if request.store_path:
         meta["store_path"] = str(request.store_path)
@@ -557,7 +554,7 @@ def _request_units(session: "Session", request: Request) -> Iterator["SimUnit"]:
             gpus.append(baseline_gpu)
     else:
         return
-    sim_config = session.validation_sim_config(config)
+    sim_config = config.simulator_config()
     population = select_layers(config)
     for gpu in gpus:
         for _, layer in population:

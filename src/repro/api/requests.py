@@ -1,7 +1,7 @@
 """Typed request dataclasses accepted by ``Session.run`` / ``Session.run_many``.
 
 Requests are frozen value objects: they carry *what* to compute
-(network/GPU/batch/scale), never *how* (jobs, caching, engine selection) —
+(network/GPU/batch/scale), never *how* (jobs, caching, resilience policy) —
 execution policy lives on the :class:`repro.api.Session` that runs them.
 (:class:`ExperimentRequest` is not hashable once ``options`` is set, since
 options hold arbitrary keyword arguments.)
@@ -183,14 +183,10 @@ class DseRequest:
     timeout: Optional[float] = None
     #: retry-budget override for crashed/failed evaluations (None = session).
     retries: Optional[int] = None
-    #: "batch" (vectorized array-of-points, default) or "task" (scalar
-    #: reference pipeline, one evaluation per point) — bit-identical results.
-    eval_mode: str = "batch"
 
     def __post_init__(self) -> None:
         from ..analysis.frontier import resolve_objectives
         from ..dse.drivers import driver_names
-        from ..dse.runner import EVAL_MODES
         from ..dse.space import SearchSpace
         if not isinstance(self.space, SearchSpace):
             raise TypeError(
@@ -213,12 +209,6 @@ class DseRequest:
             raise ValueError(f"the {driver} driver requires a budget")
         if self.confirm_top < 0:
             raise ValueError("confirm_top must be non-negative")
-        eval_mode = self.eval_mode.strip().lower()
-        if eval_mode not in EVAL_MODES:
-            raise ValueError(
-                f"unknown eval_mode {self.eval_mode!r}; expected one of "
-                f"{list(EVAL_MODES)}")
-        object.__setattr__(self, "eval_mode", eval_mode)
         _check_policy(self.timeout, self.retries)
 
 

@@ -2,11 +2,11 @@
 
 A :class:`Session` owns everything that used to live in process-global
 mutable state: how many worker processes per-layer simulations fan out over
-(``jobs``), where simulator results persist on disk (``sim_cache_dir``),
-whether the vectorized engine runs (``vectorized``), the default decimal
-precision of rendered reports (``precision``), and the resilience policy for
-fan-out execution (``timeout`` / ``retries`` / ``retry_backoff``).  On top of
-the policy it keeps two in-memory result stores so that many requests
+(``jobs``), where simulator results persist on disk (``sim_cache_dir``), the
+default decimal precision of rendered reports (``precision``), and the
+resilience policy for fan-out execution (``timeout`` / ``retries`` /
+``retry_backoff``).  On top of the policy it keeps two in-memory result
+stores so that many requests
 executed against the same session share work:
 
 * a simulation memo keyed by ``(gpu, layer, simulator config)`` — the unit of
@@ -24,8 +24,7 @@ DESIGN.md, "Failure semantics".
 
 The *active* session is context-local (:func:`current_session` /
 :func:`use_session`), so concurrent scenarios in different threads or asyncio
-tasks never observe each other's settings — the fix for the state-leak the
-old ``set_simulation_defaults`` global had.
+tasks never observe each other's settings.
 """
 
 from __future__ import annotations
@@ -191,7 +190,7 @@ class Session:
     """
 
     def __init__(self, jobs: int = 1, sim_cache_dir: Optional[str] = None,
-                 vectorized: bool = True, precision: int = 3,
+                 precision: int = 3,
                  timeout: Optional[float] = None, retries: int = 2,
                  retry_backoff: float = 0.1) -> None:
         self._lock = threading.RLock()
@@ -213,7 +212,6 @@ class Session:
         self.stats = SessionStats()
         self.jobs = jobs
         self.sim_cache_dir = sim_cache_dir
-        self.vectorized = vectorized
         self.precision = precision
         self.timeout = timeout
         self.retries = retries
@@ -275,16 +273,6 @@ class Session:
         if value is None or value < 0:
             raise ValueError("retry_backoff must be non-negative")
         self._retry_backoff = float(value)
-
-    def simulator_config(self, base: Optional[SimulatorConfig] = None,
-                         **overrides) -> SimulatorConfig:
-        """A simulator config with this session's engine policy applied."""
-        overrides.setdefault("vectorized", self.vectorized)
-        return replace(base if base is not None else SimulatorConfig(), **overrides)
-
-    def validation_sim_config(self, config: ValidationConfig) -> SimulatorConfig:
-        """The simulator config a validation run uses under this session."""
-        return self.simulator_config(config.simulator_config())
 
     # -- resilient task execution ---------------------------------------
 
@@ -550,7 +538,7 @@ class Session:
                  config: Optional[SimulatorConfig] = None,
                  pass_kind: PassKind = "forward") -> SimResult:
         """Simulate one layer's pass, consulting the session memo and cache."""
-        resolved = config if config is not None else self.simulator_config()
+        resolved = config if config is not None else SimulatorConfig()
         return self.simulate_many([(gpu, layer, resolved, pass_kind)])[0]
 
     def simulate_many(self, units: Sequence[SimUnit],
@@ -704,7 +692,7 @@ class Session:
     def _build_validation_report(self, gpu: GpuSpec, config: ValidationConfig,
                                  key) -> ValidationReport:
         population = select_layers(config)
-        sim_config = self.validation_sim_config(config)
+        sim_config = config.simulator_config()
         sims = self.simulate_many(
             [(gpu, layer, sim_config) for _, layer in population],
             jobs=config.jobs, cache_dir=config.sim_cache_dir,
@@ -768,7 +756,7 @@ class Session:
 
     def __repr__(self) -> str:
         return (f"Session(jobs={self.jobs}, sim_cache_dir={self.sim_cache_dir!r}, "
-                f"vectorized={self.vectorized}, precision={self.precision}, "
+                f"precision={self.precision}, "
                 f"timeout={self.timeout}, retries={self.retries})")
 
 
@@ -807,7 +795,6 @@ def use_session(session: Session) -> Iterator[Session]:
 
 def configure_default_session(jobs: Optional[int] = None,
                               sim_cache_dir: Optional[str] = None,
-                              vectorized: Optional[bool] = None,
                               precision: Optional[int] = None,
                               timeout: Optional[float] = None,
                               retries: Optional[int] = None) -> Session:
@@ -817,8 +804,6 @@ def configure_default_session(jobs: Optional[int] = None,
         session.jobs = jobs
     if sim_cache_dir is not None:
         session.sim_cache_dir = sim_cache_dir
-    if vectorized is not None:
-        session.vectorized = bool(vectorized)
     if precision is not None:
         session.precision = precision
     if timeout is not None:

@@ -234,7 +234,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         store_path=args.store,
         unique=not args.all_layers,
         confirm_top=args.confirm_top,
-        eval_mode=args.eval_mode,
     ))
 
 
@@ -434,12 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     dse_parser.add_argument("--confirm-top", type=int, default=0, metavar="N",
                             help="simulator-confirm the N best frontier "
                                  "points (0 = analytic model only)")
-    dse_parser.add_argument("--eval-mode", choices=("batch", "task"),
-                            default="batch",
-                            help="point evaluation: vectorized "
-                                 "array-of-points batches (default) or the "
-                                 "scalar per-point reference pipeline; "
-                                 "results are bit-identical")
     add_pass_flag(dse_parser)
     add_simulation_flags(dse_parser)
     add_trace_flag(dse_parser)

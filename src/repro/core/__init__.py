@@ -13,7 +13,6 @@ from .layer import (BatchedGemmLayerConfig, ConvLayerConfig, GemmShape,
                     LayerConfig, LinearLayerConfig)
 from .model import DeltaModel
 from .performance import ExecutionEstimate, PerformanceModel
-from .scaling import ScalingResult, ScalingStudy
 from .streams import StreamTimes, compute_stream_times
 from .training import (
     LayerPassEstimate,
@@ -102,6 +101,4 @@ __all__ = [
     "FixedMissRateModel",
     "FixedMissRateTrafficModel",
     "PAPER_MISS_RATES",
-    "ScalingStudy",
-    "ScalingResult",
 ]

@@ -5,7 +5,7 @@ The scalar pipeline in :mod:`repro.core.performance` evaluates one
 full Python interpretation cost per point.  This module evaluates a *batch of
 GPU designs at once* as NumPy structure-of-arrays while keeping the scalar
 path as the bit-identical reference (the same vectorize-with-scalar-reference
-contract the simulator's ``vectorized=False`` mode established):
+contract the simulator keeps against its test-side scalar loop):
 
 * :class:`BatchedGpuSpec` holds one array per scaled :class:`GpuSpec`
   resource, with each element derived exactly the way

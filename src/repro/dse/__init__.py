@@ -41,7 +41,6 @@ from .drivers import (
 )
 from .batch import evaluate_points
 from .runner import (
-    EVAL_MODES,
     Exploration,
     ExplorationStats,
     PointFailure,
@@ -107,7 +106,6 @@ __all__ = [
     "explore",
     "evaluate_point",
     "evaluate_points",
-    "EVAL_MODES",
     "confirm_frontier",
     "store_key",
     "store_keys",

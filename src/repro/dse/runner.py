@@ -7,9 +7,10 @@ session's shared process pool, and finishes with the Pareto frontier over the
 requested objectives.
 
 Every point is lowered through :meth:`DesignOption.apply` onto the baseline
-GPU and evaluated with the analytic :class:`~repro.core.model.DeltaModel` —
-the exact computation the Fig. 16 scaling study performs, which is why the
-reimplemented ``fig16`` experiment reproduces the legacy study bit for bit.
+GPU and evaluated with the analytic :class:`~repro.core.model.DeltaModel`
+through the batched array-of-points path (:mod:`repro.dse.batch`); the
+Fig. 16 scaling study is this pipeline over the nine paper columns, pinned
+bit for bit by ``tests/golden_fig16.json``.
 Frontier points can optionally be *confirmed* against the trace-driven
 simulator (:func:`confirm_frontier`), keeping the expensive engine off the
 sweep's hot path.
@@ -33,11 +34,11 @@ from ..analysis.frontier import (DEFAULT_OBJECTIVE_NAMES, Objective,
 from ..core.model import DeltaModel
 from ..core.workload import expand_passes
 from ..gpu.devices import TITAN_XP
-from ..gpu.spec import FP32_BYTES, GpuSpec
-from ..networks.registry import get_network
+from ..gpu.spec import GpuSpec
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
 from ..resilience import TaskFailure
+from ..sim.engine import SimulatorConfig
 from .batch import _workload_layers, evaluate_points
 from .drivers import ExhaustiveDriver, SuccessiveHalvingDriver
 from .space import DesignPoint, SearchSpace
@@ -45,11 +46,6 @@ from .store import FAILURE_FIELD, ResultStore, is_failure_record
 
 #: bump when the evaluation's metric semantics change (invalidates stores).
 EVALUATION_SCHEMA = 1
-
-#: how the sweep evaluates its points: ``"batch"`` fans whole chunks of
-#: points through the vectorized array-of-points path (the default),
-#: ``"task"`` runs the scalar pipeline once per point (the reference mode).
-EVAL_MODES = ("batch", "task")
 
 #: design points per batched pool task; bounds the work lost when one point
 #: in a chunk crashes the worker (the chunk is then retried point by point).
@@ -202,15 +198,16 @@ def store_keys(base_gpu: GpuSpec, points: Sequence[DesignPoint],
 def evaluate_point(base_gpu: GpuSpec, point: DesignPoint, *,
                    unique: bool = True,
                    layer_stride: int = 1) -> Dict[str, object]:
-    """Evaluate one design point with the analytic model.
+    """Evaluate one design point with the scalar analytic model.
 
     Returns a flat metrics dict (plus the Fig. 16c-style ``bottlenecks`` time
     shares).  ``layer_stride`` > 1 subsamples the workload's layers — the
     cheap proxy the successive-halving driver ranks candidates with.
 
-    The accumulation order (layers outer, passes inner, running float sums)
-    deliberately mirrors :class:`repro.core.scaling.ScalingStudy` so the
-    DSE-backed ``fig16`` experiment stays bit-identical to the legacy study.
+    :func:`explore` evaluates through the batched
+    :func:`~repro.dse.batch.evaluate_points`; this one-point reference
+    (layers outer, passes inner, running float sums) is the oracle the
+    batched path must reproduce bit for bit.
     """
     gpu = point.option.apply(base_gpu)
     model = DeltaModel(gpu, cta_tile_hw=point.option.cta_tile_hw)
@@ -230,7 +227,7 @@ def evaluate_point(base_gpu: GpuSpec, point: DesignPoint, *,
     shares: Counter = Counter()
     for est in estimates:
         # zero-time estimates carry no share; including them would add a
-        # spurious zero-share bottleneck category (see ScalingResult).
+        # spurious zero-share bottleneck category.
         if est.time_seconds <= 0:
             continue
         shares[est.bottleneck] += est.time_seconds
@@ -251,26 +248,11 @@ def evaluate_point(base_gpu: GpuSpec, point: DesignPoint, *,
     }
 
 
-def _evaluate_task(task: Tuple[GpuSpec, DesignPoint, bool]) -> Dict[str, object]:
-    """Process-pool worker: evaluate one (base gpu, point, unique) task."""
-    base_gpu, point, unique = task
-    faults.fire("dse", f"{point.name}/{point.network}/b{point.batch}")
-    return evaluate_point(base_gpu, point, unique=unique)
-
-
-def _proxy_task(task: Tuple[GpuSpec, DesignPoint, bool]) -> Dict[str, object]:
-    """Process-pool worker: the layer-subsampled proxy evaluation."""
-    base_gpu, point, unique = task
-    faults.fire("dse", f"proxy:{point.name}/{point.network}/b{point.batch}")
-    return evaluate_point(base_gpu, point, unique=unique, layer_stride=4)
-
-
 def _evaluate_batch_task(task) -> List[Dict[str, object]]:
     """Process-pool worker: evaluate one chunk of points as a batch.
 
-    Fires the per-point fault sites first (same sites as :func:`_evaluate_task`
-    so injection campaigns hit both modes identically), then evaluates the
-    whole chunk through the array-of-points path.
+    Fires the per-point fault sites first, then evaluates the whole chunk
+    through the array-of-points path.
     """
     base_gpu, points, unique = task
     if faults.active():
@@ -444,12 +426,12 @@ def _evaluate_batch_local(base_gpu: GpuSpec, points: Sequence[DesignPoint],
 
     Fault sites fire per point before the batch call so an injected error
     poisons only its own point; if the batch evaluation itself fails, the
-    chunk degrades to scalar per-point evaluation so one bad point cannot
-    take down its neighbours — the same isolation the per-task mode has.
+    chunk is re-run one point at a time so one bad point cannot take down
+    its neighbours.
 
     ``lines_out`` (a per-point list, parallel to ``points``) collects the
     batch path's pre-serialized store lines; indices the batch could not
-    serialize (fault injection, scalar fallback) stay ``None``.
+    serialize (fault injection, per-point fallback) stay ``None``.
     """
     outcomes: List[object] = [None] * len(points)
     if faults.active():
@@ -482,8 +464,8 @@ def _evaluate_batch_local(base_gpu: GpuSpec, points: Sequence[DesignPoint],
             fresh = []
             for i in good:
                 try:
-                    fresh.append(evaluate_point(base_gpu, points[i],
-                                                unique=unique))
+                    fresh.extend(evaluate_points(base_gpu, [points[i]],
+                                                 unique=unique))
                 except Exception as exc:
                     fresh.append(TaskFailure.from_exception(exc))
         for i, outcome in zip(good, fresh):
@@ -501,9 +483,8 @@ def _map_evaluations_batched(session, jobs: Optional[int],
     """Batched evaluation fan-out with chunk-level crash isolation.
 
     Chunks go through the session pool as single tasks; a chunk that fails
-    (e.g. one point crashes the worker) is retried point by point through
-    the scalar task so only the genuinely bad point surfaces as a failure —
-    keeping failure semantics identical to per-task mode.
+    (e.g. one point crashes the worker) is retried one point per task so
+    only the genuinely bad point surfaces as a failure.
     """
     if session is None:
         return _evaluate_batch_local(base_gpu, points, unique, lines_out)
@@ -516,36 +497,13 @@ def _map_evaluations_batched(session, jobs: Optional[int],
     outcomes: List[object] = []
     for chunk, outcome in zip(chunks, chunk_outcomes):
         if isinstance(outcome, TaskFailure):
-            tasks = [(base_gpu, point, unique) for point in chunk]
-            outcomes.extend(session.map_tasks(_evaluate_task, tasks,
-                                              isolate=True, **kwargs))
+            tasks = [(base_gpu, (point,), unique) for point in chunk]
+            outcomes.extend(
+                single if isinstance(single, TaskFailure) else single[0]
+                for single in session.map_tasks(_evaluate_batch_task, tasks,
+                                                isolate=True, **kwargs))
         else:
             outcomes.extend(outcome)
-    return outcomes
-
-
-def _map_evaluations(session, jobs: Optional[int],
-                     tasks: List[Tuple[GpuSpec, DesignPoint, bool]],
-                     timeout: Optional[float] = None,
-                     retries: Optional[int] = None,
-                     eval_mode: str = "batch",
-                     lines_out: Optional[List[Optional[str]]] = None
-                     ) -> List[object]:
-    """Evaluate tasks, yielding a metrics dict or TaskFailure per task."""
-    if eval_mode == "batch" and tasks:
-        base_gpu, _, unique = tasks[0]
-        return _map_evaluations_batched(
-            session, jobs, base_gpu, [task[1] for task in tasks], unique,
-            timeout, retries, lines_out)
-    if session is not None:
-        return session.map_tasks(_evaluate_task, tasks, isolate=True,
-                                 **_resilience_kwargs(jobs, timeout, retries))
-    outcomes: List[object] = []
-    for task in tasks:
-        try:
-            outcomes.append(_evaluate_task(task))
-        except Exception as exc:
-            outcomes.append(TaskFailure.from_exception(exc))
     return outcomes
 
 
@@ -554,17 +512,11 @@ def _score_proxy_batched(session, jobs: Optional[int], base_gpu: GpuSpec,
                          unique: bool) -> List[Dict[str, object]]:
     """Batched proxy scoring for successive halving rungs.
 
-    Proxy failures propagate (no per-point isolation), matching the
-    per-task mode's ``map_tasks`` call without ``return_failures``.
+    Proxy failures propagate: the proxy only ranks candidates, so there is
+    no per-point isolation (``map_tasks`` without ``return_failures``).
     """
     if session is None:
-        if faults.active():
-            for point in points:
-                faults.fire(
-                    "dse",
-                    f"proxy:{point.name}/{point.network}/b{point.batch}")
-        return evaluate_points(base_gpu, points, unique=unique,
-                               layer_stride=4)
+        return _proxy_batch_task((base_gpu, points, unique))
     chunk_tasks = [(base_gpu, tuple(points[start:start + BATCH_CHUNK]),
                     unique)
                    for start in range(0, len(points), BATCH_CHUNK)]
@@ -578,8 +530,7 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
             store: Optional[ResultStore] = None, session=None,
             jobs: Optional[int] = None, unique: bool = True,
             include_baseline: bool = True, timeout: Optional[float] = None,
-            retries: Optional[int] = None,
-            eval_mode: str = "batch") -> Exploration:
+            retries: Optional[int] = None) -> Exploration:
     """Run one design-space exploration end to end.
 
     ``session`` supplies process-pool parallelism and the cross-request
@@ -587,20 +538,15 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
     may be omitted for a serial, stateless sweep.  ``timeout``/``retries``
     override the session's resilience policy for the per-point evaluations.
 
-    ``eval_mode`` selects how points are evaluated: ``"batch"`` (default)
-    runs whole rungs through the vectorized array-of-points path
-    (:mod:`repro.dse.batch`), ``"task"`` runs the scalar pipeline once per
-    point.  The two modes are bit-identical — same metrics, same content
-    keys, same frontier — batch mode is just ~50x faster cold.
+    Points are evaluated in whole rungs through the vectorized
+    array-of-points path (:mod:`repro.dse.batch`), bit-identical to the
+    scalar :func:`evaluate_point` oracle.
 
     Failures are isolated per point: an evaluation that still fails after the
     retry budget becomes a :class:`PointFailure` (recorded in the store when
     one is attached, and skipped on resume) while the sweep continues; the
     frontier is computed over the successful points only.
     """
-    if eval_mode not in EVAL_MODES:
-        raise ValueError(
-            f"unknown eval_mode {eval_mode!r}; expected one of {EVAL_MODES}")
     if driver is None:
         driver = ExhaustiveDriver()
     resolved = (objectives if objectives and
@@ -623,16 +569,8 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
             with obs_spans.trace("dse.rung", candidates=len(candidates),
                                  fresh=len(missing)):
                 if missing:
-                    if eval_mode == "batch":
-                        fresh = _score_proxy_batched(session, jobs, base_gpu,
-                                                     missing, unique)
-                    else:
-                        tasks = [(base_gpu, point, unique)
-                                 for point in missing]
-                        fresh = (session.map_tasks(_proxy_task, tasks,
-                                                   jobs=jobs)
-                                 if session is not None
-                                 else [_proxy_task(task) for task in tasks])
+                    fresh = _score_proxy_batched(session, jobs, base_gpu,
+                                                 missing, unique)
                     stats.proxy_evaluations += len(missing)
                     for point, metrics in zip(missing, fresh):
                         proxy_memo[point.point_hash()] = metrics
@@ -709,15 +647,10 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
         with obs_spans.trace("dse.evaluate", points=len(pending),
                              memo_hits=stats.memo_hits,
                              store_hits=stats.store_hits):
-            if eval_mode == "batch":
-                fresh = _map_evaluations_batched(
-                    session, jobs, base_gpu,
-                    [point for _, _, point in pending], unique,
-                    timeout, retries, lines_out)
-            else:
-                tasks = [(base_gpu, point, unique) for _, _, point in pending]
-                fresh = _map_evaluations(session, jobs, tasks, timeout,
-                                         retries, eval_mode, lines_out)
+            fresh = _map_evaluations_batched(
+                session, jobs, base_gpu,
+                [point for _, _, point in pending], unique,
+                timeout, retries, lines_out)
         store_batch: List[Tuple[str, str, Dict[str, object],
                                 Optional[str]]] = []
         store_append = store_batch.append
@@ -826,8 +759,8 @@ def confirm_frontier(exploration: Exploration, session, *, top: int = 3,
         layer = max(layers, key=lambda l: l.macs)
         pass_kind = expand_passes(point.passes)[0]
         gpu = point.option.apply(exploration.base_gpu)
-        config = session.simulator_config(
-            max_ctas=max_ctas, cta_tile_hw=point.option.cta_tile_hw)
+        config = SimulatorConfig(max_ctas=max_ctas,
+                                 cta_tile_hw=point.option.cta_tile_hw)
         sim = session.simulate(gpu, layer, config, pass_kind=pass_kind)
         model = DeltaModel(gpu, cta_tile_hw=point.option.cta_tile_hw)
         est = model.estimate_pass(layer, pass_kind)

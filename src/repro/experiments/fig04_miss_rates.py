@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 from ..gpu.devices import TITAN_XP
 from ..gpu.spec import GpuSpec
 from ..networks.registry import get_network
+from ..sim.engine import SimulatorConfig
 from .base import ExperimentResult, make_result
 from .registry import register_experiment
 
@@ -49,7 +50,7 @@ def run(gpu: GpuSpec = TITAN_XP, batch: int = 16,
             layer_names = tuple(
                 layer.name
                 for layer in net.unique_layers()[:len(DEFAULT_LAYER_NAMES)])
-    sim_config = session.simulator_config(max_ctas=max_ctas)
+    sim_config = SimulatorConfig(max_ctas=max_ctas)
 
     rows = []
     l1_rates = []

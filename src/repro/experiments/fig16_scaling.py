@@ -12,12 +12,11 @@ The paper's headline observations:
 * balanced scaling (option 5) matches option 2 with far fewer resources;
 * the large-tile, high-DRAM-bandwidth design (option 9) reaches ~6.4x.
 
-Since the DSE subsystem landed, this experiment is a 9-point exhaustive
-search space on the generic driver (:func:`repro.dse.explore`): each paper
-column becomes a :class:`~repro.dse.DesignPoint` lowered through the same
-``DesignOption.apply`` path the legacy :class:`~repro.core.scaling.
-ScalingStudy` used, so the reported numbers are bit-identical to the
-hand-enumerated study (a regression test pins this equivalence).
+The experiment is a 9-point exhaustive search space on the generic driver
+(:func:`repro.dse.explore`): each paper column becomes a
+:class:`~repro.dse.DesignPoint` lowered through ``DesignOption.apply``.  The
+numbers are pinned bit for bit to the original hand-enumerated study's
+output, frozen in ``tests/golden_fig16.json``.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ def run(gpu: GpuSpec = TITAN_XP,
 
     ``batch`` overrides the reference layer's mini-batch (the batch-size
     panel still sweeps its own values); measurements route through the
-    session's engine policy, memo and disk cache.
+    session's memo and disk cache.
     """
     from ..api.session import current_session
     session = session if session is not None else current_session()

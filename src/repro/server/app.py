@@ -288,7 +288,6 @@ class ReproApp:
             },
             "policy": {
                 "jobs": session.jobs,
-                "vectorized": session.vectorized,
                 "precision": session.precision,
                 "timeout": session.timeout,
                 "retries": session.retries,

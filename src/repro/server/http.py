@@ -7,7 +7,9 @@ HTTP/1.1 implementation — so ``repro serve`` works with nothing beyond the
 standard library.  It supports exactly what the service needs:
 
 * request parsing with ``Content-Length`` bodies (plus ``Expect:
-  100-continue`` for curl-friendly large POSTs),
+  100-continue`` for curl-friendly large POSTs); a malformed length is a
+  400 and a ``Transfer-Encoding`` request body a 411, both closing the
+  connection so its remaining bytes are never parsed as a request,
 * fixed-length responses with keep-alive, and
 * ``Transfer-Encoding: chunked`` streaming for endpoints that send bodies
   incrementally (the NDJSON job event stream).
@@ -42,8 +44,9 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 _STATUS_PHRASES = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
-    500: "Internal Server Error", 503: "Service Unavailable",
+    405: "Method Not Allowed", 409: "Conflict", 411: "Length Required",
+    413: "Payload Too Large", 500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 
@@ -136,12 +139,17 @@ class _Connection:
         return lines[0], headers
 
     async def _read_body(self, headers: "dict[str, str]") -> Tuple[bytes, bool]:
+        if "transfer-encoding" in headers:
+            # only Content-Length framing is read; guessing at any other
+            # framing would desync the request stream.
+            await self._send_plain(411, "request bodies need content-length")
+            return b"", False
         length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
+        # 1*DIGIT only: int() would also take "-5", "+5" and "1_0".
+        if not (length_text.isascii() and length_text.isdigit()):
             await self._send_plain(400, "bad content-length")
             return b"", False
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
             await self._send_plain(413, "request body too large")
             return b"", False

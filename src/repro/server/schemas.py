@@ -365,7 +365,7 @@ def parse_dse(body: Mapping[str, object]) -> ParsedRequest:
     route = "dse"
     fields = ("gpu", "networks", "batches", "axes", "driver", "budget",
               "seed", "objectives", "unique", "confirm_top", "passes",
-              "timeout", "retries", "eval_mode")
+              "timeout", "retries")
     _check_fields(body, fields, route)
     networks = tuple(_check_network(name, route) for name in
                      (_str_list(body, "networks", route) or ("resnet152",)))
@@ -385,7 +385,6 @@ def parse_dse(body: Mapping[str, object]) -> ParsedRequest:
         confirm_top=_int(body, "confirm_top", 0, route),
         timeout=_float(body, "timeout", route),
         retries=_int(body, "retries", None, route),
-        eval_mode=_str(body, "eval_mode", "batch", route),
     ))
     canonical = {
         "route": route, "gpu": request.gpu, "networks": list(networks),
@@ -394,7 +393,6 @@ def parse_dse(body: Mapping[str, object]) -> ParsedRequest:
         "seed": request.seed, "objectives": list(request.objectives),
         "unique": request.unique, "confirm_top": request.confirm_top,
         "timeout": request.timeout, "retries": request.retries,
-        "eval_mode": request.eval_mode,
     }
     canonical.update(space_descriptor)
     return ParsedRequest(request, _content_key(canonical),

@@ -24,13 +24,11 @@ def _stable_session_policy():
     knobs are snapshotted and restored.
     """
     session = default_session()
-    policy = (session.jobs, session.sim_cache_dir, session.vectorized,
-              session.precision, session.timeout, session.retries,
-              session.retry_backoff)
+    policy = (session.jobs, session.sim_cache_dir, session.precision,
+              session.timeout, session.retries, session.retry_backoff)
     yield
-    (session.jobs, session.sim_cache_dir, session.vectorized,
-     session.precision, session.timeout, session.retries,
-     session.retry_backoff) = policy
+    (session.jobs, session.sim_cache_dir, session.precision,
+     session.timeout, session.retries, session.retry_backoff) = policy
 
 
 @pytest.fixture

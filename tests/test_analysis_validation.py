@@ -111,9 +111,9 @@ class TestParallelValidation:
                 == [_record_key(r) for r in parallel.records])
 
     def test_jobs_must_be_positive(self):
-        from repro.analysis.validation import set_simulation_defaults
+        from repro.api import configure_default_session
         with pytest.raises(ValueError):
-            set_simulation_defaults(jobs=0)
+            configure_default_session(jobs=0)
 
     def test_effective_jobs_defaults_to_serial(self):
         assert ValidationConfig().effective_jobs >= 1

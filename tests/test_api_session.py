@@ -36,11 +36,6 @@ class TestSessionPolicy:
         with pytest.raises(ValueError):
             Session(precision=-1)
 
-    def test_simulator_config_carries_engine_policy(self):
-        session = Session(vectorized=False)
-        assert session.simulator_config().vectorized is False
-        assert session.simulator_config(max_ctas=7).max_ctas == 7
-
     def test_context_manager_closes_pool(self):
         with Session(jobs=2) as session:
             pass
@@ -60,9 +55,14 @@ class TestContextLocalSession:
         assert ValidationConfig().effective_jobs == 1
 
     def test_configure_default_session(self):
-        configure_default_session(jobs=5, precision=4)
+        configure_default_session(jobs=5, precision=4,
+                                  sim_cache_dir="/tmp/default-cache")
         assert default_session().jobs == 5
         assert default_session().precision == 4
+        # validation configs without explicit policy follow the default.
+        assert ValidationConfig().effective_jobs == 5
+        assert (ValidationConfig().effective_sim_cache_dir
+                == "/tmp/default-cache")
         # the autouse fixture restores the policy afterwards
 
     def test_reset_default_session_makes_a_fresh_one(self):
@@ -71,22 +71,6 @@ class TestContextLocalSession:
         after = default_session()
         assert after is not before
         assert after.jobs == 1
-
-
-class TestDeprecatedGlobalShim:
-    def test_set_simulation_defaults_warns_and_forwards(self):
-        from repro.analysis.validation import set_simulation_defaults
-        with pytest.warns(DeprecationWarning):
-            set_simulation_defaults(jobs=3, sim_cache_dir="/tmp/shim-cache")
-        assert default_session().jobs == 3
-        assert default_session().sim_cache_dir == "/tmp/shim-cache"
-        assert ValidationConfig().effective_jobs == 3
-        assert ValidationConfig().effective_sim_cache_dir == "/tmp/shim-cache"
-
-    def test_rejects_non_positive_jobs(self):
-        from repro.analysis.validation import set_simulation_defaults
-        with pytest.raises(ValueError):
-            set_simulation_defaults(jobs=0)
 
 
 class TestEstimateRequests:

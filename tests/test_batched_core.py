@@ -14,7 +14,7 @@ tie-breaks, same serialized bytes.  This suite pins that contract:
 * the template-splicing serialization fast paths (``store_keys``,
   ``_descriptor_json``, ``_metrics_json``, the batch path's pre-serialized
   store lines) are byte-identical to the real ``json.dumps``;
-* the vectorized Pareto filter equals the scalar domination loop;
+* ``pareto_frontier`` equals the scalar domination loop at every size;
 * the fast grid enumeration equals the ``_point_from_values`` reference;
 * the scalar edge-case fixes that rode along (fp16 L1 streaming clamp,
   sliding-window L2 clamps, zero-time bottleneck shares) stay pinned.
@@ -27,7 +27,7 @@ import os
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.frontier import (OBJECTIVES, _pareto_frontier_vectorized,
@@ -37,8 +37,8 @@ from repro.core.batched import (BatchedGpuSpec, CANDIDATE_ORDER,
 from repro.core.bottleneck import Bottleneck
 from repro.core.l1 import _streaming_mli
 from repro.core.l2 import sliding_tile_unique_elements
-from repro.core.scaling import ScalingResult
 from repro.core.workload import Im2colPattern, lower_forward, lower_pass
+from repro.dse import runner as dse_runner
 from repro.dse.batch import evaluate_points
 from repro.dse.runner import (_descriptor_json, evaluate_point, store_key,
                               store_keys)
@@ -271,6 +271,8 @@ def _scalar_frontier(oriented):
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
                           st.integers(0, 5)),
                 min_size=1, max_size=120))
+# row 0 dominates row 1, but 1e16 + 1 rounds to 1e16: equal float sums.
+@example(rows=[(10 ** 16, 1, 0), (10 ** 16, 0, 0)])
 def test_pareto_vectorized_matches_scalar_loop(rows):
     # small integer grids force heavy duplication and tie-breaking, the
     # hard cases for the sum-as-strictness trick.
@@ -279,15 +281,19 @@ def test_pareto_vectorized_matches_scalar_loop(rows):
 
 
 def test_pareto_frontier_dispatch_consistent_across_sizes():
-    """The >64-row vectorized dispatch returns what the scalar loop does."""
+    """``pareto_frontier`` returns what the scalar loop does at any size,
+    from the empty and single-row edge cases to multi-block inputs."""
     objectives = resolve_objectives(("throughput", "dram", "cost"))
     rows = [{"throughput_tflops": float(t), "dram_gb": float(d),
              "resource_cost": float(c)}
             for t, d, c in itertools.product(range(5), range(4), range(4))]
     assert len(rows) > 64
-    oriented = [tuple(obj.oriented(float(row[obj.metric]))
-                      for obj in objectives) for row in rows]
-    assert pareto_frontier(rows, objectives) == _scalar_frontier(oriented)
+    for size in (0, 1, 2, 9, len(rows)):
+        subset = rows[:size]
+        oriented = [tuple(obj.oriented(float(row[obj.metric]))
+                          for obj in objectives) for row in subset]
+        assert (pareto_frontier(subset, objectives)
+                == _scalar_frontier(oriented)), size
 
 
 # ----------------------------------------------------------------------
@@ -349,19 +355,34 @@ def test_sliding_tile_clamps_cols_to_matrix_extent():
     assert sliding_tile_unique_elements(pointwise, 8, 64, 4) == 8 * 4.0
 
 
-def test_bottleneck_shares_skip_zero_time_layers():
-    estimates = (
-        SimpleNamespace(time_seconds=3.0, bottleneck=Bottleneck.MAC_BW),
-        SimpleNamespace(time_seconds=0.0, bottleneck=Bottleneck.DRAM_BW),
-        SimpleNamespace(time_seconds=1.0, bottleneck=Bottleneck.L2_BW),
-    )
-    result = ScalingResult(option=DesignOption(name="baseline"),
-                           gpu=TITAN_XP, total_time_seconds=4.0, speedup=1.0,
-                           estimates=estimates)
-    shares = result.bottleneck_distribution
+def test_bottleneck_shares_skip_zero_time_layers(monkeypatch):
+    def estimate(seconds, bottleneck):
+        return SimpleNamespace(
+            time_seconds=seconds, bottleneck=bottleneck,
+            workload=SimpleNamespace(flops=1.0),
+            traffic=SimpleNamespace(dram_bytes=0.0, l2_bytes=0.0))
+
+    estimates = iter((estimate(3.0, Bottleneck.MAC_BW),
+                      estimate(0.0, Bottleneck.DRAM_BW),
+                      estimate(1.0, Bottleneck.L2_BW)))
+
+    class ScriptedModel:
+        def __init__(self, gpu, cta_tile_hw):
+            pass
+
+        def estimate(self, layer):
+            return next(estimates)
+
+    monkeypatch.setattr(dse_runner, "DeltaModel", ScriptedModel)
+    monkeypatch.setattr(dse_runner, "_workload_layers",
+                        lambda *args: ("a", "b", "c"))
+    point = DesignPoint(option=DesignOption(name="baseline"),
+                        network="alexnet", batch=8)
+    shares = evaluate_point(TITAN_XP, point)["bottlenecks"]
     # the zero-time layer's bottleneck must not appear as a 0.0 category.
-    assert Bottleneck.DRAM_BW not in shares
-    assert shares == {Bottleneck.MAC_BW: 0.75, Bottleneck.L2_BW: 0.25}
+    assert Bottleneck.DRAM_BW.value not in shares
+    assert shares == {Bottleneck.MAC_BW.value: 0.75,
+                      Bottleneck.L2_BW.value: 0.25}
     assert math.isclose(sum(shares.values()), 1.0)
 
 

@@ -229,7 +229,7 @@ class TestDseFaultIsolation:
         # pin the crash to one specific point; it fires on every retry, so
         # that point permanently fails while every other point completes.
         # The batched path retries at two levels — the whole chunk first,
-        # then the per-point scalar fallback — so the ticket budget covers
+        # then one point per task — so the ticket budget covers
         # both ladders: 2 * (retries + 1) fires.
         with faults.injected(
                 faults.crash(site="dse", match="num_sm=2,mac_bw=2", times=12),

@@ -6,7 +6,8 @@ from repro import DeltaModel, TESLA_V100, TITAN_XP
 from repro.analysis.metrics import AccuracySummary
 from repro.analysis.validation import MEMORY_LEVELS, ValidationConfig, validate_gpu
 from repro.core.baselines import FixedMissRateTrafficModel
-from repro.core.scaling import ScalingStudy
+from repro.core.bottleneck import Bottleneck
+from repro.dse import explore, space_from_options
 from repro.gpu import get_design_option
 from repro.networks import googlenet, resnet152, vgg16
 
@@ -72,17 +73,20 @@ class TestWholeNetworkEstimation:
 
     def test_scaling_study_consistent_with_bottleneck_analysis(self):
         """Design options that relieve the dominant bottleneck must help."""
-        layers = resnet152(batch=64).unique_layers()
-        study = ScalingStudy(baseline=TITAN_XP,
-                             options=(get_design_option("4"),
-                                      get_design_option("5")))
-        results = {r.option.name: r for r in study.run(layers)}
+        space = space_from_options(
+            (get_design_option("4"), get_design_option("5")),
+            network="resnet152", batch=64)
+        exploration = explore(space, base_gpu=TITAN_XP, objectives=("time",),
+                              unique=True)
+        results = {r.point.name: r for r in exploration.results}
         # option 5 adds memory bandwidth on top of option 4's compute;
         # it must be at least as fast.
-        assert results["5"].speedup >= results["4"].speedup
+        assert (exploration.speedup(results["5"])
+                >= exploration.speedup(results["4"]))
+
         # and the compute-only option must leave more layers memory bound.
-        memory_share_4 = sum(v for k, v in results["4"].bottleneck_distribution.items()
-                             if k.is_memory_bound)
-        memory_share_5 = sum(v for k, v in results["5"].bottleneck_distribution.items()
-                             if k.is_memory_bound)
-        assert memory_share_4 >= memory_share_5
+        def memory_share(name):
+            return sum(share for key, share
+                       in results[name].metrics["bottlenecks"].items()
+                       if Bottleneck(key).is_memory_bound)
+        assert memory_share("4") >= memory_share("5")

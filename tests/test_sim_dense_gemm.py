@@ -3,8 +3,9 @@
 Mirrors the conv equivalence suite for the GEMM-native lowering: the trace
 generator's separable dense address decomposition is checked against a
 brute-force per-element reference, and the vectorized engine must produce
-bit-identical ``SimTraffic`` to the scalar reference loop on linear and
-batched-GEMM workloads for all three training passes.
+bit-identical ``SimTraffic`` to the scalar reference loop
+(tests/sim_reference.py) on linear and batched-GEMM workloads for all three
+training passes.
 """
 
 import math
@@ -19,6 +20,7 @@ from repro.gpu.devices import TITAN_XP
 from repro.sim.address import INVALID_ADDRESS
 from repro.sim.engine import ConvLayerSimulator, SimulatorConfig
 from repro.sim.im2col import GemmTraceGenerator
+from sim_reference import ReferenceSimulator
 
 LINEAR = LinearLayerConfig("fc", batch=140, in_features=70, out_features=150)
 BATCHED = BatchedGemmLayerConfig("bgemm", batch=2, groups_per_sample=2,
@@ -114,8 +116,8 @@ def test_vectorized_engine_bit_identical_on_dense_traces(layer, pass_kind):
     workload = lower_pass(layer, pass_kind)
     vectorized = ConvLayerSimulator(
         TITAN_XP, SimulatorConfig(max_ctas=None)).run(workload)
-    scalar = ConvLayerSimulator(
-        TITAN_XP, SimulatorConfig(max_ctas=None, vectorized=False)).run(workload)
+    scalar = ReferenceSimulator(
+        TITAN_XP, SimulatorConfig(max_ctas=None)).run(workload)
     for field in ("l1_bytes", "l2_bytes", "dram_bytes", "dram_ifmap_bytes",
                   "dram_filter_bytes", "l1_requests"):
         assert (getattr(vectorized.traffic, field)

@@ -6,6 +6,7 @@ from repro.core.layer import ConvLayerConfig
 from repro.core.model import DeltaModel
 from repro.gpu import TITAN_XP
 from repro.sim.engine import ConvLayerSimulator, SimResult, SimulatorConfig
+from sim_reference import ReferenceSimulator
 
 
 def _traffic_tuple(result: SimResult):
@@ -94,8 +95,8 @@ class TestSamplingAndExtrapolation:
 
 
 #: SimTraffic values captured from the pre-vectorization (seed) engine; the
-#: vectorized pipeline and the scalar reference path must reproduce every
-#: field bit-for-bit.  Tuple order matches :func:`_traffic_tuple`.
+#: vectorized engine and the test-side scalar reference
+#: (tests/sim_reference.py) must reproduce every field bit-for-bit.  Tuple order matches :func:`_traffic_tuple`.
 GOLDEN_CASES = {
     "small3x3_sector": (
         dict(batch=2, in_channels=8, in_size=14, out_channels=16,
@@ -143,17 +144,15 @@ class TestGoldenTraffic:
         layer_kwargs, config_kwargs, expected = GOLDEN_CASES[case]
         layer = ConvLayerConfig.square(case, **layer_kwargs)
         result = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(vectorized=True, **config_kwargs)
-        ).run(layer)
+            TITAN_XP, SimulatorConfig(**config_kwargs)).run(layer)
         assert _traffic_tuple(result) == expected
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_reference_engine_matches_seed(self, case):
         layer_kwargs, config_kwargs, expected = GOLDEN_CASES[case]
         layer = ConvLayerConfig.square(case, **layer_kwargs)
-        result = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(vectorized=False, **config_kwargs)
-        ).run(layer)
+        result = ReferenceSimulator(
+            TITAN_XP, SimulatorConfig(**config_kwargs)).run(layer)
         assert _traffic_tuple(result) == expected
 
     def test_vectorized_equals_reference_on_multi_wave_grid(self):
@@ -163,9 +162,8 @@ class TestGoldenTraffic:
                                        filter_size=3, padding=1)
         fast = ConvLayerSimulator(
             TITAN_XP, SimulatorConfig(max_ctas=150)).run(layer)
-        slow = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(max_ctas=150, vectorized=False)
-        ).run(layer)
+        slow = ReferenceSimulator(
+            TITAN_XP, SimulatorConfig(max_ctas=150)).run(layer)
         assert _traffic_tuple(fast) == _traffic_tuple(slow)
 
 

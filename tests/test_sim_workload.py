@@ -4,7 +4,7 @@ The trace generator and engine consume the same workload IR as the analytic
 model; these tests check the backward-pass address streams are well formed,
 that the batched fast path matches the scalar generator tile for tile, and
 that the vectorized engine stays bit-identical to the scalar reference loop
-on every training pass.
+(tests/sim_reference.py) on every training pass.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro.gpu import TESLA_V100, TITAN_XP
 from repro.sim.address import INVALID_ADDRESS, WorkloadLayout
 from repro.sim.engine import ConvLayerSimulator, SimulatorConfig
 from repro.sim.im2col import GemmTraceGenerator
+from sim_reference import ReferenceSimulator
 
 
 def make_generator(workload, gpu=TITAN_XP):
@@ -134,8 +135,8 @@ class TestBackwardEngine:
         workload = lower_pass(small_conv_layer, pass_kind)
         vec = ConvLayerSimulator(
             TITAN_XP, SimulatorConfig(max_ctas=60)).run(workload)
-        ref = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(max_ctas=60, vectorized=False)).run(workload)
+        ref = ReferenceSimulator(
+            TITAN_XP, SimulatorConfig(max_ctas=60)).run(workload)
         assert vec.traffic == ref.traffic
         assert vec.time_seconds == ref.time_seconds
         assert vec.pass_kind == pass_kind
