@@ -71,7 +71,8 @@ from .space import (
     union,
     zip_axes,
 )
-from .store import ResultStore, StoreLockedError, is_failure_record
+from .store import (ResultStore, StaleStoreError, StoreLockedError,
+                    is_failure_record)
 
 __all__ = [
     "Axis",
@@ -97,6 +98,7 @@ __all__ = [
     "build_driver",
     "driver_names",
     "ResultStore",
+    "StaleStoreError",
     "StoreLockedError",
     "is_failure_record",
     "Exploration",

@@ -6,15 +6,17 @@ signature, lowers each workload's layers once, and evaluates the whole group
 through :mod:`repro.core.batched` in a handful of NumPy passes instead of one
 scalar pipeline walk per point.  The metrics dicts it returns are
 **bit-identical** to the scalar path's — same float values, same key order,
-same bottleneck-share insertion order — which is what keeps content-keyed
-stores, the fig16 pin and resumed sweeps indistinguishable across the two
-evaluation modes.
+same bottleneck-share insertion order — so the fig16 pin holds on the
+batched path and a resumed sweep's records equal a fresh one's.
+
+Workload layers and plans are memoized per process, keyed by the network
+registry's generation (:func:`~repro.networks.registry.registry_generation`)
+so a network registered again under the same name is re-lowered.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import operator
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,7 +31,7 @@ from ..core.batched import (CANDIDATE_ORDER, CTA_TILE_FAMILIES,
 from ..core.traffic import TrafficModel
 from ..core.workload import as_workload, expand_passes, lower_pass
 from ..gpu.spec import FP32_BYTES, GpuSpec
-from ..networks.registry import get_network
+from ..networks.registry import get_network, registry_generation
 from .space import DesignPoint
 
 #: bottleneck labels in candidate-stack order (metrics-dict key strings).
@@ -42,8 +44,9 @@ _signature_of = operator.attrgetter("network", "batch", "passes",
 
 @lru_cache(maxsize=256)
 def _workload_layers(network: str, batch: int, dtype_bytes: int,
-                     unique: bool) -> Tuple:
-    """The evaluated GEMM layers of one workload (memoized per process)."""
+                     unique: bool, generation: int) -> Tuple:
+    """The evaluated GEMM layers of one workload (memoized per process and
+    registry ``generation``)."""
     net = get_network(network, batch=batch)
     layers = net.unique_layers() if unique else net.gemm_layers()
     if dtype_bytes != FP32_BYTES:
@@ -54,7 +57,8 @@ def _workload_layers(network: str, batch: int, dtype_bytes: int,
 @lru_cache(maxsize=64)
 def _workload_plan(base_gpu: GpuSpec, network: str, batch: int,
                    dtype_bytes: int, passes: str, unique: bool,
-                   layer_stride: int) -> Tuple[int, int, int, Dict]:
+                   layer_stride: int,
+                   generation: int) -> Tuple[int, int, int, Dict]:
     """Packed per-tile-family workload stacks for one workload signature.
 
     Returns ``(num_layers, num_gemms, flops_total, stacks)`` where
@@ -65,7 +69,7 @@ def _workload_plan(base_gpu: GpuSpec, network: str, batch: int,
     design-independent, so this is computed once per (baseline GPU,
     workload signature) and shared by every batch.
     """
-    layers = _workload_layers(network, batch, dtype_bytes, unique)
+    layers = _workload_layers(network, batch, dtype_bytes, unique, generation)
     if layer_stride > 1:
         layers = layers[::layer_stride] or layers[:1]
     pass_kinds = expand_passes(passes)
@@ -127,21 +131,8 @@ def _concat_stacks(stack_list: Sequence[WorkloadStack]) -> WorkloadStack:
 def _assemble_group(plan: Tuple[int, int, int, Dict],
                     times: np.ndarray, index: np.ndarray,
                     dram_rows: np.ndarray, l2_rows: np.ndarray,
-                    cost_list: List[float],
-                    cost_reprs: Optional[List[str]] = None
-                    ) -> Tuple[List[Dict[str, object]],
-                               Optional[List[str]]]:
-    """Metrics dicts of one workload-signature group from its (W, N) slab.
-
-    With ``cost_reprs`` (pre-``repr``'d resource costs) the group also
-    serializes each record as the exact ``json.dumps(record,
-    sort_keys=True)`` line the result store appends — cheaply, because the
-    group structure bounds the distinct values: layers/gemms are group
-    constants, dram/l2 traffic takes one value per CTA-tile family, and
-    ``repr`` of an int/finite float is json's number serialization.  Lines
-    with a non-finite float (which json spells differently) fall back to
-    the real encoder.
-    """
+                    cost_list: List[float]) -> List[Dict[str, object]]:
+    """Metrics dicts of one workload-signature group from its (W, N) slab."""
     num_layers, num_workloads, flops, _ = plan
     num_labels = len(_CANDIDATE_LABELS)
 
@@ -180,32 +171,19 @@ def _assemble_group(plan: Tuple[int, int, int, Dict],
     dram_list = (dram_bytes / 1e9).tolist()
     l2_list = (l2_bytes / 1e9).tolist()
 
-    lines: Optional[List[str]] = None
-    if cost_reprs is not None:
-        lines = []
-        # json renders the group constants once; traffic takes at most one
-        # value per CTA-tile family, so its reprs are cached by value.
-        line_tmpl = ('{"bottlenecks": {%s}, "dram_gb": %s, "gemms": '
-                     + repr(num_workloads) + ', "l2_gb": %s, "layers": '
-                     + repr(num_layers)
-                     + ', "resource_cost": %s, "throughput_tflops": %r, '
-                       '"time_s": %r}')
-        traffic_reprs: Dict[float, str] = {}
-
     results: List[Dict[str, object]] = []
     results_append = results.append
     labels = _CANDIDATE_LABELS
-    for p, (point_total, throughput, dram_gb, l2_gb, cost, point_order,
-            firsts, shares) in enumerate(zip(
-                total_list, throughput_list, dram_list, l2_list, cost_list,
-                order, first_list, share_list)):
+    for (point_total, throughput, dram_gb, l2_gb, cost, point_order, firsts,
+         shares) in zip(total_list, throughput_list, dram_list, l2_list,
+                        cost_list, order, first_list, share_list):
         bottlenecks: Dict[str, float] = {}
         if point_total > 0:
             for label in point_order:
                 if firsts[label] >= num_workloads:
                     break
                 bottlenecks[labels[label]] = shares[label] / point_total
-        record = {
+        results_append({
             "time_s": point_total,
             "throughput_tflops": throughput,
             "dram_gb": dram_gb,
@@ -214,29 +192,13 @@ def _assemble_group(plan: Tuple[int, int, int, Dict],
             "layers": num_layers,
             "gemms": num_workloads,
             "bottlenecks": bottlenecks,
-        }
-        results_append(record)
-        if lines is not None:
-            dram_repr = traffic_reprs.get(dram_gb)
-            if dram_repr is None:
-                dram_repr = traffic_reprs[dram_gb] = repr(dram_gb)
-            l2_repr = traffic_reprs.get(l2_gb)
-            if l2_repr is None:
-                l2_repr = traffic_reprs[l2_gb] = repr(l2_gb)
-            parts = ", ".join(
-                ['"%s": %r' % (label, bottlenecks[label])
-                 for label in sorted(bottlenecks)]) if bottlenecks else ""
-            line = line_tmpl % (parts, dram_repr, l2_repr, cost_reprs[p],
-                                throughput, point_total)
-            if "inf" in line or "nan" in line:
-                line = json.dumps(record, sort_keys=True)
-            lines.append(line)
-    return results, lines
+        })
+    return results
 
 
 def evaluate_points(base_gpu: GpuSpec, points: Sequence[DesignPoint], *,
-                    unique: bool = True, layer_stride: int = 1,
-                    serialize: bool = False):
+                    unique: bool = True,
+                    layer_stride: int = 1) -> List[Dict[str, object]]:
     """Batched :func:`repro.dse.runner.evaluate_point` over many points.
 
     Groups the points by workload signature; groups that range over the
@@ -245,35 +207,26 @@ def evaluate_points(base_gpu: GpuSpec, points: Sequence[DesignPoint], *,
     (sum-of-workloads x designs) grid so the whole sweep runs in a couple of
     NumPy passes.  Returns one metrics dict per input point, in input order,
     bit-identical to per-point scalar evaluation.
-
-    With ``serialize=True`` returns ``(records, lines)`` where ``lines[i]``
-    is ``json.dumps(records[i], sort_keys=True)`` — produced while the group
-    structure is still known, which makes it much cheaper than re-deriving
-    it record by record (the result store splices these into its JSONL
-    lines).
     """
     results: List[Optional[Dict[str, object]]] = [None] * len(points)
-    lines: Optional[List[Optional[str]]] = (
-        [None] * len(points) if serialize else None)
     groups: Dict[Tuple[str, int, str, int], List[int]] = {}
     for i, point in enumerate(points):
         groups.setdefault(_signature_of(point), []).append(i)
 
     # Partition signature groups by their (ordered) design list.
+    generation = registry_generation()
     fused: Dict[Tuple, List[Tuple[List[int], Tuple]]] = {}
     for indices in groups.values():
         first = points[indices[0]]
         plan = _workload_plan(base_gpu, first.network, first.batch,
                               first.dtype_bytes, first.passes, unique,
-                              layer_stride)
+                              layer_stride, generation)
         options = tuple(points[i].option for i in indices)
         fused.setdefault(options, []).append((indices, plan))
 
     for options, entries in fused.items():
         gpus = BatchedGpuSpec.from_options(base_gpu, options)
         cost_list = _design_costs(gpus).tolist()
-        cost_reprs = ([repr(cost) for cost in cost_list] if serialize
-                      else None)
         stacks = {hw: _concat_stacks([plan[3][hw] for _, plan in entries])
                   for hw in CTA_TILE_FAMILIES}
         est = estimate_grid(gpus, stacks=stacks)
@@ -282,17 +235,11 @@ def evaluate_points(base_gpu: GpuSpec, points: Sequence[DesignPoint], *,
             num_workloads = plan[1]
             slab = slice(offset, offset + num_workloads)
             offset += num_workloads
-            metrics, group_lines = _assemble_group(
+            metrics = _assemble_group(
                 plan, est.times[slab], est.bottleneck_index[slab],
-                est.dram_bytes[slab], est.l2_bytes[slab], cost_list,
-                cost_reprs)
+                est.dram_bytes[slab], est.l2_bytes[slab], cost_list)
             for i, point_metrics in zip(indices, metrics):
                 results[i] = point_metrics
-            if serialize:
-                for i, line in zip(indices, group_lines):
-                    lines[i] = line
-    if serialize:
-        return results, lines
     return results
 
 

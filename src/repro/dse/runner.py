@@ -35,17 +35,18 @@ from ..core.model import DeltaModel
 from ..core.workload import expand_passes
 from ..gpu.devices import TITAN_XP
 from ..gpu.spec import GpuSpec
+from ..networks.registry import registry_generation
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
 from ..resilience import TaskFailure
 from ..sim.engine import SimulatorConfig
 from .batch import _workload_layers, evaluate_points
 from .drivers import ExhaustiveDriver, SuccessiveHalvingDriver
-from .space import DesignPoint, SearchSpace
+from .space import GPU_AXIS_KEYS, DesignPoint, SearchSpace
 from .store import FAILURE_FIELD, ResultStore, is_failure_record
 
 #: bump when the evaluation's metric semantics change (invalidates stores).
-EVALUATION_SCHEMA = 1
+EVALUATION_SCHEMA = 2
 
 #: design points per batched pool task; bounds the work lost when one point
 #: in a chunk crashes the worker (the chunk is then retried point by point).
@@ -62,8 +63,8 @@ _signature_of = operator.attrgetter("network", "batch", "passes",
 
 @lru_cache(maxsize=1024)
 def _workload_fingerprint(network: str, batch: int, dtype_bytes: int,
-                          passes: str, unique: bool) -> str:
-    layers = _workload_layers(network, batch, dtype_bytes, unique)
+                          passes: str, unique: bool, generation: int) -> str:
+    layers = _workload_layers(network, batch, dtype_bytes, unique, generation)
     payload = {
         "layers": [layer.structural_key() for layer in layers],
         "passes": list(expand_passes(passes)),
@@ -77,11 +78,13 @@ def workload_fingerprint(point: DesignPoint, unique: bool) -> str:
     """Content hash of the evaluated layers' structural keys + pass kinds.
 
     Built on the layers' ``structural_key`` — the same identity the
-    session's simulation dedupe uses — so a change to a network definition
-    changes the key and stale store entries are never reused.
+    session's simulation dedupe uses — so a change to a network definition,
+    including a network registered again under the same name, changes the
+    key and stale store entries are never reused.
     """
     return _workload_fingerprint(point.network, point.batch,
-                                 point.dtype_bytes, point.passes, unique)
+                                 point.dtype_bytes, point.passes, unique,
+                                 registry_generation())
 
 
 def _gpu_fingerprint(gpu: GpuSpec) -> Dict[str, object]:
@@ -90,109 +93,47 @@ def _gpu_fingerprint(gpu: GpuSpec) -> Dict[str, object]:
     return payload
 
 
-@lru_cache(maxsize=16)
-def _gpu_fingerprint_json(gpu: GpuSpec) -> str:
-    return json.dumps(_gpu_fingerprint(gpu), sort_keys=True)
-
-
-@lru_cache(maxsize=64)
-def _json_str(text: str) -> str:
-    return json.dumps(text)
-
-
-#: ``json.dumps(point.descriptor(), sort_keys=True)`` as % templates —
-#: top-level and design keys in sorted order, default separators.  ``repr``
-#: of an int/float matches json's number serialization exactly, so splicing
-#: repr'd fields is byte-identical to the real dump (pinned by a test).
-_DESIGN_TEMPLATE = (
-    '{"cta_tile": %r, "dram_bw": %r, "l1_bw": %r, "l2_bw": %r, '
-    '"mac_bw": %r, "num_sm": %r, "regs": %r, "smem_bw": %r, '
-    '"smem_size": %r}')
-
-
-#: the template's slots, fetched in one C-level call per option.
-_design_values = operator.attrgetter(
-    "cta_tile_hw", "dram_bw", "l1_bw", "l2_bw", "mac_bw", "num_sm",
-    "regs", "smem_bw", "smem_size")
-
-
-def _design_json(option) -> str:
-    """The descriptor's ``design`` value as sorted-keys JSON."""
-    return _DESIGN_TEMPLATE % _design_values(option)
-
-
-def _descriptor_frags(point: DesignPoint) -> Tuple[str, str]:
-    """Workload-only (head, tail) of the descriptor JSON — shared per
-    workload signature; the design JSON splices in between."""
-    head = '{"batch": %s, "design": ' % repr(point.batch)
-    tail = (', "dtype_bytes": %s, "network": %s, "passes": %s}'
-            % (repr(point.dtype_bytes), _json_str(point.network),
-               _json_str(point.passes)))
-    return head, tail
-
-
-def _descriptor_json(point: DesignPoint) -> str:
-    """Fast, byte-identical ``json.dumps(point.descriptor(), sort_keys=True)``."""
-    head, tail = _descriptor_frags(point)
-    return head + _design_json(point.option) + tail
+#: the nine design fields of a point's option, in one C-level call.
+_design_values = operator.attrgetter(*GPU_AXIS_KEYS, "cta_tile_hw")
 
 
 def store_key(base_gpu: GpuSpec, point: DesignPoint, unique: bool) -> str:
     """Content key of one evaluation: baseline GPU x design point x workload."""
-    payload = {
-        "schema": EVALUATION_SCHEMA,
-        "gpu": _gpu_fingerprint(base_gpu),
-        "point": point.descriptor(),
-        "workload": workload_fingerprint(point, unique),
-    }
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()
+    return store_keys(base_gpu, [point], unique)[0]
 
 
 def store_keys(base_gpu: GpuSpec, points: Sequence[DesignPoint],
-               unique: bool) -> Tuple[List[str], List[str]]:
-    """Batched :func:`store_key`: parallel ``(keys, descriptor_jsons)`` lists.
+               unique: bool) -> List[str]:
+    """Content keys of many evaluations, one per point, in input order.
 
-    Assembles each point's key payload around a shared GPU-fingerprint
-    prefix and per-workload suffix instead of re-serializing the whole
-    payload per point.  ``json.dumps(..., sort_keys=True)`` serializes
-    nested values context-free, so the template splice is byte-identical
-    to the monolithic dump (pinned by a regression test) and the sha1
-    keys match :func:`store_key` exactly.  The descriptor JSON rides
-    along because the store's append path wants it too.
+    Hashes one sha1 per workload signature over ``[EVALUATION_SCHEMA, gpu
+    fingerprint, signature, workload fingerprint]`` (as JSON), then extends
+    a copy of that hash with the ``repr`` of each point's nine design values.
+    Option names are not hashed, so equal designs share a key.
     """
-    prefix = '{"gpu": ' + _gpu_fingerprint_json(base_gpu) + ', "point": '
-    seed = hashlib.sha1(prefix.encode("utf-8"))
-    # per-signature descriptor fragments + key-payload suffix, and the
-    # design JSON cached per option *object* (grid enumeration shares one
-    # option across the workload axes, so this hits most of the time).
-    frags: Dict[Tuple[str, int, str, int], Tuple[str, str, str]] = {}
-    designs: Dict[int, str] = {}
+    gpu = _gpu_fingerprint(base_gpu)
+    seeds: Dict[Tuple[str, int, str, int], "hashlib._Hash"] = {}
+    # grid enumeration shares one option object across the workload axes,
+    # so the design bytes are cached per option object.
+    designs: Dict[int, bytes] = {}
     keys: List[str] = []
-    descriptors: List[str] = []
-    seed_copy = seed.copy
     for point in points:
         signature = _signature_of(point)
-        cached = frags.get(signature)
-        if cached is None:
-            head, tail = _descriptor_frags(point)
-            suffix = (', "schema": %d, "workload": "%s"}'
-                      % (EVALUATION_SCHEMA,
-                         workload_fingerprint(point, unique)))
-            cached = (head, tail, suffix)
-            frags[signature] = cached
-        head, tail, suffix = cached
+        seed = seeds.get(signature)
+        if seed is None:
+            payload = [EVALUATION_SCHEMA, gpu, list(signature),
+                       workload_fingerprint(point, unique)]
+            seed = seeds[signature] = hashlib.sha1(
+                json.dumps(payload, sort_keys=True).encode("utf-8"))
         option = point.option
         design = designs.get(id(option))
         if design is None:
-            design = _design_json(option)
-            designs[id(option)] = design
-        descriptor_json = head + design + tail
-        digest = seed_copy()
-        digest.update((descriptor_json + suffix).encode("utf-8"))
+            design = designs[id(option)] = repr(
+                _design_values(option)).encode("utf-8")
+        digest = seed.copy()
+        digest.update(design)
         keys.append(digest.hexdigest())
-        descriptors.append(descriptor_json)
-    return keys, descriptors
+    return keys
 
 
 def evaluate_point(base_gpu: GpuSpec, point: DesignPoint, *,
@@ -212,7 +153,7 @@ def evaluate_point(base_gpu: GpuSpec, point: DesignPoint, *,
     gpu = point.option.apply(base_gpu)
     model = DeltaModel(gpu, cta_tile_hw=point.option.cta_tile_hw)
     layers = _workload_layers(point.network, point.batch, point.dtype_bytes,
-                              unique)
+                              unique, registry_generation())
     if layer_stride > 1:
         layers = layers[::layer_stride] or layers[:1]
     pass_kinds = expand_passes(point.passes)
@@ -419,19 +360,13 @@ def _resilience_kwargs(jobs: Optional[int], timeout: Optional[float],
 
 
 def _evaluate_batch_local(base_gpu: GpuSpec, points: Sequence[DesignPoint],
-                          unique: bool,
-                          lines_out: Optional[List[Optional[str]]] = None
-                          ) -> List[object]:
+                          unique: bool) -> List[object]:
     """In-process batched evaluation with per-point failure isolation.
 
     Fault sites fire per point before the batch call so an injected error
     poisons only its own point; if the batch evaluation itself fails, the
     chunk is re-run one point at a time so one bad point cannot take down
     its neighbours.
-
-    ``lines_out`` (a per-point list, parallel to ``points``) collects the
-    batch path's pre-serialized store lines; indices the batch could not
-    serialize (fault injection, per-point fallback) stay ``None``.
     """
     outcomes: List[object] = [None] * len(points)
     if faults.active():
@@ -447,19 +382,8 @@ def _evaluate_batch_local(base_gpu: GpuSpec, points: Sequence[DesignPoint],
         good = list(range(len(points)))
     if good:
         try:
-            good_points = (points if len(good) == len(points)
-                           else [points[i] for i in good])
-            if lines_out is None:
-                fresh: List[object] = evaluate_points(
-                    base_gpu, good_points, unique=unique)
-            else:
-                fresh, fresh_lines = evaluate_points(
-                    base_gpu, good_points, unique=unique, serialize=True)
-                if len(good) == len(points):
-                    lines_out[:] = fresh_lines
-                else:
-                    for i, line in zip(good, fresh_lines):
-                        lines_out[i] = line
+            fresh: List[object] = evaluate_points(
+                base_gpu, [points[i] for i in good], unique=unique)
         except Exception:
             fresh = []
             for i in good:
@@ -477,9 +401,7 @@ def _map_evaluations_batched(session, jobs: Optional[int],
                              base_gpu: GpuSpec,
                              points: Sequence[DesignPoint], unique: bool,
                              timeout: Optional[float],
-                             retries: Optional[int],
-                             lines_out: Optional[List[Optional[str]]] = None
-                             ) -> List[object]:
+                             retries: Optional[int]) -> List[object]:
     """Batched evaluation fan-out with chunk-level crash isolation.
 
     Chunks go through the session pool as single tasks; a chunk that fails
@@ -487,7 +409,7 @@ def _map_evaluations_batched(session, jobs: Optional[int],
     only the genuinely bad point surfaces as a failure.
     """
     if session is None:
-        return _evaluate_batch_local(base_gpu, points, unique, lines_out)
+        return _evaluate_batch_local(base_gpu, points, unique)
     kwargs = _resilience_kwargs(jobs, timeout, retries)
     chunks = [tuple(points[start:start + BATCH_CHUNK])
               for start in range(0, len(points), BATCH_CHUNK)]
@@ -589,136 +511,80 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
                 baseline_points[signature] = point.baseline_point()
 
     all_points = list(points) + list(baseline_points.values())
-    keys, descriptors = store_keys(base_gpu, all_points, unique)
+    keys = store_keys(base_gpu, all_points, unique)
 
-    records: Dict[str, Dict[str, object]] = {}
+    # key -> record, None while the key's evaluation is pending.
+    records: Dict[str, Optional[Dict[str, object]]] = {}
     cached_keys = set()
-    #: (key, descriptor_json, point) triples awaiting evaluation — the
-    #: descriptor rides along so the store batch needs no key->json dict.
-    pending: List[Tuple[str, str, DesignPoint]] = []
-    pending_keys = set()
+    pending: List[Tuple[str, DesignPoint]] = []
     # plain-int counters in the loop; folded into the registry-backed
     # stats once at the end (a counter write per point is measurable).
     memo_hits = store_hits = skipped_failures = 0
-    if session is None and (store is None or len(store) == 0):
-        # nothing to look up (cold sweep): just dedupe the plan.
-        if len(set(keys)) == len(keys):
-            # no duplicates: the plan is the pending list, zipped at C speed.
-            pending = list(zip(keys, descriptors, all_points))
-        else:
-            for key, descriptor, point in zip(keys, descriptors, all_points):
-                if key not in pending_keys:
-                    pending.append((key, descriptor, point))
-                    pending_keys.add(key)
-    else:
-        for key, descriptor, point in zip(keys, descriptors, all_points):
-            if key in records or key in pending_keys:
-                continue
-            memoized = (session.dse_lookup(key) if session is not None
-                        else None)
-            if memoized is not None:
-                records[key] = memoized
-                cached_keys.add(key)
-                memo_hits += 1
-                if is_failure_record(memoized):
-                    skipped_failures += 1
-                continue
-            stored = store.get(key) if store is not None else None
-            if stored is not None:
-                records[key] = stored
-                cached_keys.add(key)
+    for key, point in zip(keys, all_points):
+        if key in records:
+            continue
+        record = session.dse_lookup(key) if session is not None else None
+        if record is not None:
+            memo_hits += 1
+        elif store is not None:
+            record = store.get(key)
+            if record is not None:
                 store_hits += 1
-                if is_failure_record(stored):
-                    skipped_failures += 1
                 if session is not None:
-                    session.dse_record(key, stored)
-                continue
-            pending.append((key, descriptor, point))
-            pending_keys.add(key)
+                    session.dse_record(key, record)
+        records[key] = record
+        if record is None:
+            pending.append((key, point))
+        else:
+            cached_keys.add(key)
+            skipped_failures += is_failure_record(record)
     stats.memo_hits += memo_hits
     stats.store_hits += store_hits
     stats.skipped_failures += skipped_failures
 
     if pending:
-        # the batch path pre-serializes store lines while it still knows the
-        # group structure — only worth collecting when a store is attached.
-        lines_out: Optional[List[Optional[str]]] = (
-            [None] * len(pending) if store is not None else None)
         with obs_spans.trace("dse.evaluate", points=len(pending),
                              memo_hits=stats.memo_hits,
                              store_hits=stats.store_hits):
             fresh = _map_evaluations_batched(
-                session, jobs, base_gpu,
-                [point for _, _, point in pending], unique,
-                timeout, retries, lines_out)
-        store_batch: List[Tuple[str, str, Dict[str, object],
-                                Optional[str]]] = []
-        store_append = store_batch.append
+                session, jobs, base_gpu, [point for _, point in pending],
+                unique, timeout, retries)
         evaluated = failed = 0
-        for pos, ((key, descriptor, point), outcome) in enumerate(
-                zip(pending, fresh)):
+        for (key, _), outcome in zip(pending, fresh):
             if isinstance(outcome, TaskFailure):
-                record: Dict[str, object] = {FAILURE_FIELD: outcome.as_record()}
+                outcome = {FAILURE_FIELD: outcome.as_record()}
                 failed += 1
             else:
-                record = outcome
                 evaluated += 1
-            records[key] = record
-            if store is not None:
-                store_append((key, descriptor, record, lines_out[pos]))
+            records[key] = outcome
             if session is not None:
-                session.dse_record(key, record)
+                session.dse_record(key, outcome)
         stats.evaluated += evaluated
         stats.failed += failed
         if store is not None:
-            store.put_many(store_batch)
+            store.put_many((key, records[key]) for key, _ in pending)
     if session is not None:
         session.stats.dse_points += stats.evaluated
 
     results_list: List[PointResult] = []
     failures_list: List[PointFailure] = []
-    # bypass the frozen-dataclass __init__ (one object.__setattr__ per
-    # field) — these loops run once per planned point.
-    new_result = object.__new__
-    fill_result = object.__setattr__
-    results_append = results_list.append
-    if not cached_keys and stats.failed == 0 and stats.skipped_failures == 0:
-        # cold all-success sweep: no failure records exist anywhere and no
-        # key was cached, so skip both per-point checks.
-        for point, key in zip(points, keys):
-            result = new_result(PointResult)
-            fill_result(result, "__dict__", {
-                "point": point, "key": key, "metrics": records[key],
-                "cached": False, "confirmation": None})
-            results_append(result)
-    else:
-        for point, key in zip(points, keys[: len(points)]):
-            record = records[key]
-            if is_failure_record(record):
-                failures_list.append(PointFailure(
-                    point=point, key=key,
-                    failure=TaskFailure.from_record(record[FAILURE_FIELD]),
-                    cached=key in cached_keys))
-            else:
-                result = new_result(PointResult)
-                fill_result(result, "__dict__", {
-                    "point": point, "key": key, "metrics": record,
-                    "cached": key in cached_keys, "confirmation": None})
-                results_append(result)
-    results = tuple(results_list)
-    baselines = {}
-    for index, (signature, point) in enumerate(baseline_points.items()):
-        key = keys[len(points) + index]
+    baselines: Dict[Tuple[str, int, str, int], PointResult] = {}
+    for index, (key, point) in enumerate(zip(keys, all_points)):
         record = records[key]
+        cached = key in cached_keys
         if is_failure_record(record):
             failures_list.append(PointFailure(
                 point=point, key=key,
                 failure=TaskFailure.from_record(record[FAILURE_FIELD]),
-                cached=key in cached_keys))
+                cached=cached))
             continue
-        baselines[signature] = PointResult(point=point, key=key,
-                                           metrics=record,
-                                           cached=key in cached_keys)
+        result = PointResult(point=point, key=key, metrics=record,
+                             cached=cached)
+        if index < len(points):
+            results_list.append(result)
+        else:
+            baselines[_signature_of(point)] = result
+    results = tuple(results_list)
     with obs_spans.trace("dse.frontier", results=len(results)):
         frontier = tuple(pareto_frontier(
             [result.metrics for result in results],
@@ -755,7 +621,8 @@ def confirm_frontier(exploration: Exploration, session, *, top: int = 3,
         result = exploration.results[index]
         point = result.point
         layers = _workload_layers(point.network, point.batch,
-                                  point.dtype_bytes, unique=True)
+                                  point.dtype_bytes, True,
+                                  registry_generation())
         layer = max(layers, key=lambda l: l.macs)
         pass_kind = expand_passes(point.passes)[0]
         gpu = point.option.apply(exploration.base_gpu)

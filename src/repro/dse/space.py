@@ -109,8 +109,8 @@ class DesignPoint:
     def descriptor(self) -> Dict[str, object]:
         """Canonical plain-data identity of the point (name excluded).
 
-        Two points with equal descriptors produce identical evaluations;
-        the result store's content key hashes this payload.
+        Two points with equal descriptors produce identical evaluations
+        and share a result-store key (which hashes the same fields).
         """
         design = {key: getattr(self.option, key) for key in GPU_AXIS_KEYS}
         design["cta_tile"] = self.option.cta_tile_hw

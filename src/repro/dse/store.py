@@ -1,34 +1,40 @@
 """Resumable, content-keyed result store for design-space sweeps.
 
-The store is an append-only JSONL file: one line per evaluated design point,
-``{"key": <sha1>, "point": <descriptor>, "metrics": {...}}`` — or, for a
-design point whose evaluation failed after exhausting the retry budget,
-``{"key": <sha1>, "point": <descriptor>, "failure": {...}}`` with a
-:meth:`repro.resilience.TaskFailure.as_record` payload.  Keys are content
-hashes over the baseline GPU, the design-point descriptor and the workload's
-layer :meth:`~repro.core.layer.ConvLayerConfig.structural_key` fingerprint
-(see :func:`repro.dse.runner.store_key`), so a sweep that is interrupted and
+The store is an append-only JSONL file of *chunk lines*.  Every
+:meth:`ResultStore.put_many` call appends one line,
+``{"keys": [<sha1>, ...], "records": [<record>, ...]}``, whose two lists are
+parallel: a record is either an evaluation's metrics dict or, for a design
+point whose evaluation failed after exhausting the retry budget,
+``{"failure": {...}}`` with a :meth:`repro.resilience.TaskFailure.as_record`
+payload.  The line is one plain ``json.dumps`` of the records as given, so a
+record reloads with the same keys in the same order.  Keys are content
+hashes over the baseline GPU, the design point and the workload's layer
+:meth:`~repro.core.layer.ConvLayerConfig.structural_key` fingerprint (see
+:func:`repro.dse.runner.store_keys`), so a sweep that is interrupted and
 rerun — or a different sweep that happens to revisit the same point — skips
 every evaluation already on disk.  Failure records resume too: a point that
-failed permanently is *not* re-evaluated on resume (delete its line, or the
-store file, to force a re-run).
+failed permanently is *not* re-evaluated on resume (delete the store file
+to force a re-run).
 
-Durability model: every :meth:`put` appends and flushes one line, so a killed
-process loses at most the record being written; :meth:`ResultStore` tolerates
-a truncated (or otherwise corrupt) trailing line on load and the next ``put``
-starts a fresh line.  JSON float serialization round-trips exactly, which
-keeps resumed sweeps bit-identical to uninterrupted ones.  A persistent store
-takes an exclusive advisory lock (``flock``) on its JSONL file before the
-first append; a second concurrent writer gets :class:`StoreLockedError`
-instead of silently interleaving lines.
+Durability model: every :meth:`ResultStore.put_many` writes and flushes one
+line, so a killed process loses at most the chunk being written;
+:class:`ResultStore` counts a truncated (or otherwise corrupt) line in
+``corrupt_lines`` on load and the next append starts a fresh line.  JSON
+float serialization round-trips exactly, which keeps resumed sweeps
+bit-identical to uninterrupted ones.  A persistent store takes an exclusive
+advisory lock (``flock``) on its JSONL file before the first append; a
+second concurrent writer gets :class:`StoreLockedError` instead of silently
+interleaving lines.  A store written in the older one-line-per-point format
+(``{"key", "metrics"|"failure", "point"}``) can never produce a hit under the
+current keys, so opening one raises :class:`StaleStoreError` rather than
+silently re-evaluating and appending to it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 try:
     import fcntl
@@ -37,60 +43,6 @@ except ImportError:  # non-POSIX platform: advisory locking degrades to no-op
 
 #: field distinguishing a failure record from a metrics record.
 FAILURE_FIELD = "failure"
-
-#: insertion-ordered keys of the standard evaluation metrics dict (see
-#: ``repro.dse.runner.evaluate_point``) — the fast-serialization template
-#: below applies only to records of exactly this shape.
-_METRIC_KEYS = ("time_s", "throughput_tflops", "dram_gb", "l2_gb",
-                "resource_cost", "layers", "gemms", "bottlenecks")
-#: the numeric metric keys in sorted order — the splice order of the template.
-_NUMERIC_KEYS = tuple(sorted(_METRIC_KEYS[:-1]))
-#: the metrics dict as ``json.dumps(..., sort_keys=True)`` renders it.
-_METRICS_TEMPLATE = ('{"bottlenecks": {%s}, "dram_gb": %s, "gemms": %s, '
-                     '"l2_gb": %s, "layers": %s, "resource_cost": %s, '
-                     '"throughput_tflops": %s, "time_s": %s}')
-#: one C-level repr pass over all numeric values (template splice order).
-_NUMERIC_FMT = "\n".join(["%r"] * len(_NUMERIC_KEYS))
-#: every character ``repr`` of a plain int / finite float can produce, plus
-#: the ``\n`` separator above.  ``inf``/``nan``/``True``, numpy scalars
-#: (``np.float64(...)`` reprs), strings, containers all introduce other
-#: characters, so a whitelist scan catches anything json would spell
-#: differently (or reject).
-_NUMERIC_CHARS = frozenset("0123456789+-.e\n")
-#: bottleneck labels already checked to serialize as a plain quoted string.
-_SAFE_LABELS = set()
-
-
-def _metrics_json(record: Dict[str, object]) -> str:
-    """``json.dumps(record, sort_keys=True)``, fast-pathed for metrics dicts.
-
-    A standard metrics record is all finite numbers with a fixed key set;
-    ``repr`` of a Python int/finite float is byte-identical to json's number
-    serialization, so the record can be spliced into a template instead of
-    walked by the json encoder.  Anything shape- or type-unexpected falls
-    back to the real encoder.
-    """
-    if tuple(record) == _METRIC_KEYS:
-        rendered = _NUMERIC_FMT % tuple(map(record.__getitem__,
-                                            _NUMERIC_KEYS))
-        if _NUMERIC_CHARS.issuperset(rendered):
-            shares = record["bottlenecks"]
-            if type(shares) is dict:
-                parts = []
-                for label in sorted(shares):
-                    share = shares[label]
-                    if label not in _SAFE_LABELS:
-                        if (type(label) is not str
-                                or json.dumps(label) != '"%s"' % label):
-                            break
-                        _SAFE_LABELS.add(label)
-                    if type(share) is not float or not math.isfinite(share):
-                        break
-                    parts.append('"%s": %r' % (label, share))
-                else:
-                    return _METRICS_TEMPLATE % (
-                        (", ".join(parts),) + tuple(rendered.split("\n")))
-    return json.dumps(record, sort_keys=True)
 
 
 def is_failure_record(record: Optional[Dict[str, object]]) -> bool:
@@ -102,18 +54,22 @@ class StoreLockedError(RuntimeError):
     """Another process holds the store file's exclusive writer lock."""
 
 
+class StaleStoreError(ValueError):
+    """The store file holds one-line-per-point records of an older format."""
+
+
 class ResultStore:
     """Keyed record store with optional JSONL persistence.
 
     With ``path=None`` the store is a plain in-memory dict (useful as the
-    per-session dedupe memo); with a path it loads every valid line on open
-    and appends eagerly on every :meth:`put` / :meth:`put_failure`.
+    per-session dedupe memo); with a path it loads every chunk line on open
+    and appends one line per :meth:`put_many` (:meth:`put` and
+    :meth:`put_failure` are one-pair calls).
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = os.path.expanduser(path) if path else None
         self._records: Dict[str, Dict[str, object]] = {}
-        self._descriptors: Dict[str, Dict[str, object]] = {}
         self._file = None
         #: records answered from disk/memory since open (reporting only).
         self.hits = 0
@@ -127,21 +83,23 @@ class ResultStore:
     def _load(self) -> None:
         with open(self.path, "r", encoding="utf-8") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
+                payload = None
                 try:
                     payload = json.loads(line)
-                    key = payload["key"]
-                    if FAILURE_FIELD in payload:
-                        record = {FAILURE_FIELD: payload[FAILURE_FIELD]}
-                    else:
-                        record = payload["metrics"]
-                except (json.JSONDecodeError, KeyError, TypeError):
+                    chunk = dict(zip(payload["keys"], payload["records"],
+                                     strict=True))
+                except (ValueError, KeyError, TypeError):
+                    if isinstance(payload, dict) and "key" in payload:
+                        raise StaleStoreError(
+                            f"result store {self.path!r} holds "
+                            "one-line-per-point records of an older format "
+                            "that can never match current keys; delete the "
+                            "file or use a new --store") from None
                     self.corrupt_lines += 1
                     continue
-                self._records[key] = record
-                self._descriptors[key] = payload.get("point", {})
+                self._records.update(chunk)
 
     def _lock_file(self) -> None:
         """Take the exclusive advisory writer lock (released on close)."""
@@ -172,17 +130,6 @@ class ResultStore:
                 if tail.read(1) != b"\n":
                     self._file.write("\n")
 
-    def _append(self, key: str,
-                descriptor: Optional[Dict[str, object]],
-                body_field: str, body: Dict[str, object]) -> None:
-        if self.path is None:
-            return
-        self._open_for_append()
-        line = json.dumps({"key": key, "point": descriptor or {},
-                           body_field: body}, sort_keys=True)
-        self._file.write(line + "\n")
-        self._file.flush()
-
     # -- mapping interface ----------------------------------------------
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
@@ -191,62 +138,33 @@ class ResultStore:
             self.hits += 1
         return record
 
-    def put(self, key: str, metrics: Dict[str, object],
-            descriptor: Optional[Dict[str, object]] = None) -> None:
-        if key in self._records:
-            return
-        self._records[key] = metrics
-        if descriptor is not None:
-            self._descriptors[key] = descriptor
-        self._append(key, descriptor, "metrics", metrics)
+    def put(self, key: str, metrics: Dict[str, object]) -> None:
+        self.put_many([(key, metrics)])
 
-    def put_many(self, records) -> None:
-        """Batch insert: one buffered write + flush for a whole sweep chunk.
+    def put_many(self, pairs) -> None:
+        """Insert ``(key, record)`` pairs with one appended, flushed line.
 
-        ``records`` is an iterable of ``(key, descriptor_json, record)`` —
-        or ``(key, descriptor_json, record, metrics_json)`` — where
-        ``descriptor_json`` (and the optional ``metrics_json``) are already
-        serialized with ``json.dumps(..., sort_keys=True)`` and ``record``
-        is either a metrics dict or a ``{FAILURE_FIELD: ...}`` failure
-        record.  Each emitted line is byte-identical to the one :meth:`put`
-        / :meth:`put_failure` would write (``json.dumps`` with sorted keys
-        serializes nested values context-free, so splicing pre-serialized
-        fragments into the line template is exact); existing keys are
-        skipped, exactly like the single-record paths.
+        ``record`` is a metrics dict or a ``{FAILURE_FIELD: ...}`` failure
+        record.  Keys already in the store (or earlier in ``pairs``) are
+        skipped; nothing is written when every key is.
         """
-        lines = []
-        for item in records:
-            key, descriptor_json, record = item[0], item[1], item[2]
+        keys: List[str] = []
+        records: List[Dict[str, object]] = []
+        for key, record in pairs:
             if key in self._records:
                 continue
             self._records[key] = record
-            if self.path is None:
-                continue
-            if FAILURE_FIELD in record:
-                body_json = json.dumps(record[FAILURE_FIELD], sort_keys=True)
-                lines.append('{"failure": %s, "key": "%s", "point": %s}\n'
-                             % (body_json, key, descriptor_json))
-            else:
-                metrics_json = item[3] if len(item) > 3 else None
-                if metrics_json is None:
-                    metrics_json = _metrics_json(record)
-                lines.append('{"key": "%s", "metrics": %s, "point": %s}\n'
-                             % (key, metrics_json, descriptor_json))
-        if lines:
+            keys.append(key)
+            records.append(record)
+        if keys and self.path is not None:
             self._open_for_append()
-            self._file.write("".join(lines))
+            self._file.write(json.dumps({"keys": keys, "records": records})
+                             + "\n")
             self._file.flush()
 
-    def put_failure(self, key: str, failure: Dict[str, object],
-                    descriptor: Optional[Dict[str, object]] = None) -> None:
+    def put_failure(self, key: str, failure: Dict[str, object]) -> None:
         """Record a permanently-failed evaluation (skipped on resume)."""
-        if key in self._records:
-            return
-        record = {FAILURE_FIELD: failure}
-        self._records[key] = record
-        if descriptor is not None:
-            self._descriptors[key] = descriptor
-        self._append(key, descriptor, FAILURE_FIELD, failure)
+        self.put_many([(key, {FAILURE_FIELD: failure})])
 
     def __contains__(self, key: str) -> bool:
         return key in self._records

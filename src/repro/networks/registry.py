@@ -19,6 +19,9 @@ NetworkFactory = Callable[[int], ConvNetwork]
 
 _REGISTRY: Dict[str, NetworkFactory] = {}
 _PAPER_SUBSETS: Dict[str, NetworkFactory] = {}
+#: bumped by every registration change; caches keyed by network name include
+#: it so they never serve a network that has since been replaced.
+_generation = 0
 
 #: the order networks appear in the paper's figures.
 PAPER_NETWORK_ORDER: Tuple[str, ...] = ("alexnet", "vgg16", "googlenet", "resnet152")
@@ -36,11 +39,13 @@ def register_network(name: str, *, paper_subset: bool = False
     key = name.strip().lower()
 
     def decorator(factory: NetworkFactory) -> NetworkFactory:
+        global _generation
         registry = _PAPER_SUBSETS if paper_subset else _REGISTRY
         if key in registry:
             kind = "paper-subset variant" if paper_subset else "network"
             raise ValueError(f"{kind} {name!r} is already registered")
         registry[key] = factory
+        _generation += 1
         return factory
 
     return decorator
@@ -48,9 +53,16 @@ def register_network(name: str, *, paper_subset: bool = False
 
 def unregister_network(name: str) -> None:
     """Remove a network and its paper-subset variant (tests/plugins)."""
+    global _generation
     key = name.strip().lower()
     _REGISTRY.pop(key, None)
     _PAPER_SUBSETS.pop(key, None)
+    _generation += 1
+
+
+def registry_generation() -> int:
+    """How many times the registry has changed (a cache-key component)."""
+    return _generation
 
 
 def available_networks() -> List[str]:

@@ -3,7 +3,8 @@
 The structure-of-arrays evaluator (:mod:`repro.core.batched`,
 :mod:`repro.dse.batch`) promises *bit-identical* results to the scalar
 reference path — same float operations in the same order, same bottleneck
-tie-breaks, same serialized bytes.  This suite pins that contract:
+tie-breaks, same metrics-dict key and bottleneck-share order.  This suite
+pins that contract:
 
 * the 204 forward and 204 backward golden estimates are reproduced by the
   batched grid evaluator (one of the two CTA-tile family columns matches
@@ -11,9 +12,6 @@ tie-breaks, same serialized bytes.  This suite pins that contract:
 * a hypothesis property drives random design points — conv (alexnet),
   linear (mlp) and batched-GEMM (bert-base) workloads, every pass kind,
   fp16 and fp32 — through ``evaluate_points`` vs ``evaluate_point``;
-* the template-splicing serialization fast paths (``store_keys``,
-  ``_descriptor_json``, ``_metrics_json``, the batch path's pre-serialized
-  store lines) are byte-identical to the real ``json.dumps``;
 * ``pareto_frontier`` equals the scalar domination loop at every size;
 * the fast grid enumeration equals the ``_point_from_values`` reference;
 * the scalar edge-case fixes that rode along (fp16 L1 streaming clamp,
@@ -40,11 +38,9 @@ from repro.core.l2 import sliding_tile_unique_elements
 from repro.core.workload import Im2colPattern, lower_forward, lower_pass
 from repro.dse import runner as dse_runner
 from repro.dse.batch import evaluate_points
-from repro.dse.runner import (_descriptor_json, evaluate_point, store_key,
-                              store_keys)
+from repro.dse.runner import evaluate_point
 from repro.dse.space import (DesignPoint, GridSpace, _point_from_values,
                              grid)
-from repro.dse.store import _metrics_json
 from repro.gpu.design_options import DesignOption
 from repro.gpu.devices import TITAN_XP, get_device
 from repro.networks.registry import get_network
@@ -204,51 +200,6 @@ def test_batched_mixed_group_order_and_sharing():
     for point, metrics in zip(points, batched):
         assert json.dumps(metrics, sort_keys=False) == \
             json.dumps(evaluate_point(TITAN_XP, point), sort_keys=False)
-
-
-# ----------------------------------------------------------------------
-# Serialization fast paths are byte-identical to json.dumps
-# ----------------------------------------------------------------------
-
-def _sample_points():
-    space = grid({"num_sm": (1, 2.5), "mac_bw": (1, 4), "cta_tile": (128, 256),
-                  "network": ("alexnet", "mlp"), "dtype_bytes": (2, 4),
-                  "passes": ("forward", "training")}, batch=8)
-    return list(space.points())
-
-
-def test_store_keys_and_descriptors_match_scalar_reference():
-    points = _sample_points()
-    for unique in (True, False):
-        keys, descriptors = store_keys(TITAN_XP, points, unique)
-        assert len(keys) == len(descriptors) == len(points)
-        for point, key, descriptor in zip(points, keys, descriptors):
-            assert key == store_key(TITAN_XP, point, unique)
-            assert descriptor == json.dumps(point.descriptor(),
-                                            sort_keys=True)
-            assert _descriptor_json(point) == descriptor
-
-
-def test_metrics_json_matches_json_dumps():
-    points = _sample_points()[:6]
-    for record in evaluate_points(TITAN_XP, points):
-        assert _metrics_json(record) == json.dumps(record, sort_keys=True)
-    # shape/type oddities must fall back to the real encoder, not misrender.
-    for record in (
-            {"time_s": float("inf"), "throughput_tflops": 0.0},
-            {"bottlenecks": {"MAC_BW": float("nan")}},
-            {"bottlenecks": {"weird é": 0.5}, "extra": [1, 2]},
-            {"time_s": True, "bottlenecks": {}},
-    ):
-        assert _metrics_json(record) == json.dumps(record, sort_keys=True)
-
-
-def test_batch_serialized_lines_match_json_dumps():
-    points = _sample_points()
-    records, lines = evaluate_points(TITAN_XP, points, serialize=True)
-    assert len(lines) == len(records)
-    for record, line in zip(records, lines):
-        assert line == json.dumps(record, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

@@ -235,6 +235,18 @@ class TestDseCommand:
         assert second["summary"]["points evaluated"] == 0
         assert second["rows"] == first["rows"]
 
+    def test_dse_old_format_store_is_an_error_report(self, capsys, tmp_path):
+        store = tmp_path / "old.jsonl"
+        store.write_text('{"key": "abc", "metrics": {"time_s": 1.0}, '
+                         '"point": {}}\n')
+        assert main(["dse", "--networks", "alexnet", "--batches", "16",
+                     "--axis", "num_sm=1,2", "--store", str(store),
+                     "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kind"] == "error"
+        assert payload["meta"]["error_type"] == "StaleStoreError"
+        assert str(store) in payload["summary"]["message"]
+
     def test_dse_rejects_unknown_objective(self, capsys):
         assert main(["dse", "--networks", "alexnet", "--batches", "16",
                      "--axis", "num_sm=1,2", "--objectives", "speed"]) == 1

@@ -1,13 +1,13 @@
 """DSE driver determinism against the scalar oracle.
 
 ``explore`` evaluates points through the batched array-of-points path and
-pre-serializes store lines while it still knows the group structure.  The
-store it leaves behind must be *byte-identical* to one rebuilt one point at
-a time from the scalar oracles — :func:`evaluate_point` metrics,
-:func:`store_key` keys, ``json.dumps`` descriptors and
-:meth:`ResultStore.put_many` without pre-serialized lines — for every driver,
-including the successive-halving driver whose proxy scoring is batched too.
-A divergence here would silently fork resumed sweeps.
+appends them to the store as one chunk line.  The store it leaves behind
+must be *byte-identical* to one rebuilt one point at a time from the scalar
+oracles — ``(store_key, evaluate_point)`` pairs handed to
+:meth:`ResultStore.put_many` — for every driver, including the
+successive-halving driver whose proxy scoring is batched too.  A divergence
+here (a value, a key, the dedupe order or a dict's key order) would silently
+fork resumed sweeps.
 """
 
 import json
@@ -66,8 +66,7 @@ def _oracle_store(driver, path):
         if key in seen:
             continue
         seen.add(key)
-        records.append((key, json.dumps(point.descriptor(), sort_keys=True),
-                        evaluate_point(TITAN_XP, point)))
+        records.append((key, evaluate_point(TITAN_XP, point)))
     store = ResultStore(path)
     store.put_many(records)
     store.close()

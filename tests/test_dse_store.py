@@ -1,23 +1,37 @@
 """Tests for the resumable DSE result store: content keys, JSONL durability,
 and the interrupted-sweep -> rerun -> zero re-evaluations contract."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.dse import (
     ExhaustiveDriver,
+    GPU_AXIS_KEYS,
     ResultStore,
+    StaleStoreError,
     StoreLockedError,
+    evaluate_point,
     explore,
     grid,
     is_failure_record,
     store_key,
+    store_keys,
     workload_fingerprint,
 )
 from repro.dse.space import DesignPoint
 from repro.gpu import TITAN_XP, DesignOption, get_device
+from repro.networks import get_network, register_network, unregister_network
 from repro.resilience import TaskFailure
+
+
+#: one changed value per design field: the eight multipliers and the tile.
+DESIGN_CHANGES = [(key, 2.0) for key in GPU_AXIS_KEYS] + [("cta_tile_hw", 256)]
+#: one changed value per workload field.
+WORKLOAD_CHANGES = [("network", "vgg16"), ("batch", 32),
+                    ("passes", "training"), ("dtype_bytes", 2)]
+BASE_POINT = DesignPoint(option=DesignOption("a"), network="alexnet", batch=16)
 
 
 @pytest.fixture()
@@ -136,8 +150,7 @@ class TestDurability:
                               message="worker died", attempts=3)
         with ResultStore(path) as store:
             store.put("ok", {"x": 1})
-            store.put_failure("bad", failure.as_record(),
-                              descriptor={"network": "alexnet"})
+            store.put_failure("bad", failure.as_record())
         reloaded = ResultStore(path)
         assert not is_failure_record(reloaded.get("ok"))
         record = reloaded.get("bad")
@@ -146,10 +159,92 @@ class TestDurability:
         assert set(reloaded.failures()) == {"bad"}
         with open(path) as handle:
             lines = [json.loads(line) for line in handle]
-        assert set(lines[1]) == {"key", "point", "failure"}
+        assert lines[1] == {"keys": ["bad"],
+                            "records": [{"failure": failure.as_record()}]}
+
+    def test_torn_trailing_chunk_line_counts_as_corrupt(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        with ResultStore(str(path)) as store:
+            store.put_many([("k1", {"x": 1}), ("k2", {"x": 2})])
+            store.put_many([("k3", {"x": 3}), ("k4", {"x": 4})])
+        blob = path.read_bytes()
+        path.write_bytes(blob[:blob.rindex(b'"k4"')])
+        reloaded = ResultStore(str(path))
+        assert reloaded.corrupt_lines == 1
+        assert sorted(reloaded.keys()) == ["k1", "k2"]
+
+    def test_one_line_per_point_store_fails_closed(self, tmp_path):
+        """A store of the older per-point format can never hit under the
+        current keys: opening it raises instead of re-appending to it."""
+        path = tmp_path / "old.jsonl"
+        original = ('{"key": "abc", "metrics": {"time_s": 1.0}, '
+                    '"point": {"network": "alexnet"}}\n')
+        path.write_text(original)
+        with pytest.raises(StaleStoreError) as excinfo:
+            ResultStore(str(path))
+        assert isinstance(excinfo.value, ValueError)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "delete the file" in message and "--store" in message
+        assert path.read_text() == original
 
 
 class TestStoreKey:
+    @pytest.mark.parametrize("field,value", DESIGN_CHANGES,
+                             ids=[field for field, _ in DESIGN_CHANGES])
+    def test_key_tracks_every_design_field(self, field, value):
+        changed = dataclasses.replace(
+            BASE_POINT,
+            option=dataclasses.replace(BASE_POINT.option, **{field: value}))
+        assert store_key(TITAN_XP, changed, True) != store_key(
+            TITAN_XP, BASE_POINT, True)
+
+    @pytest.mark.parametrize("field,value", WORKLOAD_CHANGES,
+                             ids=[field for field, _ in WORKLOAD_CHANGES])
+    def test_key_tracks_every_workload_field(self, field, value):
+        changed = dataclasses.replace(BASE_POINT, **{field: value})
+        assert store_key(TITAN_XP, changed, True) != store_key(
+            TITAN_XP, BASE_POINT, True)
+
+    def test_batched_keys_equal_one_point_keys(self):
+        points = list(grid({"num_sm": (1, 2.5), "cta_tile": (128, 256),
+                            "network": ("alexnet", "mlp"),
+                            "passes": ("forward", "training"),
+                            "dtype_bytes": (2, 4)}, batch=8).points())
+        for unique in (True, False):
+            keys = store_keys(TITAN_XP, points, unique)
+            assert keys == [store_key(TITAN_XP, point, unique)
+                            for point in points]
+            assert len(set(keys)) == len(points)
+
+    def test_network_registered_again_is_not_served_stale(self):
+        """Re-registering a name with another network changes its layers,
+        its workload fingerprint and so every store key under that name."""
+        def evaluated_layers():
+            space = grid({"num_sm": (1, 2)}, network="tmpnet", batch=16)
+            layers = {result.metrics["layers"]
+                      for result in explore(space).results}
+            assert layers == {evaluate_point(TITAN_XP, point)["layers"]
+                              for point in space.points()}
+            return layers
+
+        point = DesignPoint(option=DesignOption("a"), network="tmpnet",
+                            batch=16)
+        register_network("tmpnet")(
+            lambda batch: get_network("alexnet", batch=batch))
+        try:
+            first_key = store_key(TITAN_XP, point, True)
+            assert evaluated_layers() == {
+                len(get_network("alexnet", batch=16).unique_layers())}
+            unregister_network("tmpnet")
+            register_network("tmpnet")(
+                lambda batch: get_network("vgg16", batch=batch))
+            assert store_key(TITAN_XP, point, True) != first_key
+            assert evaluated_layers() == {
+                len(get_network("vgg16", batch=16).unique_layers())}
+        finally:
+            unregister_network("tmpnet")
+
     def test_key_ignores_names_but_not_content(self):
         a = DesignPoint(option=DesignOption("a", num_sm=2.0), network="alexnet",
                         batch=16)
@@ -208,15 +303,19 @@ class TestResumableSweep:
             assert a.metrics == b.metrics
         assert full.frontier == rerun.frontier
 
-    def test_store_lines_carry_point_descriptors(self, tmp_path, space):
+    def test_resumed_metrics_keep_key_and_bottleneck_order(self, tmp_path):
+        """A record read back from disk is the dict that was evaluated:
+        same values, same key order, same bottleneck-share order."""
+        space = grid({"num_sm": (1, 2), "mac_bw": (1, 4)},
+                     network="alexnet", batch=16, passes="training")
         path = str(tmp_path / "sweep.jsonl")
         with ResultStore(path) as store:
-            explore(space, driver=ExhaustiveDriver(limit=2), store=store,
-                    include_baseline=False)
-        with open(path) as handle:
-            lines = [json.loads(line) for line in handle]
-        assert len(lines) == 2
-        for line in lines:
-            assert set(line) == {"key", "point", "metrics"}
-            assert line["point"]["network"] == "alexnet"
-            assert "time_s" in line["metrics"]
+            fresh = explore(space, store=store)
+        with ResultStore(path) as store:
+            resumed = explore(space, store=store)
+        assert resumed.stats.evaluated == 0
+        assert any(len(result.metrics["bottlenecks"]) > 1
+                   for result in fresh.results)
+        for a, b in zip(fresh.results, resumed.results):
+            assert b.cached
+            assert json.dumps(b.metrics) == json.dumps(a.metrics)
