@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.workload import PassKind, expand_passes, normalize_passes
+from ..resilience import check_timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..dse.space import SearchSpace
@@ -22,8 +23,7 @@ Names = Union[str, Sequence[str]]
 
 def _check_policy(timeout: Optional[float], retries: Optional[int]) -> None:
     """Validate the optional per-request resilience-policy overrides."""
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive (or None)")
+    check_timeout(timeout)
     if retries is not None and retries < 0:
         raise ValueError("retries must be non-negative (or None)")
 

@@ -59,6 +59,7 @@ from ..resilience import (
     TaskError,
     TaskFailure,
     backoff_delay,
+    check_timeout,
     run_chunk,
 )
 from ..sim.engine import SimResult, SimulatorConfig
@@ -248,9 +249,7 @@ class Session:
 
     @timeout.setter
     def timeout(self, value: Optional[float]) -> None:
-        if value is not None and value <= 0:
-            raise ValueError("timeout must be positive (or None)")
-        self._timeout = None if value is None else float(value)
+        self._timeout = check_timeout(value)
 
     @property
     def retries(self) -> int:
@@ -283,9 +282,8 @@ class Session:
                 "session before close()) to execute work")
 
     def _resolve_policy(self, timeout, retries) -> Tuple[Optional[float], int]:
-        effective_timeout = self.timeout if timeout is _UNSET else timeout
-        if effective_timeout is not None and effective_timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
+        effective_timeout = (self.timeout if timeout is _UNSET
+                             else check_timeout(timeout))
         budget = self.retries if retries is None else int(retries)
         if budget < 0:
             raise ValueError("retries must be non-negative")

@@ -64,7 +64,7 @@ from .api import (
     ValidateRequest,
 )
 from .dse.drivers import driver_names
-from .dse.space import Axis, default_space, grid, parse_axis
+from .dse.space import default_space, parse_axis
 from .experiments.registry import all_experiment_specs, available_experiments
 from .gpu.devices import all_devices, device_aliases
 from .networks.registry import available_networks, paper_subset_networks
@@ -207,25 +207,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ))
 
 
-def _dse_space_from_args(args: argparse.Namespace):
-    networks = tuple(name.strip().lower() for name in args.networks)
-    batches = tuple(args.batches)
-    if args.axes:
-        axes = [parse_axis(text) for text in args.axes]
-        keys = {ax.key for ax in axes}
-        if len(networks) > 1 and "network" not in keys:
-            axes.append(Axis("network", networks))
-        if len(batches) > 1 and "batch" not in keys:
-            axes.append(Axis("batch", batches))
-        return grid(axes, network=networks[0], batch=batches[0],
-                    passes=args.passes)
-    return default_space(networks=networks, batches=batches,
-                         passes=args.passes)
-
-
 def _cmd_dse(args: argparse.Namespace) -> int:
     return _run_request(args, lambda: DseRequest(
-        space=_dse_space_from_args(args),
+        space=default_space(
+            networks=args.networks, batches=args.batches, passes=args.passes,
+            axes=[parse_axis(text) for text in args.axes]
+            if args.axes else None),
         gpu=args.gpu,
         driver=args.driver,
         budget=args.budget,

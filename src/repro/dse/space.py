@@ -26,8 +26,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..core.workload import normalize_passes
 from ..gpu.design_options import DesignOption
@@ -63,8 +65,9 @@ class Axis:
             raise ValueError(f"axis {self.key!r} needs at least one value")
         if self.key in GPU_AXIS_KEYS:
             values = tuple(float(v) for v in values)
-            if any(v <= 0 for v in values):
-                raise ValueError(f"axis {self.key!r} multipliers must be positive")
+            if not all(0 < v < math.inf for v in values):
+                raise ValueError(
+                    f"axis {self.key!r} multipliers must be positive and finite")
         elif self.key in ("cta_tile", "batch", "dtype_bytes"):
             values = tuple(int(v) for v in values)
             if any(v <= 0 for v in values):
@@ -412,29 +415,30 @@ def space_from_options(options: Sequence[DesignOption], *,
 def default_space(networks: Sequence[str] = ("resnet152",),
                   batches: Sequence[int] = (256,),
                   passes: str = "forward",
-                  dtype_bytes: int = FP32_BYTES,
-                  cta_tiles: Sequence[int] = (128, 256)) -> GridSpace:
-    """The stock exploration grid the CLI and the ``dse`` experiment use.
+                  axes: Optional[Sequence[Axis]] = None) -> GridSpace:
+    """The one DSE space builder: the CLI, ``/v1/dse`` and ``dse`` experiment.
 
-    Covers the resources the paper's scaling study identifies as the levers
-    that matter — SM count, MAC throughput, L2/DRAM bandwidth and the CTA
-    tile — at 162 design points per (network, batch) combination.
+    Without ``axes`` it is the stock grid over the resources the paper's
+    scaling study identifies as the levers that matter — SM count, MAC
+    throughput, L2/DRAM bandwidth and the CTA tile — at 162 design points
+    per (network, batch) combination; with ``axes`` those axes replace it.
+    More than one network or batch appends a ``network`` / ``batch`` axis
+    unless ``axes`` already sweeps that key; the first network and batch
+    are the workload of every point that does not.
     """
-    axes = [
+    axes = list(axes) if axes is not None else [
         Axis("num_sm", (1.0, 2.0, 4.0)),
         Axis("mac_bw", (1.0, 2.0, 4.0)),
         Axis("l2_bw", (1.0, 1.5, 2.0)),
         Axis("dram_bw", (1.0, 1.5, 2.0)),
-        Axis("cta_tile", tuple(cta_tiles)),
+        Axis("cta_tile", (128, 256)),
     ]
-    networks = tuple(networks)
-    batches = tuple(batches)
-    if len(networks) > 1:
+    keys = {ax.key for ax in axes}
+    if len(networks) > 1 and "network" not in keys:
         axes.append(Axis("network", networks))
-    if len(batches) > 1:
+    if len(batches) > 1 and "batch" not in keys:
         axes.append(Axis("batch", batches))
-    return grid(axes, network=networks[0], batch=batches[0], passes=passes,
-                dtype_bytes=dtype_bytes)
+    return grid(axes, network=networks[0], batch=batches[0], passes=passes)
 
 
 def parse_axis(text: str) -> Axis:

@@ -14,6 +14,8 @@ DSE runner, the CLI) without creating import cycles:
   of tasks and converts per-task exceptions into serializable failure
   payloads *inside the worker*, so an ordinary task error never breaks the
   pool round it rides on (only a genuine worker crash does).
+* :func:`check_timeout` — the one bound on every wall-clock timeout
+  (session policy, request overrides, per-call overrides).
 * The exception family the execution layer raises: ``SessionClosedError``,
   ``TaskError`` and ``SimulationError``.
 
@@ -22,6 +24,7 @@ See DESIGN.md, "Failure semantics", for how the pieces compose.
 
 from __future__ import annotations
 
+import threading
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,6 +42,23 @@ def backoff_delay(round_index: int, base: float,
     if base <= 0 or round_index <= 0:
         return 0.0
     return min(base * (2.0 ** (round_index - 1)), cap)
+
+
+def check_timeout(timeout: Optional[float]) -> Optional[float]:
+    """Validate a wall-clock timeout in seconds (``None`` = unbounded).
+
+    The one bound every timeout passes: positive, finite and at most
+    ``threading.TIMEOUT_MAX``, beyond which the futures/condition waits of
+    the pool raise ``OverflowError``.  Returns the timeout as a float.
+    """
+    if timeout is None:
+        return None
+    value = float(timeout)
+    if not 0 < value <= threading.TIMEOUT_MAX:
+        raise ValueError(
+            f"timeout must be positive and at most {threading.TIMEOUT_MAX:g} "
+            f"seconds (or None), got {timeout!r}")
+    return value
 
 
 @dataclass(frozen=True)

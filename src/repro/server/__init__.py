@@ -14,7 +14,7 @@ from .app import ReproApp, create_app
 from .coalesce import CoalesceStats, CoalescingCache
 from .http import ServerThread, pick_free_port, run_app
 from .jobs import Job, JobManager
-from .schemas import PARSERS, BadRequest, ParsedRequest, parse_body
+from .schemas import ROUTES, BadRequest, ParsedRequest, parse_body
 
 __all__ = [
     "BadRequest",
@@ -22,7 +22,7 @@ __all__ = [
     "CoalescingCache",
     "Job",
     "JobManager",
-    "PARSERS",
+    "ROUTES",
     "ParsedRequest",
     "ReproApp",
     "ServerThread",

@@ -54,7 +54,7 @@ from ..obs import spans as obs_spans
 from ..resilience import SessionClosedError
 from .coalesce import CoalescingCache
 from .jobs import Job, JobManager
-from .schemas import PARSERS, BadRequest, ParsedRequest, parse_body
+from .schemas import ROUTES, BadRequest, ParsedRequest, parse_body
 
 #: error types whose failures are the client's fault (HTTP 400).
 CLIENT_ERROR_TYPES = ("BadRequest", "ValueError", "KeyError", "TypeError")
@@ -147,7 +147,7 @@ class ReproApp:
             await self._dispatch_job(path, send)
             return
         route = path[len("/v1/"):] if path.startswith("/v1/") else None
-        if route in PARSERS:
+        if route in ROUTES:
             if await self._require(method, "POST", path, send):
                 return
             body = await _read_body(receive)
@@ -161,7 +161,7 @@ class ReproApp:
             send, HTTPStatus.NOT_FOUND,
             BadRequest(f"no route {scope['path']!r}; see /metrics, /v1/stats, "
                        f"/v1/networks, /v1/gpus, /v1/experiments, "
-                       f"/v1/jobs and POST /v1/{{{'|'.join(sorted(PARSERS))}}}"))
+                       f"/v1/jobs and POST /v1/{{{'|'.join(sorted(ROUTES))}}}"))
 
     async def _require(self, method: str, expected: str, path: str,
                        send) -> bool:
@@ -322,7 +322,7 @@ def _route_label(path: str) -> str:
         sub = path.split("/")[4:5]
         return f"/v1/jobs/{{id}}/{sub[0]}" if sub else "/v1/jobs/{id}"
     route = path[len("/v1/"):] if path.startswith("/v1/") else None
-    if route in PARSERS:
+    if route in ROUTES:
         return path
     return "other"
 

@@ -3,10 +3,22 @@
 The service exposes exactly the request types the library already has
 (:class:`EstimateRequest`, :class:`SweepRequest`, :class:`ValidateRequest`,
 :class:`DseRequest`, :class:`ExperimentRequest`); this module is the thin,
-strict deserialization layer in front of them.  Strict means:
+strict deserialization layer in front of them.  The schema is *derived* from
+those dataclasses, never restated: :data:`ROUTES` maps each POST route to its
+request class plus the fields a body may not set (``options`` for
+``experiment``; ``space`` and ``store_path`` for ``dse`` — the server never
+writes a store).  Every other dataclass field is a body field: its
+annotation picks the type check, an omitted field takes the dataclass
+default and a field without one is required.  ``dse`` bodies describe their
+space with the parameters of :func:`repro.dse.space.default_space`
+(``networks``, ``batches``, ``passes``, ``axes``), the same builder the CLI
+calls.  Strict means:
 
 * unknown body fields are rejected (a typo'd ``"bacth"`` is a 400, not a
   silently-default batch);
+* JSON ``null`` is accepted only where the field is ``Optional``; anywhere
+  else it is a 400, never "the default";
+* the non-JSON ``NaN`` / ``Infinity`` / ``-Infinity`` literals are rejected;
 * unknown network / GPU / experiment ids are rejected *at parse time*, so
   the client gets a 400 naming the id instead of a 500 from deep inside the
   executor;
@@ -15,23 +27,26 @@ strict deserialization layer in front of them.  Strict means:
   ``Report(kind="error")``.
 
 Each parse also produces the request's *content key*: a stable SHA-1 over
-the canonical (normalized) request payload.  The key is what the server-wide
-coalescing cache dedupes on — two bodies that normalize to the same request
-(``"AlexNet"`` vs ``"alexnet"``, reordered fields, default vs explicit
-values) share one execution and one memo slot, the request-level analogue of
-the session's ``structural_key``-based work-unit keys.
+the route and every body-settable field of the constructed request (plus,
+for ``dse``, the space arguments and its final axes).  The key is what the
+server-wide coalescing cache dedupes on — two bodies that normalize to the
+same request (``"AlexNet"`` vs ``"alexnet"``, reordered fields, default vs
+explicit values) share one execution and one memo slot, the request-level
+analogue of the session's ``structural_key``-based work-unit keys.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+import sys
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from ..api.requests import (DseRequest, EstimateRequest, ExperimentRequest,
                             Request, SweepRequest, ValidateRequest)
-from ..dse.space import AXIS_KEYS, Axis, SearchSpace, default_space, grid
+from ..dse.space import AXIS_KEYS, Axis, default_space
 from ..experiments.registry import available_experiments
 from ..gpu.devices import get_device
 from ..networks.registry import available_networks
@@ -56,88 +71,53 @@ class ParsedRequest:
     with_trace: bool = False
 
 
+#: route -> (request class, dataclass fields a body may not set).
+ROUTES = {
+    "estimate": (EstimateRequest, ()),
+    "sweep": (SweepRequest, ()),
+    "validate": (ValidateRequest, ()),
+    "experiment": (ExperimentRequest, ("options",)),
+    "dse": (DseRequest, ("space", "store_path")),
+}
+
+
 # ----------------------------------------------------------------------
-# Field coercion helpers (every failure is a BadRequest naming the field)
+# Field checks: one per annotation, each given a non-null JSON value
+# (every failure is a BadRequest naming the field)
 # ----------------------------------------------------------------------
 
-def _check_fields(body: Mapping[str, object], allowed: Sequence[str],
-                  route: str) -> None:
-    if not isinstance(body, Mapping):
-        raise BadRequest(
-            f"{route}: request body must be a JSON object, "
-            f"got {type(body).__name__}")
-    unknown = sorted(set(body) - set(allowed) - {"job", "trace"})
-    if unknown:
-        raise BadRequest(
-            f"{route}: unknown field(s) {unknown}; "
-            f"accepted fields are {sorted(allowed)} "
-            f"(plus \"job\" and \"trace\")")
-
-
-def _bool(body: Mapping[str, object], field: str, default: bool,
-          route: str) -> bool:
-    value = body.get(field, default)
+def _bool(value: object, field: str, route: str) -> bool:
     if not isinstance(value, bool):
         raise BadRequest(f"{route}: field {field!r} must be a boolean, "
                          f"got {value!r}")
     return value
 
 
-def _int(body: Mapping[str, object], field: str, default: Optional[int],
-         route: str) -> Optional[int]:
-    value = body.get(field, default)
-    if value is None:
-        return None
+def _int(value: object, field: str, route: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise BadRequest(f"{route}: field {field!r} must be an integer, "
                          f"got {value!r}")
     return value
 
 
-def _float(body: Mapping[str, object], field: str,
-           route: str) -> Optional[float]:
-    value = body.get(field)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadRequest(f"{route}: field {field!r} must be a number, "
+def _float(value: object, field: str, route: str) -> float:
+    # the range test also refuses 1e400 (decoded as inf) and integers
+    # too large for a float, which float() would raise OverflowError on.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise BadRequest(f"{route}: field {field!r} must be a finite number, "
                          f"got {value!r}")
     return float(value)
 
 
-def _job_flags(body: Mapping[str, object], route: str) -> Tuple[bool, bool]:
-    """The shared ``"job"``/``"trace"`` execution flags of every route.
-
-    A deep trace is recorded per *job* (attached to its poll payload), so
-    ``"trace": true`` on a synchronous request is a 400 — synchronous
-    responses already carry the per-phase ``meta["timing"]`` breakdown.
-    """
-    as_job = _bool(body, "job", False, route)
-    with_trace = _bool(body, "trace", False, route)
-    if with_trace and not as_job:
-        raise BadRequest(
-            f"{route}: \"trace\" requires \"job\": true — synchronous "
-            f"responses carry meta[\"timing\"] instead; submit a job and "
-            f"poll /v1/jobs/{{id}} for the chrome trace")
-    return as_job, with_trace
-
-
-def _str(body: Mapping[str, object], field: str, default: Optional[str],
-         route: str) -> Optional[str]:
-    value = body.get(field, default)
-    if value is None:
-        return None
+def _str(value: object, field: str, route: str) -> str:
     if not isinstance(value, str):
         raise BadRequest(f"{route}: field {field!r} must be a string, "
                          f"got {value!r}")
     return value
 
 
-def _str_list(body: Mapping[str, object], field: str,
-              route: str) -> Optional[Tuple[str, ...]]:
-    value = body.get(field)
-    if value is None:
-        return None
+def _str_list(value: object, field: str, route: str) -> Tuple[str, ...]:
     if isinstance(value, str):
         value = [value]
     if (not isinstance(value, Sequence)
@@ -148,11 +128,7 @@ def _str_list(body: Mapping[str, object], field: str,
     return tuple(value)
 
 
-def _int_list(body: Mapping[str, object], field: str,
-              route: str) -> Optional[Tuple[int, ...]]:
-    value = body.get(field)
-    if value is None:
-        return None
+def _int_list(value: object, field: str, route: str) -> Tuple[int, ...]:
     if isinstance(value, bool) or isinstance(value, int):
         value = [value]
     if (not isinstance(value, Sequence) or not value
@@ -161,6 +137,38 @@ def _int_list(body: Mapping[str, object], field: str,
         raise BadRequest(f"{route}: field {field!r} must be a non-empty "
                          f"list of integers, got {value!r}")
     return tuple(value)
+
+
+def _axes(value: object, field: str, route: str) -> Tuple[Axis, ...]:
+    if not isinstance(value, Mapping) or not value:
+        raise BadRequest(
+            f"{route}: field {field!r} must be a non-empty object mapping "
+            f"axis keys (one of {list(AXIS_KEYS)}) to value lists")
+    axes = []
+    for key, values in value.items():
+        if isinstance(values, (str, int, float)):
+            values = [values]
+        if not isinstance(values, Sequence) or not values:
+            raise BadRequest(f"{route}: axis {key!r} must map to a non-empty "
+                             f"list of values")
+        try:
+            axes.append(Axis(str(key).strip().lower(), tuple(values)))
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise BadRequest(f"{route}: bad axis {key!r}: {exc}") from exc
+        if axes[-1].key == "network":
+            for name in axes[-1].values:
+                _check_network(name, route)
+    return tuple(axes)
+
+
+#: field annotation (``Optional[...]`` stripped) -> check.
+_CHECKS: Dict[str, Callable[[object, str, str], object]] = {
+    "bool": _bool, "int": _int, "float": _float, "str": _str,
+    "Names": _str_list, "Sequence[str]": _str_list,
+    "Tuple[str, ...]": _str_list,
+    "Sequence[int]": _int_list, "Tuple[int, ...]": _int_list,
+    "Sequence[Axis]": _axes,
+}
 
 
 # ----------------------------------------------------------------------
@@ -195,238 +203,146 @@ def _check_experiment(name: str, route: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Per-route parsers
+# The route table, compiled once at import
 # ----------------------------------------------------------------------
 
-def _wrap_construction(route: str, build) -> Request:
+#: one body field: (name, check, JSON null accepted, default or MISSING).
+_Field = Tuple[str, Callable[[object, str, str], object], bool, object]
+
+#: body fields named after a registry resolve each id through its check.
+_REGISTRY_CHECKS = {
+    "network": _check_network, "networks": _check_network,
+    "gpu": _check_gpu, "gpus": _check_gpu,
+    "experiment": _check_experiment,
+}
+
+
+def _field(name: str, annotation: str, default: object) -> _Field:
+    nullable = annotation.startswith("Optional[")
+    check = _CHECKS[annotation[len("Optional["):-1] if nullable
+                    else annotation]
+    return name, check, nullable, default
+
+
+def _compile(cls: type, hidden: Sequence[str]):
+    """(class, request fields, space fields, accepted body fields incl.
+    ``job``/``trace``) of one :data:`ROUTES` entry."""
+    request_fields = tuple(
+        _field(f.name, f.type, f.default) for f in fields(cls)
+        if f.name not in hidden)
+    space_fields: Tuple[_Field, ...] = ()
+    if "space" in hidden:
+        space_fields = tuple(
+            _field(name, param.annotation, param.default) for name, param
+            in inspect.signature(default_space).parameters.items())
+    accepted = {name for name, *_ in request_fields + space_fields}
+    return cls, request_fields, space_fields, accepted | {"job", "trace"}
+
+
+_COMPILED = {route: _compile(cls, hidden)
+             for route, (cls, hidden) in ROUTES.items()}
+
+
+def _values(body: Mapping[str, object], specs: Sequence[_Field],
+            route: str) -> Dict[str, object]:
+    """Checked values of the body fields ``specs`` names that are present."""
+    values = {}
+    for name, check, nullable, default in specs:
+        if name not in body:
+            if default is MISSING:
+                raise BadRequest(f"{route}: field {name!r} is required")
+            continue
+        value = body[name]
+        if value is not None:
+            value = check(value, name, route)
+            registry = _REGISTRY_CHECKS.get(name)
+            if registry is not None:
+                value = (registry(value, route) if isinstance(value, str)
+                         else tuple(registry(item, route) for item in value))
+        elif not nullable:
+            raise BadRequest(f"{route}: field {name!r} must not be null")
+        values[name] = value
+    return values
+
+
+def _wrap_construction(route: str, build):
     """Constructor ``ValueError``/``TypeError`` (bad batch, ...) -> 400."""
     try:
         return build()
     except BadRequest:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise BadRequest(f"{route}: {exc}") from exc
 
 
-def parse_estimate(body: Mapping[str, object]) -> ParsedRequest:
-    route = "estimate"
-    fields = ("network", "gpu", "batch", "unique", "paper_subset", "passes")
-    _check_fields(body, fields, route)
-    network = _str(body, "network", None, route)
-    if network is None:
-        raise BadRequest(f"{route}: field 'network' is required")
-    request = _wrap_construction(route, lambda: EstimateRequest(
-        network=_check_network(network, route),
-        gpu=_check_gpu(_str(body, "gpu", "titanxp", route), route),
-        batch=_int(body, "batch", 256, route),
-        unique=_bool(body, "unique", False, route),
-        paper_subset=_bool(body, "paper_subset", False, route),
-        passes=_str(body, "passes", "forward", route),
-    ))
-    canonical = {
-        "route": route, "network": request.network, "gpu": request.gpu,
-        "batch": request.batch, "unique": request.unique,
-        "paper_subset": request.paper_subset, "passes": request.passes,
-    }
-    return ParsedRequest(request, _content_key(canonical),
-                         *_job_flags(body, route))
+def _job_flags(body: Mapping[str, object], route: str) -> Tuple[bool, bool]:
+    """The shared ``"job"``/``"trace"`` execution flags of every route.
 
-
-def parse_sweep(body: Mapping[str, object]) -> ParsedRequest:
-    route = "sweep"
-    fields = ("networks", "gpus", "batches", "unique", "paper_subset",
-              "passes")
-    _check_fields(body, fields, route)
-    networks = _str_list(body, "networks", route) or (
-        "alexnet", "vgg16", "googlenet", "resnet152")
-    gpus = _str_list(body, "gpus", route) or ("titanxp", "v100")
-    request = _wrap_construction(route, lambda: SweepRequest(
-        networks=tuple(_check_network(name, route) for name in networks),
-        gpus=tuple(_check_gpu(name, route) for name in gpus),
-        batches=_int_list(body, "batches", route) or (64, 256),
-        unique=_bool(body, "unique", True, route),
-        paper_subset=_bool(body, "paper_subset", True, route),
-        passes=_str(body, "passes", "forward", route),
-    ))
-    canonical = {
-        "route": route, "networks": list(request.networks),
-        "gpus": list(request.gpus), "batches": list(request.batches),
-        "unique": request.unique, "paper_subset": request.paper_subset,
-        "passes": request.passes,
-    }
-    return ParsedRequest(request, _content_key(canonical),
-                         *_job_flags(body, route))
-
-
-def parse_validate(body: Mapping[str, object]) -> ParsedRequest:
-    route = "validate"
-    fields = ("gpu", "batch", "max_ctas", "layers_per_network", "networks",
-              "timeout", "retries")
-    _check_fields(body, fields, route)
-    networks = _str_list(body, "networks", route)
-    request = _wrap_construction(route, lambda: ValidateRequest(
-        gpu=_check_gpu(_str(body, "gpu", "titanxp", route), route),
-        batch=_int(body, "batch", 32, route),
-        max_ctas=_int(body, "max_ctas", 180, route),
-        layers_per_network=_int(body, "layers_per_network", 4, route),
-        networks=(tuple(_check_network(name, route) for name in networks)
-                  if networks is not None else None),
-        timeout=_float(body, "timeout", route),
-        retries=_int(body, "retries", None, route),
-    ))
-    canonical = {
-        "route": route, "gpu": request.gpu, "batch": request.batch,
-        "max_ctas": request.max_ctas,
-        "layers_per_network": request.layers_per_network,
-        "networks": list(request.networks) if request.networks else None,
-        "timeout": request.timeout, "retries": request.retries,
-    }
-    return ParsedRequest(request, _content_key(canonical),
-                         *_job_flags(body, route))
-
-
-def parse_experiment(body: Mapping[str, object]) -> ParsedRequest:
-    route = "experiment"
-    fields = ("experiment", "gpus", "networks", "batch", "max_ctas",
-              "layers_per_network", "timeout", "retries")
-    _check_fields(body, fields, route)
-    experiment = _str(body, "experiment", None, route)
-    if experiment is None:
-        raise BadRequest(f"{route}: field 'experiment' is required")
-    gpus = _str_list(body, "gpus", route)
-    networks = _str_list(body, "networks", route)
-    request = _wrap_construction(route, lambda: ExperimentRequest(
-        experiment=_check_experiment(experiment, route),
-        gpus=(tuple(_check_gpu(name, route) for name in gpus)
-              if gpus is not None else None),
-        networks=(tuple(_check_network(name, route) for name in networks)
-                  if networks is not None else None),
-        batch=_int(body, "batch", None, route),
-        max_ctas=_int(body, "max_ctas", None, route),
-        layers_per_network=_int(body, "layers_per_network", None, route),
-        timeout=_float(body, "timeout", route),
-        retries=_int(body, "retries", None, route),
-    ))
-    canonical = {
-        "route": route, "experiment": request.experiment,
-        "gpus": list(request.gpus) if request.gpus else None,
-        "networks": list(request.networks) if request.networks else None,
-        "batch": request.batch, "max_ctas": request.max_ctas,
-        "layers_per_network": request.layers_per_network,
-        "timeout": request.timeout, "retries": request.retries,
-    }
-    return ParsedRequest(request, _content_key(canonical),
-                         *_job_flags(body, route))
-
-
-def _dse_space(body: Mapping[str, object], networks: Tuple[str, ...],
-               batches: Tuple[int, ...], passes: str,
-               route: str) -> Tuple[SearchSpace, Dict[str, object]]:
-    """Build the search space the same way the CLI does from ``--axis``.
-
-    Returns the space plus its canonical descriptor for the content key.
+    A deep trace is recorded per *job* (attached to its poll payload), so
+    ``"trace": true`` on a synchronous request is a 400 — synchronous
+    responses already carry the per-phase ``meta["timing"]`` breakdown.
     """
-    raw_axes = body.get("axes")
-    if raw_axes is None:
-        space = default_space(networks=networks, batches=batches,
-                              passes=passes)
-        return space, {"axes": None}
-    if not isinstance(raw_axes, Mapping) or not raw_axes:
+    as_job = _bool(body.get("job", False), "job", route)
+    with_trace = _bool(body.get("trace", False), "trace", route)
+    if with_trace and not as_job:
         raise BadRequest(
-            f"{route}: field 'axes' must be a non-empty object mapping axis "
-            f"keys (one of {list(AXIS_KEYS)}) to value lists")
-    axes = []
-    for key, values in raw_axes.items():
-        if isinstance(values, (str, int, float)):
-            values = [values]
-        if not isinstance(values, Sequence) or not values:
-            raise BadRequest(f"{route}: axis {key!r} must map to a non-empty "
-                             f"list of values")
-        try:
-            axes.append(Axis(str(key).strip().lower(), tuple(values)))
-        except (ValueError, TypeError) as exc:
-            raise BadRequest(f"{route}: bad axis {key!r}: {exc}") from exc
-    keys = {ax.key for ax in axes}
-    if "network" in keys:
-        for ax in axes:
-            if ax.key == "network":
-                for name in ax.values:
-                    _check_network(name, route)
-    if len(networks) > 1 and "network" not in keys:
-        axes.append(Axis("network", networks))
-    if len(batches) > 1 and "batch" not in keys:
-        axes.append(Axis("batch", batches))
-    space = grid(axes, network=networks[0], batch=batches[0], passes=passes)
-    descriptor = {"axes": {ax.key: list(ax.values) for ax in axes}}
-    return space, descriptor
+            f"{route}: \"trace\" requires \"job\": true — synchronous "
+            f"responses carry meta[\"timing\"] instead; submit a job and "
+            f"poll /v1/jobs/{{id}} for the chrome trace")
+    return as_job, with_trace
 
 
-def parse_dse(body: Mapping[str, object]) -> ParsedRequest:
-    route = "dse"
-    fields = ("gpu", "networks", "batches", "axes", "driver", "budget",
-              "seed", "objectives", "unique", "confirm_top", "passes",
-              "timeout", "retries")
-    _check_fields(body, fields, route)
-    networks = tuple(_check_network(name, route) for name in
-                     (_str_list(body, "networks", route) or ("resnet152",)))
-    batches = _int_list(body, "batches", route) or (256,)
-    passes = _str(body, "passes", "forward", route)
-    space, space_descriptor = _wrap_construction(
-        route, lambda: _dse_space(body, networks, batches, passes, route))
-    request = _wrap_construction(route, lambda: DseRequest(
-        space=space,
-        gpu=_check_gpu(_str(body, "gpu", "titanxp", route), route),
-        driver=_str(body, "driver", "grid", route),
-        budget=_int(body, "budget", None, route),
-        seed=_int(body, "seed", 0, route),
-        objectives=tuple(_str_list(body, "objectives", route)
-                         or ("throughput", "dram", "cost")),
-        unique=_bool(body, "unique", True, route),
-        confirm_top=_int(body, "confirm_top", 0, route),
-        timeout=_float(body, "timeout", route),
-        retries=_int(body, "retries", None, route),
-    ))
-    canonical = {
-        "route": route, "gpu": request.gpu, "networks": list(networks),
-        "batches": list(batches), "passes": passes,
-        "driver": request.driver, "budget": request.budget,
-        "seed": request.seed, "objectives": list(request.objectives),
-        "unique": request.unique, "confirm_top": request.confirm_top,
-        "timeout": request.timeout, "retries": request.retries,
-    }
-    canonical.update(space_descriptor)
+def _parse(route: str, body: Mapping[str, object]) -> ParsedRequest:
+    cls, request_fields, space_fields, accepted = _COMPILED[route]
+    unknown = body.keys() - accepted
+    if unknown:
+        raise BadRequest(
+            f"{route}: unknown field(s) {sorted(unknown)}; "
+            f"accepted fields are {sorted(accepted - {'job', 'trace'})} "
+            f"(plus \"job\" and \"trace\")")
+    kwargs = _values(body, request_fields, route)
+    if space_fields:
+        space_args = {name: default for name, _, _, default in space_fields}
+        space_args.update(_values(body, space_fields, route))
+        kwargs["space"] = _wrap_construction(
+            route, lambda: default_space(**space_args))
+    request = _wrap_construction(route, lambda: cls(**kwargs))
+    canonical = {"route": route}
+    for name, *_ in request_fields:
+        canonical[name] = getattr(request, name)
+    if space_fields:
+        canonical.update(space_args)
+        if space_args["axes"] is not None:
+            canonical["axes"] = {ax.key: list(ax.values)
+                                 for ax in kwargs["space"].axes}
     return ParsedRequest(request, _content_key(canonical),
                          *_job_flags(body, route))
 
 
-#: route name -> parser, the app's dispatch table for POST bodies.
-PARSERS = {
-    "estimate": parse_estimate,
-    "sweep": parse_sweep,
-    "validate": parse_validate,
-    "experiment": parse_experiment,
-    "dse": parse_dse,
-}
+def _reject_constant(literal: str) -> None:
+    raise ValueError(f"{literal} is not a JSON number")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def parse_body(route: str, raw: bytes) -> ParsedRequest:
     """Decode and parse one POST body for ``route``; failures are 400s."""
-    parser = PARSERS.get(route)
-    if parser is None:
+    if route not in ROUTES:
         raise BadRequest(f"unknown request route {route!r}; "
-                         f"expected one of {sorted(PARSERS)}")
+                         f"expected one of {sorted(ROUTES)}")
     if not raw:
         body: object = {}
     else:
         try:
-            body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            body = _DECODER.decode(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
             raise BadRequest(
                 f"{route}: request body is not valid JSON: {exc}") from exc
     if not isinstance(body, Mapping):
         raise BadRequest(f"{route}: request body must be a JSON object, "
                          f"got {type(body).__name__}")
-    return parser(body)
+    return _parse(route, body)
 
 
 def _content_key(canonical: Mapping[str, object]) -> str:

@@ -200,6 +200,14 @@ class TestDseCommand:
         assert "design-space exploration on TITAN Xp" in output
         assert "what to scale next" in output
 
+    @pytest.mark.parametrize("axis", ["num_sm=1,nan", "dram_bw=inf",
+                                      "cta_tile=inf"])
+    def test_dse_non_finite_axis_is_an_error_report(self, capsys, axis):
+        assert main(["dse", "--networks", "alexnet", "--batches", "16",
+                     "--axis", axis, "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kind"] == "error"
+
     def test_dse_format_json(self, capsys, tmp_path):
         store = str(tmp_path / "sweep.jsonl")
         assert main(["dse", "--networks", "alexnet", "--batches", "16",

@@ -34,6 +34,13 @@ class TestAxis:
         with pytest.raises(ValueError, match="positive"):
             Axis("dram_bw", (1.0, 0.0))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_multiplier_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Axis("num_sm", (1.0, value))
+        with pytest.raises(ValueError, match="finite"):
+            parse_axis(f"num_sm=1,{value}")
+
     def test_passes_axis_normalized(self):
         ax = Axis("passes", ("Forward", "TRAINING"))
         assert ax.values == ("forward", "training")
@@ -158,6 +165,15 @@ class TestHelpers:
         assert len(default_space(networks=("alexnet",), batches=(32,))) == 162
         assert len(default_space(networks=("alexnet", "vgg16"),
                                  batches=(32,))) == 324
+
+    def test_default_space_appends_only_unswept_workload_axes(self):
+        space = default_space(networks=("alexnet", "vgg16"), batches=(8, 16),
+                              axes=[Axis("num_sm", (1, 2)),
+                                    Axis("batch", (4,))])
+        assert [ax.key for ax in space.axes] == ["num_sm", "batch", "network"]
+        assert len(space) == 4
+        assert {p.batch for p in space.points()} == {4}
+        assert space.base.network == "alexnet"
 
     def test_parse_axis(self):
         ax = parse_axis("num_sm=1,2,4")

@@ -1,13 +1,27 @@
 """Unit tests for the shared failure types (repro.resilience)."""
 
 import json
+import threading
 
 import pytest
 
 from repro.resilience import (BACKOFF_CAP_SECONDS, FAILURE_KINDS,
                               SessionClosedError, SimulationError, TaskError,
                               TaskFailure, backoff_delay, cause_chain,
-                              format_traceback, run_chunk)
+                              check_timeout, format_traceback, run_chunk)
+
+
+class TestCheckTimeout:
+    def test_valid_timeouts_become_floats(self):
+        assert check_timeout(None) is None
+        assert check_timeout(2) == 2.0 and isinstance(check_timeout(2), float)
+        assert check_timeout(threading.TIMEOUT_MAX) == threading.TIMEOUT_MAX
+
+    @pytest.mark.parametrize("timeout", [0, -1.5, 1e12, float("inf"),
+                                         float("-inf"), float("nan")])
+    def test_out_of_range_timeouts_are_value_errors(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            check_timeout(timeout)
 
 
 class TestBackoffDelay:

@@ -134,6 +134,19 @@ BAD_BODIES = [
     ("dse", {"axes": {"warp_speed": [1]}}),
 ]
 
+# nulls on non-Optional fields, timeouts past the wait bound and non-JSON
+# number literals once escaped the parser as 500s (or were accepted).
+HOSTILE_BODIES = [
+    ("estimate", b'{"network": "alexnet", "gpu": null}'),
+    ("validate", b'{"gpu": null}'),
+    ("dse", b'{"gpu": null}'),
+    ("dse", b'{"driver": null}'),
+    ("dse", b'{"seed": null}'),
+    ("validate", b'{"timeout": 1e12}'),
+    ("validate", b'{"timeout": Infinity}'),
+    ("dse", b'{"axes": {"num_sm": [1, NaN]}}'),
+]
+
 
 class TestStructuredErrors:
     @pytest.mark.parametrize("route,body", BAD_BODIES,
@@ -153,6 +166,17 @@ class TestStructuredErrors:
         assert status == 400
         assert payload["kind"] == "error"
         assert "not valid JSON" in payload["meta"]["error_message"]
+
+    @pytest.mark.parametrize("route,raw", HOSTILE_BODIES,
+                             ids=[f"{route}-{i}" for i, (route, _)
+                                  in enumerate(HOSTILE_BODIES)])
+    def test_hostile_body_is_structured_400(self, app, route, raw):
+        status, payload = json_request(app, "POST", f"/v1/{route}",
+                                       raw_body=raw)
+        assert status == 400
+        assert payload["kind"] == "error"
+        assert payload["meta"]["error_type"] == "BadRequest"
+        assert route in payload["meta"]["error_message"]
 
     def test_error_body_shape_matches_cli_error_report(self, app, capsys):
         exit_code = main(["estimate", "--network", "made-up-net",

@@ -1,18 +1,24 @@
 """The service's strict body-to-request deserialization layer."""
 
+import dataclasses
+import inspect
 import json
 
 import pytest
 
+from repro import cli
 from repro.api import (DseRequest, EstimateRequest, ExperimentRequest,
                        SweepRequest, ValidateRequest)
-from repro.server import BadRequest, parse_body
-from repro.server.schemas import (parse_dse, parse_estimate, parse_experiment,
-                                  parse_sweep, parse_validate)
+from repro.dse.space import default_space
+from repro.server import ROUTES, BadRequest, parse_body
+
+
+def parse(route, body):
+    return parse_body(route, json.dumps(body).encode())
 
 
 def key_of(route, body):
-    return parse_body(route, json.dumps(body).encode()).key
+    return parse(route, body).key
 
 
 class TestParseBody:
@@ -42,7 +48,7 @@ class TestParseBody:
 
 class TestEstimate:
     def test_defaults(self):
-        parsed = parse_estimate({"network": "alexnet"})
+        parsed = parse("estimate", {"network": "alexnet"})
         request = parsed.request
         assert isinstance(request, EstimateRequest)
         assert (request.gpu, request.batch) == ("titanxp", 256)
@@ -50,34 +56,34 @@ class TestEstimate:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(BadRequest, match="bacth"):
-            parse_estimate({"network": "alexnet", "bacth": 64})
+            parse("estimate", {"network": "alexnet", "bacth": 64})
 
     def test_unknown_network_rejected_at_parse_time(self):
         with pytest.raises(BadRequest, match="unknown network 'lenet9000'"):
-            parse_estimate({"network": "lenet9000"})
+            parse("estimate", {"network": "lenet9000"})
 
     def test_unknown_gpu_rejected_at_parse_time(self):
         with pytest.raises(BadRequest, match="estimate"):
-            parse_estimate({"network": "alexnet", "gpu": "rtx9090"})
+            parse("estimate", {"network": "alexnet", "gpu": "rtx9090"})
 
     def test_type_errors_are_bad_requests(self):
         with pytest.raises(BadRequest, match="'batch' must be an integer"):
-            parse_estimate({"network": "alexnet", "batch": "many"})
+            parse("estimate", {"network": "alexnet", "batch": "many"})
         with pytest.raises(BadRequest, match="'batch' must be an integer"):
-            parse_estimate({"network": "alexnet", "batch": True})
+            parse("estimate", {"network": "alexnet", "batch": True})
         with pytest.raises(BadRequest, match="'unique' must be a boolean"):
-            parse_estimate({"network": "alexnet", "unique": 1})
+            parse("estimate", {"network": "alexnet", "unique": 1})
 
     def test_constructor_errors_become_bad_requests(self):
         with pytest.raises(BadRequest, match="estimate"):
-            parse_estimate({"network": "alexnet", "batch": -4})
+            parse("estimate", {"network": "alexnet", "batch": -4})
         with pytest.raises(BadRequest, match="estimate"):
-            parse_estimate({"network": "alexnet", "passes": "sideways"})
+            parse("estimate", {"network": "alexnet", "passes": "sideways"})
 
     def test_job_flag(self):
-        assert parse_estimate({"network": "alexnet", "job": True}).as_job
+        assert parse("estimate", {"network": "alexnet", "job": True}).as_job
         with pytest.raises(BadRequest, match="'job' must be a boolean"):
-            parse_estimate({"network": "alexnet", "job": "yes"})
+            parse("estimate", {"network": "alexnet", "job": "yes"})
 
 
 class TestContentKeys:
@@ -108,79 +114,79 @@ class TestContentKeys:
 
 class TestSweep:
     def test_defaults_match_cli(self):
-        request = parse_sweep({}).request
+        request = parse("sweep", {}).request
         assert isinstance(request, SweepRequest)
         assert request.gpus == ("titanxp", "v100")
         assert request.batches == (64, 256)
         assert request.unique and request.paper_subset
 
     def test_scalar_promotes_to_list(self):
-        request = parse_sweep({"networks": "alexnet", "batches": 32}).request
+        request = parse("sweep", {"networks": "alexnet", "batches": 32}).request
         assert request.networks == ("alexnet",)
         assert request.batches == (32,)
 
     def test_bad_batches(self):
         with pytest.raises(BadRequest, match="'batches'"):
-            parse_sweep({"batches": ["a lot"]})
+            parse("sweep", {"batches": ["a lot"]})
         with pytest.raises(BadRequest, match="'batches'"):
-            parse_sweep({"batches": []})
+            parse("sweep", {"batches": []})
 
 
 class TestValidate:
     def test_defaults(self):
-        request = parse_validate({}).request
+        request = parse("validate", {}).request
         assert isinstance(request, ValidateRequest)
         assert (request.gpu, request.batch) == ("titanxp", 32)
         assert request.max_ctas == 180 and request.layers_per_network == 4
 
     def test_execution_policy_fields(self):
-        request = parse_validate({"timeout": 2, "retries": 0}).request
+        request = parse("validate", {"timeout": 2, "retries": 0}).request
         assert request.timeout == 2.0 and request.retries == 0
 
     def test_unknown_network_in_list(self):
         with pytest.raises(BadRequest, match="unknown network"):
-            parse_validate({"networks": ["alexnet", "squeezenet"]})
+            parse("validate", {"networks": ["alexnet", "squeezenet"]})
 
 
 class TestExperiment:
     def test_required_experiment_id(self):
         with pytest.raises(BadRequest, match="'experiment' is required"):
-            parse_experiment({})
+            parse("experiment", {})
 
     def test_unknown_experiment(self):
         with pytest.raises(BadRequest, match="unknown experiment"):
-            parse_experiment({"experiment": "table99"})
+            parse("experiment", {"experiment": "table99"})
 
     def test_known_experiment(self):
-        parsed = parse_experiment({"experiment": "tab01", "batch": 8})
+        parsed = parse("experiment", {"experiment": "tab01", "batch": 8})
         assert isinstance(parsed.request, ExperimentRequest)
         assert parsed.request.experiment == "tab01"
 
 
 class TestDse:
     def test_default_space_is_the_stock_grid(self):
-        parsed = parse_dse({})
+        parsed = parse("dse", {})
         assert isinstance(parsed.request, DseRequest)
         assert parsed.request.gpu == "titanxp"
         assert len(list(parsed.request.space.points())) > 1
 
     def test_explicit_axes(self):
-        parsed = parse_dse({"axes": {"num_sm": [1, 2], "cta_tile": 128}})
+        parsed = parse("dse", {"axes": {"num_sm": [1, 2], "cta_tile": 128}})
         points = list(parsed.request.space.points())
         assert len(points) == 2  # cta_tile scalar promoted, 2 x 1 grid
 
     def test_axes_must_be_an_object(self):
         with pytest.raises(BadRequest, match="'axes' must be a non-empty"):
-            parse_dse({"axes": [1, 2]})
+            parse("dse", {"axes": [1, 2]})
         with pytest.raises(BadRequest, match="'axes' must be a non-empty"):
-            parse_dse({"axes": {}})
+            parse("dse", {"axes": {}})
 
     def test_bad_axis_key(self):
         with pytest.raises(BadRequest, match="bad axis"):
-            parse_dse({"axes": {"warp_speed": [1, 2]}})
+            parse("dse", {"axes": {"warp_speed": [1, 2]}})
 
     def test_multiple_networks_become_an_axis(self):
-        parsed = parse_dse({"axes": {"num_sm": [1, 2]},
+        parsed = parse("dse", {"axes": {"num_sm": [1, 2]},
                             "networks": ["alexnet", "vgg16"]})
         assert len(list(parsed.request.space.points())) == 4
 
@@ -190,4 +196,182 @@ class TestDse:
 
     def test_unknown_driver_rejected(self):
         with pytest.raises(BadRequest, match="dse"):
-            parse_dse({"driver": "simulated-annealing"})
+            parse("dse", {"driver": "simulated-annealing"})
+
+
+#: (route, body, content key) computed by the hand-written per-route parsers
+#: the route table replaced; keys must never drift (memo identity).
+PINNED_KEYS = [
+    ("estimate", {"network": "alexnet"},
+     "22e6212cde4889d6f166979a3931023d802c2476"),
+    ("estimate", {"network": "AlexNet", "gpu": "V100", "batch": 64,
+                  "unique": True, "paper_subset": True, "passes": "Training"},
+     "ca7c5f02f30c536cdabd587b90e997073776ea37"),
+    ("sweep", {}, "d60f6304c9ef5841c466d89e4cafab2acf381535"),
+    ("sweep", {"networks": "alexnet", "gpus": ["V100"], "batches": 32,
+               "unique": False, "paper_subset": False, "passes": "wgrad"},
+     "9a3aaa99b8963180040fa384aca9875907482daf"),
+    ("validate", {}, "5df94da3db50e5485e7b75d56e87d7ed2807ec75"),
+    ("validate", {"gpu": "v100", "batch": 8, "max_ctas": None,
+                  "layers_per_network": None, "networks": ["alexnet", "VGG16"],
+                  "timeout": 2, "retries": 0},
+     "b76a4d738de45cedcc2fd78530f2881b622852e9"),
+    ("experiment", {"experiment": "tab01"},
+     "00cf2c8f73d24c77262ba3ad4cac15736b1c04ad"),
+    ("experiment", {"experiment": "FIG11", "gpus": "titanxp",
+                    "networks": ["alexnet"], "batch": 8, "max_ctas": 10,
+                    "layers_per_network": 2, "timeout": 3, "retries": 1},
+     "b4ddab145de715fc9f9dc70595017781ac675586"),
+    ("dse", {}, "beb1c4f0157e719a0b5b52d2623032924a87c21b"),
+    ("dse", {"gpu": "V100", "networks": ["alexnet", "vgg16"],
+             "batches": [16, 32], "passes": "Training", "driver": "random",
+             "budget": 10, "seed": 3, "objectives": ["throughput"],
+             "unique": False, "confirm_top": 1, "timeout": 4, "retries": 2},
+     "0c8eec36d3246a9dffa3264906fd06cea7474591"),
+    ("dse", {"axes": {"num_sm": [1, 2]}, "networks": ["alexnet", "vgg16"]},
+     "42ba431d2b495a5c757826caa9eacb49658d7b1b"),
+    ("dse", {"axes": {"network": ["AlexNet", "vgg16"], "batch": [4, 8]},
+             "networks": ["alexnet", "vgg16"], "batches": [1, 2]},
+     "301d7bcc38f853c1b9a9510a2ea627929ad8f192"),
+    ("dse", {"driver": "halving", "budget": 5,
+             "axes": {"dram_bw": [1, 2], "passes": ["forward", "dgrad"]}},
+     "fb44249fc352f2fc76c3465d4264f69ac4b174ef"),
+]
+
+#: the smallest valid body of each route.
+MINIMAL = {"estimate": {"network": "alexnet"}, "sweep": {}, "validate": {},
+           "experiment": {"experiment": "tab01"}, "dse": {}}
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("route,body,key", PINNED_KEYS,
+                             ids=[f"{route}-{i}" for i, (route, _, _)
+                                  in enumerate(PINNED_KEYS)])
+    def test_key_is_pinned(self, route, body, key):
+        assert key_of(route, body) == key
+
+
+def _defaults(route):
+    """Every body field of ``route`` set to its declared default."""
+    cls, hidden = ROUTES[route]
+    body = {f.name: f.default for f in dataclasses.fields(cls)
+            if f.name not in hidden and f.default is not dataclasses.MISSING}
+    if "space" in hidden:
+        body.update((name, param.default) for name, param in
+                    inspect.signature(default_space).parameters.items())
+    return body
+
+
+class TestRouteTableDriftGuard:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_every_request_field_is_a_body_field(self, route):
+        cls, hidden = ROUTES[route]
+        names = {f.name for f in dataclasses.fields(cls)} - set(hidden)
+        assert names <= set(MINIMAL[route]) | set(_defaults(route))
+        for name, value in _defaults(route).items():
+            parse(route, {**MINIMAL[route], name: value})
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_explicit_defaults_share_the_minimal_key(self, route):
+        body = {**_defaults(route), **MINIMAL[route]}
+        assert key_of(route, body) == key_of(route, MINIMAL[route])
+
+    def test_hidden_fields_are_unknown_fields(self):
+        with pytest.raises(BadRequest, match="unknown field"):
+            parse("dse", {"store_path": "/tmp/owned.jsonl"})
+        with pytest.raises(BadRequest, match="unknown field"):
+            parse("dse", {"space": {}})
+        with pytest.raises(BadRequest, match="unknown field"):
+            parse("experiment", {"experiment": "tab01", "options": {}})
+
+
+#: fields whose annotation is not Optional: JSON null is a 400 there.
+NON_NULLABLE = {
+    "estimate": ["network", "gpu", "batch", "unique", "paper_subset",
+                 "passes"],
+    "sweep": ["networks", "gpus", "batches", "unique", "paper_subset",
+              "passes"],
+    "validate": ["gpu", "batch"],
+    "experiment": ["experiment"],
+    "dse": ["gpu", "networks", "batches", "passes", "driver", "seed",
+            "objectives", "unique", "confirm_top"],
+}
+NULLABLE = {
+    "validate": ["max_ctas", "layers_per_network", "networks", "timeout",
+                 "retries"],
+    "experiment": ["gpus", "networks", "batch", "max_ctas",
+                   "layers_per_network", "timeout", "retries"],
+    "dse": ["budget", "timeout", "retries"],
+}
+
+
+def _cases(table):
+    return [(route, name) for route, names in table.items()
+            for name in names]
+
+
+class TestNullRule:
+    @pytest.mark.parametrize("route,name", _cases(NON_NULLABLE))
+    def test_null_is_rejected_where_not_optional(self, route, name):
+        with pytest.raises(BadRequest, match=f"{name!r} must not be null"):
+            parse(route, {**MINIMAL[route], name: None})
+
+    @pytest.mark.parametrize("route,name", _cases(NULLABLE))
+    def test_null_is_accepted_where_optional(self, route, name):
+        request = parse(route, {**MINIMAL[route], name: None}).request
+        assert getattr(request, name) is None
+
+    def test_null_axes_is_the_stock_grid(self):
+        assert key_of("dse", {"axes": None}) == key_of("dse", {})
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_literals_are_rejected(self, literal):
+        raw = f'{{"axes": {{"num_sm": [1, {literal}]}}}}'.encode()
+        with pytest.raises(BadRequest, match=f"dse: .*{literal}"):
+            parse_body("dse", raw)
+        with pytest.raises(BadRequest, match="not valid JSON"):
+            parse_body("validate", f'{{"timeout": {literal}}}'.encode())
+
+    def test_overflowing_numbers_are_rejected(self):
+        # 1e400 is valid JSON that decodes to inf.
+        with pytest.raises(BadRequest, match="finite"):
+            parse_body("dse", b'{"axes": {"num_sm": [1e400]}}')
+        with pytest.raises(BadRequest, match="bad axis 'cta_tile'"):
+            parse_body("dse", b'{"axes": {"cta_tile": [1e400]}}')
+        with pytest.raises(BadRequest, match="'timeout' must be a finite"):
+            parse_body("dse", b'{"timeout": 1e400}')
+        with pytest.raises(BadRequest, match="'timeout' must be a finite"):
+            parse_body("validate", b'{"timeout": 1%s}' % (b"0" * 400))
+
+    def test_deeply_nested_body_is_rejected(self):
+        with pytest.raises(BadRequest, match="not valid JSON"):
+            parse_body("estimate", b"[" * 100_000)
+
+    @pytest.mark.parametrize("route", ["validate", "experiment", "dse"])
+    def test_timeout_beyond_the_wait_bound_is_rejected(self, route):
+        with pytest.raises(BadRequest, match="timeout must be positive"):
+            parse(route, {**MINIMAL[route], "timeout": 1e12})
+
+
+class TestOneSpaceBuilder:
+    def test_cli_axes_and_dse_body_plan_identical_points(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "_run_request",
+                            lambda args, build: built.append(build()) or 0)
+        cli.main(["dse", "--networks", "AlexNet", "vgg16", "--batches", "16",
+                  "32", "--axis", "num_sm=1,2", "--axis", "cta_tile=256",
+                  "--pass", "training"])
+        served = parse("dse", {"networks": ["AlexNet", "vgg16"],
+                               "batches": [16, 32], "passes": "training",
+                               "axes": {"num_sm": [1, 2], "cta_tile": 256}})
+        cli_points = built[0].space.points()
+        served_points = served.request.space.points()
+        assert len(cli_points) == 8
+        assert [(p.name, p.descriptor()) for p in cli_points] == \
+            [(p.name, p.descriptor()) for p in served_points]
+
+    def test_stock_grid_without_axes(self):
+        space = parse("dse", {"networks": ["alexnet"]}).request.space
+        assert space == default_space(networks=("alexnet",))
