@@ -14,8 +14,8 @@ DSE pipeline in three phases, each timed separately so the committed
   *zero* re-evaluations and a bit-identical frontier.
 
 Evaluating one point at a time through the scalar ``evaluate_point`` oracle
-runs at ~1.1k points/s on this grid (the rate before batching); the batched
-path must stay ≥ 50x that.
+(tests/model_reference.py) runs at ~1.1k points/s on this grid (the rate
+before batching); the batched path must stay ≥ 50x that.
 """
 
 import gc

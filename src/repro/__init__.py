@@ -33,7 +33,6 @@ from .core import (
     GemmShape,
     GemmWorkload,
     LinearLayerConfig,
-    PerformanceModel,
     TrafficEstimate,
     TrafficModel,
     TrainingStepEstimate,
@@ -92,7 +91,6 @@ __all__ = [
     "FixedMissRateModel",
     "GemmShape",
     "GemmWorkload",
-    "PerformanceModel",
     "TrafficEstimate",
     "TrafficModel",
     "TrainingStepEstimate",

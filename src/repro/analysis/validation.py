@@ -37,6 +37,7 @@ from .. import faults
 from ..core.bottleneck import Bottleneck
 from ..core.layer import LayerConfig
 from ..core.model import DeltaModel
+from ..core.performance import ExecutionEstimate
 from ..core.tiling import build_grid
 from ..core.workload import PassKind, lower_pass
 from ..gpu.spec import GpuSpec
@@ -317,6 +318,23 @@ def simulate_population(gpu: GpuSpec,
         return list(pool.map(_simulate_task, tasks))
 
 
+def _record(network: str, layer: LayerConfig, gpu: GpuSpec,
+            estimate: ExecutionEstimate,
+            sim_result: SimResult) -> LayerValidation:
+    return LayerValidation(
+        network=network,
+        layer=layer,
+        gpu=gpu,
+        model_traffic={level: estimate.traffic.level_bytes(level)
+                       for level in MEMORY_LEVELS},
+        measured_traffic={level: sim_result.traffic.level_bytes(level)
+                          for level in MEMORY_LEVELS},
+        model_time=estimate.time_seconds,
+        measured_time=sim_result.time_seconds,
+        bottleneck=estimate.bottleneck,
+    )
+
+
 def validate_layer(network: str, layer: LayerConfig, gpu: GpuSpec,
                    simulator_config: Optional[SimulatorConfig] = None,
                    model: Optional[DeltaModel] = None,
@@ -326,19 +344,21 @@ def validate_layer(network: str, layer: LayerConfig, gpu: GpuSpec,
     if sim_result is None:
         simulator = ConvLayerSimulator(gpu, simulator_config or SimulatorConfig())
         sim_result = simulator.run(layer)
-    traffic = model.traffic(layer)
-    estimate = model.estimate(layer)
-    return LayerValidation(
-        network=network,
-        layer=layer,
-        gpu=gpu,
-        model_traffic={level: traffic.level_bytes(level) for level in MEMORY_LEVELS},
-        measured_traffic={level: sim_result.traffic.level_bytes(level)
-                          for level in MEMORY_LEVELS},
-        model_time=estimate.time_seconds,
-        measured_time=sim_result.time_seconds,
-        bottleneck=estimate.bottleneck,
-    )
+    return _record(network, layer, gpu, model.estimate(layer), sim_result)
+
+
+def validation_records(gpu: GpuSpec,
+                       population: Sequence[Tuple[str, LayerConfig]],
+                       sim_results: Sequence[SimResult]
+                       ) -> Tuple[LayerValidation, ...]:
+    """One record per (network, layer) of ``population`` against its
+    simulator result; the model side is one batched estimate."""
+    estimates = DeltaModel(gpu).estimate_many(
+        [layer for _, layer in population])
+    return tuple(
+        _record(network, layer, gpu, estimate, sim_result)
+        for (network, layer), estimate, sim_result
+        in zip(population, estimates, sim_results))
 
 
 def validate_gpu(gpu: GpuSpec,
@@ -352,17 +372,12 @@ def validate_gpu(gpu: GpuSpec,
     on-disk result cache; the cheap analytical model runs inline.
     """
     population = list(layers) if layers is not None else select_layers(config)
-    model = DeltaModel(gpu)
-    simulator_config = config.simulator_config()
     sim_results = simulate_population(
-        gpu, [layer for _, layer in population], simulator_config,
+        gpu, [layer for _, layer in population], config.simulator_config(),
         jobs=config.effective_jobs,
         cache_dir=config.effective_sim_cache_dir)
-    records = tuple(
-        validate_layer(network, layer, gpu, model=model, sim_result=sim_result)
-        for (network, layer), sim_result in zip(population, sim_results)
-    )
-    return ValidationReport(gpu=gpu, records=records)
+    return ValidationReport(
+        gpu=gpu, records=validation_records(gpu, population, sim_results))
 
 
 def validation_report(gpu: GpuSpec,

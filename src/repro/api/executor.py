@@ -26,6 +26,7 @@ from ..analysis.validation import (MEMORY_LEVELS, QUICK_VALIDATION,
                                    ValidationConfig, select_layers)
 from ..core.model import DeltaModel
 from ..core.training import estimate_training_step
+from ..core.workload import lower_passes
 from ..experiments.registry import ExperimentSpec, get_experiment_spec
 from ..gpu.devices import get_device
 from ..networks.registry import get_network
@@ -135,21 +136,19 @@ def _estimate_rows(model: DeltaModel, layers,
                    pass_kinds=("forward",)) -> List[Dict[str, object]]:
     single_forward = tuple(pass_kinds) == ("forward",)
     rows = []
-    for layer in layers:
-        for pass_kind in pass_kinds:
-            estimate = model.estimate_pass(layer, pass_kind)
-            row: Dict[str, object] = {"layer": layer.name}
-            if not single_forward:
-                row["pass"] = pass_kind
-            row.update({
-                "time_ms": estimate.time_seconds * 1e3,
-                "bottleneck": estimate.bottleneck.value,
-                "TFLOP/s": estimate.throughput_tflops,
-                "L1_GB": estimate.traffic.l1_bytes / 1e9,
-                "L2_GB": estimate.traffic.l2_bytes / 1e9,
-                "DRAM_GB": estimate.traffic.dram_bytes / 1e9,
-            })
-            rows.append(row)
+    for estimate in model.estimate_many(lower_passes(layers, pass_kinds)):
+        row: Dict[str, object] = {"layer": estimate.layer.name}
+        if not single_forward:
+            row["pass"] = estimate.pass_kind
+        row.update({
+            "time_ms": estimate.time_seconds * 1e3,
+            "bottleneck": estimate.bottleneck.value,
+            "TFLOP/s": estimate.throughput_tflops,
+            "L1_GB": estimate.traffic.l1_bytes / 1e9,
+            "L2_GB": estimate.traffic.l2_bytes / 1e9,
+            "DRAM_GB": estimate.traffic.dram_bytes / 1e9,
+        })
+        rows.append(row)
     return rows
 
 

@@ -45,10 +45,9 @@ from ..analysis.validation import (
     ValidationReport,
     _simulate_task,
     select_layers,
-    validate_layer,
+    validation_records,
 )
 from ..core.layer import LayerConfig
-from ..core.model import DeltaModel
 from ..core.workload import PassKind
 from ..gpu.spec import GpuSpec
 from ..obs import metrics as obs_metrics
@@ -696,11 +695,8 @@ class Session:
             jobs=config.jobs, cache_dir=config.sim_cache_dir,
             timeout=config.timeout if config.timeout is not None else _UNSET,
             retries=config.retries)
-        model = DeltaModel(gpu)
-        records = tuple(
-            validate_layer(network, layer, gpu, model=model, sim_result=sim)
-            for (network, layer), sim in zip(population, sims))
-        report = ValidationReport(gpu=gpu, records=records)
+        report = ValidationReport(
+            gpu=gpu, records=validation_records(gpu, population, sims))
         with self._lock:
             return self._validation_memo.setdefault(key, report)
 

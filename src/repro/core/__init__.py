@@ -12,8 +12,7 @@ from .l2 import L2ModelOptions, L2Traffic, estimate_l2_traffic
 from .layer import (BatchedGemmLayerConfig, ConvLayerConfig, GemmShape,
                     LayerConfig, LinearLayerConfig)
 from .model import DeltaModel
-from .performance import ExecutionEstimate, PerformanceModel
-from .streams import StreamTimes, compute_stream_times
+from .performance import ExecutionEstimate
 from .training import (
     LayerPassEstimate,
     TrainingStepEstimate,
@@ -43,6 +42,7 @@ from .workload import (
     lower_dgrad,
     lower_forward,
     lower_pass,
+    lower_passes,
     lower_wgrad,
     normalize_passes,
     training_workloads,
@@ -61,6 +61,7 @@ __all__ = [
     "lower_dgrad",
     "lower_wgrad",
     "lower_pass",
+    "lower_passes",
     "lower_dense",
     "normalize_passes",
     "training_workloads",
@@ -93,9 +94,6 @@ __all__ = [
     "filter_mli",
     "TrafficModel",
     "TrafficEstimate",
-    "StreamTimes",
-    "compute_stream_times",
-    "PerformanceModel",
     "ExecutionEstimate",
     "DeltaModel",
     "FixedMissRateModel",

@@ -9,21 +9,21 @@ miss rate over {0.3, 0.5, 0.7, 1.0} in Fig. 15b.
 :class:`FixedMissRateTrafficModel` reproduces that methodology: L1 traffic is
 modeled exactly as in DeLTA (the request stream is a property of the kernel,
 not of the cache), and the L2/DRAM traffic is the L1 traffic scaled by the
-fixed miss rates.  :class:`FixedMissRateModel` plugs that traffic into the
-same execution-time framework so the comparison isolates the effect of the
-traffic assumptions, exactly as the paper does.
+fixed miss rates.  :class:`FixedMissRateModel` feeds that traffic into the
+same batched execution-time evaluation DeLTA uses, so the comparison isolates
+the effect of the traffic assumptions, exactly as the paper does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from ..gpu.spec import GpuSpec
 from .dram import DramTraffic
 from .l2 import L2Traffic
 from .layer import ConvLayerConfig
-from .performance import ExecutionEstimate, PerformanceModel
+from .performance import ExecutionEstimate, estimate_workloads
 from .tiling import GemmGrid, build_grid
 from .traffic import TrafficEstimate, TrafficModel
 from .workload import GemmWorkload, as_workload
@@ -101,7 +101,11 @@ class FixedMissRateModel:
     def traffic(self, source: Union[ConvLayerConfig, GemmWorkload]) -> TrafficEstimate:
         return self.traffic_model.estimate(source)
 
+    def estimate_many(self, sources: Iterable[Union[ConvLayerConfig,
+                                                    GemmWorkload]]
+                      ) -> List[ExecutionEstimate]:
+        return estimate_workloads(self.gpu, self.traffic_model.estimate,
+                                  sources)
+
     def estimate(self, source: Union[ConvLayerConfig, GemmWorkload]) -> ExecutionEstimate:
-        traffic = self.traffic_model.estimate(source)
-        performance = PerformanceModel(gpu=self.gpu)
-        return performance.estimate(traffic.workload, traffic=traffic)
+        return self.estimate_many((source,))[0]

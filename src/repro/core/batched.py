@@ -1,16 +1,16 @@
-"""Batched (structure-of-arrays) evaluation of the DeLTA analytic model.
+"""Batched (structure-of-arrays) evaluation of the DeLTA performance model.
 
-The scalar pipeline in :mod:`repro.core.performance` evaluates one
-(GPU design, workload) pair per call; a design-space sweep therefore pays the
-full Python interpretation cost per point.  This module evaluates a *batch of
-GPU designs at once* as NumPy structure-of-arrays while keeping the scalar
-path as the bit-identical reference (the same vectorize-with-scalar-reference
-contract the simulator keeps against its test-side scalar loop):
+This module is the one implementation of the paper's Section V execution-time
+model (stream times Eq. 11-13, prologue/epilogue Eq. 14-15 and the bottleneck
+candidates Eq. 16-18).  Every estimate goes through :func:`_performance_grid`:
 
 * :class:`BatchedGpuSpec` holds one array per scaled :class:`GpuSpec`
   resource, with each element derived exactly the way
   :meth:`GpuSpec.scaled` + :meth:`DesignOption.apply` derive the scalar spec
   (including the ``!= 1.0`` guards and ``int(round(...))`` quantization).
+  :func:`single_design` is the one-design batch of a plain GPU, which is how
+  :class:`~repro.core.model.DeltaModel` evaluates requests, training steps
+  and validation.
 * :class:`WorkloadStack` packs the GPU-independent scalars of W lowered
   workloads (per-loop traffic volumes, tile geometry, occupancy footprints)
   into (W, 1) column arrays, one stack per CTA-tile family.  The *traffic*
@@ -18,15 +18,15 @@ contract the simulator keeps against its test-side scalar loop):
   ``l1_request_bytes`` and ``sector_bytes``, which :meth:`GpuSpec.scaled`
   never changes, so one scalar traffic estimate per (workload, tile family)
   covers every design in the batch.
-* :func:`estimate_grid` vectorizes the performance model (Eq. 11-18 plus
-  prologue/epilogue) over the full (workload x design) grid in one shot and
-  classifies the bottleneck of every cell.
+* :func:`estimate_grid` evaluates the full (workload x design) grid of a DSE
+  sweep in one shot and classifies the bottleneck of every cell.
 
-Bit-identity notes: every candidate time is computed with the exact same
-float64 operations *in the exact same order* as the scalar expressions, the
-candidate stacking order matches the scalar dict's insertion order (so
-``np.argmax``'s first-max tie-break equals ``max(dict, key=...)``'s), and
-integer quantization uses ``np.rint`` (round-half-even, same as Python's
+The scalar transcription of the equations lives on as a test oracle
+(``tests/model_reference.py``).  Bit-identity notes: every candidate time is
+computed with the same float64 operations in the same order as the oracle's
+scalar expressions, the candidate stacking order matches the oracle's
+candidate dict (so the first-max tie-break equals ``max(dict, key=...)``'s),
+and integer quantization uses ``np.rint`` (round-half-even, same as Python's
 ``round``).
 """
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -44,9 +45,8 @@ from .bottleneck import Bottleneck
 from .traffic import TrafficEstimate, TrafficModel
 from .workload import GemmWorkload
 
-#: candidate stacking order — must match the insertion order of the scalar
-#: ``candidates`` dict in :meth:`PerformanceModel.estimate` so the batched
-#: first-max ``argmax`` ties break exactly like the scalar ``max(dict)``.
+#: candidate stacking order (Eq. 16, 17, then Eq. 18 per level); the first
+#: maximum wins ties, so on equal times the earlier label is reported.
 CANDIDATE_ORDER: Tuple[Bottleneck, ...] = (
     Bottleneck.MAC_BW,
     Bottleneck.SMEM_BW,
@@ -75,8 +75,7 @@ class BatchedGpuSpec:
     """Structure-of-arrays view of N scaled GPU designs over one baseline.
 
     Every array has one element per design, derived from ``base`` exactly as
-    :meth:`DesignOption.apply` derives the scalar :class:`GpuSpec` — the
-    scalar ``GpuSpec.scaled`` path stays the bit-identical reference.
+    :meth:`DesignOption.apply` derives the scalar :class:`GpuSpec`.
     Unscaled resources (clock, latencies, request/sector geometry) stay
     scalars on ``base``.
     """
@@ -252,13 +251,31 @@ def build_stacks(traffic_grid: Sequence[Dict[int, TrafficEstimate]]
             for hw in CTA_TILE_FAMILIES}
 
 
-def _performance_grid(gpus: BatchedGpuSpec, stack: WorkloadStack
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized :meth:`PerformanceModel.estimate` over a (W, N) grid.
+@lru_cache(maxsize=64)
+def single_design(gpu: GpuSpec) -> BatchedGpuSpec:
+    """The one-design batch of ``gpu`` itself (unit multipliers, 128 tile).
 
-    Returns ``(times, bottleneck_index)``, both (W, N).  Each candidate
-    expression reproduces the scalar operation order exactly; see the module
-    docstring for the bit-identity contract.
+    Memoized per GPU: building a batch costs tens of microseconds, more
+    than evaluating a small network on it.
+    """
+    return BatchedGpuSpec.from_options(gpu, (DesignOption(name=gpu.name),))
+
+
+def _performance_grid(gpus: BatchedGpuSpec, stack: WorkloadStack
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 np.ndarray]:
+    """The Section V performance model over a (W, N) grid.
+
+    Returns ``(times, bottleneck_index, active_ctas, ctas_per_sm)``, each
+    (W, N): the execution time of the most-loaded SM, the index into
+    :data:`CANDIDATE_ORDER` of the bounding resource, the CTAs resident per
+    SM used by the latency-hiding analysis, and the CTAs the most-loaded SM
+    executes (``ceil(NumCTA / NumSM)``).
+
+    Eq. 14 note: the paper's printed prologue volume is ``blkM x blkN``; the
+    prologue actually stages the *input* tiles (``(blkM + blkN) x blkK``
+    elements), which is what ``input_bytes`` holds.  The difference is
+    negligible: the prologue is charged once per layer.
     """
     base = gpus.base
     clock = base.core_clock_hz
@@ -328,7 +345,7 @@ def _performance_grid(gpus: BatchedGpuSpec, stack: WorkloadStack
     index = np.zeros(times.shape, dtype=np.int64)
     for i in range(len(candidates) - 1, -1, -1):
         index = np.where(candidates[i] == times, i, index)
-    return times, index
+    return times, index, active, ctas_per_sm
 
 
 def traffic_by_family(base_gpu: GpuSpec, workload: GemmWorkload
@@ -345,7 +362,7 @@ def traffic_by_family(base_gpu: GpuSpec, workload: GemmWorkload
 
 @dataclass(frozen=True)
 class BatchedEstimates:
-    """Batched counterpart of W scalar :class:`ExecutionEstimate` sweeps.
+    """Time, bottleneck and traffic of W workloads on N designs.
 
     ``times``/``bottleneck_index``/traffic arrays are (W, N): one row per
     workload in evaluation order, one column per design of the
@@ -385,8 +402,7 @@ def estimate_grid(gpus: BatchedGpuSpec,
 
     ``traffic_grid`` holds, per workload, the scalar traffic estimates keyed
     by CTA-tile family (see :func:`traffic_by_family`); pass prebuilt
-    ``stacks`` instead to amortize the packing across batches.  Results are
-    bit-identical to W x N scalar :meth:`PerformanceModel.estimate` calls.
+    ``stacks`` instead to amortize the packing across batches.
     """
     if stacks is None:
         if traffic_grid is None:
@@ -399,7 +415,7 @@ def estimate_grid(gpus: BatchedGpuSpec,
     # yields bitwise the same values as computing it everywhere and
     # selecting afterwards — at half the array work for mixed batches.
     if num_256 == 0:
-        times, index = _performance_grid(gpus, stacks[128])
+        times, index = _performance_grid(gpus, stacks[128])[:2]
         dram, l2 = stacks[128].dram_bytes, stacks[128].l2_bytes
         shape = times.shape
         return BatchedEstimates(
@@ -408,7 +424,7 @@ def estimate_grid(gpus: BatchedGpuSpec,
             l2_bytes=np.broadcast_to(l2, shape),
             flops=stacks[128].flops)
     if num_256 == len(gpus):
-        times, index = _performance_grid(gpus, stacks[256])
+        times, index = _performance_grid(gpus, stacks[256])[:2]
         shape = times.shape
         return BatchedEstimates(
             times=times, bottleneck_index=index,
@@ -417,10 +433,12 @@ def estimate_grid(gpus: BatchedGpuSpec,
             flops=stacks[128].flops)
     idx_128 = np.nonzero(~cta256)[0]
     idx_256 = np.nonzero(cta256)[0]
+    # [:2] frees the occupancy arrays at once, so the first family's are not
+    # held through the second family's evaluation (peak memory).
     times_128, index_128 = _performance_grid(_take(gpus, idx_128),
-                                             stacks[128])
+                                             stacks[128])[:2]
     times_256, index_256 = _performance_grid(_take(gpus, idx_256),
-                                             stacks[256])
+                                             stacks[256])[:2]
     shape = (times_128.shape[0], len(gpus))
     times = np.empty(shape, dtype=times_128.dtype)
     times[:, idx_128] = times_128
@@ -440,11 +458,3 @@ def estimate_grid(gpus: BatchedGpuSpec,
         times=times, bottleneck_index=index,
         dram_bytes=dram, l2_bytes=l2, flops=stacks[128].flops)
 
-
-def estimate_workload_batch(gpus: BatchedGpuSpec, workload: GemmWorkload,
-                            traffic_by_tile: Dict[int, TrafficEstimate] = None
-                            ) -> BatchedEstimates:
-    """Single-workload convenience wrapper around :func:`estimate_grid`."""
-    if traffic_by_tile is None:
-        traffic_by_tile = traffic_by_family(gpus.base, workload)
-    return estimate_grid(gpus, [traffic_by_tile])

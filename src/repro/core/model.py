@@ -9,9 +9,11 @@
         estimate = model.estimate(layer)
         print(layer.name, estimate.time_seconds, estimate.bottleneck)
 
-Every query accepts either a :class:`~repro.core.layer.ConvLayerConfig`
-(evaluated as its forward-pass GEMM, exactly the seed behaviour) or a
-:class:`~repro.core.workload.GemmWorkload` produced by the pass lowering;
+Every query accepts either a layer config (evaluated as its forward-pass
+GEMM) or a :class:`~repro.core.workload.GemmWorkload` produced by the pass
+lowering.  Every time estimate goes through :meth:`DeltaModel.estimate_many`,
+which evaluates a whole list of workloads in one batched call, each distinct
+workload once.
 :meth:`DeltaModel.estimate_pass` and :meth:`DeltaModel.estimate_training_step`
 cover the backward passes and whole training steps::
 
@@ -29,7 +31,7 @@ from .dram import DramModelOptions
 from .l1 import ReplicationMode
 from .l2 import L2ModelOptions
 from .layer import LayerConfig
-from .performance import ExecutionEstimate, PerformanceModel
+from .performance import ExecutionEstimate, estimate_workloads
 from .traffic import TrafficEstimate, TrafficModel
 from .training import TrainingStepEstimate, estimate_training_step
 from .workload import (TRAINING_PASSES, GemmWorkload, PassKind, lower_pass,
@@ -61,10 +63,6 @@ class DeltaModel:
             cta_tile_hw=self.cta_tile_hw,
         )
 
-    @property
-    def performance_model(self) -> PerformanceModel:
-        return PerformanceModel(gpu=self.gpu, traffic_model=self.traffic_model)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -72,9 +70,19 @@ class DeltaModel:
         """Estimate L1/L2/DRAM traffic for one workload (or forward layer)."""
         return self.traffic_model.estimate(source)
 
+    def estimate_many(self, sources: Iterable[Source]
+                      ) -> List[ExecutionEstimate]:
+        """Estimate many workloads (or forward layers), in input order.
+
+        Workloads with equal structural keys share one traffic estimate,
+        and all of them are timed in one batched evaluation.
+        """
+        return estimate_workloads(self.gpu, self.traffic_model.estimate,
+                                  sources)
+
     def estimate(self, source: Source) -> ExecutionEstimate:
         """Estimate execution time and bottleneck for one workload."""
-        return self.performance_model.estimate(source)
+        return self.estimate_many((source,))[0]
 
     def estimate_pass(self, layer: LayerConfig,
                       pass_kind: PassKind) -> ExecutionEstimate:
@@ -84,12 +92,11 @@ class DeltaModel:
     def estimate_layer_training(self, layer: LayerConfig
                                 ) -> List[ExecutionEstimate]:
         """All three training-pass estimates of one layer, in pass order."""
-        return [self.estimate(workload)
-                for workload in training_workloads(layer)]
+        return self.estimate_many(training_workloads(layer))
 
     def estimate_layers(self, layers: Iterable[Source]) -> List[ExecutionEstimate]:
         """Estimate every layer of a network (or any workload iterable)."""
-        return [self.estimate(source) for source in layers]
+        return self.estimate_many(layers)
 
     def total_time(self, layers: Iterable[Source]) -> float:
         """Total predicted execution time (seconds) of a sequence of layers."""

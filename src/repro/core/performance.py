@@ -1,8 +1,8 @@
-"""DeLTA performance model (Section V of the paper).
+"""DeLTA performance model (Section V of the paper): estimates per workload.
 
 Given the per-main-loop traffic volumes produced by the traffic model and the
 GPU specification, the performance model evaluates the execution time of a
-convolution layer under each potential resource bottleneck (Fig. 10) and
+GEMM workload under each potential resource bottleneck (Fig. 10) and
 reports the largest one together with its bottleneck label:
 
 * **Eq. 16** — compute / shared-memory bound (cases 1 and 3): per-SM time is
@@ -16,24 +16,23 @@ The prologue (Eq. 14) is charged once and the epilogue (Eq. 15) once per CTA.
 The per-SM CTA count uses the most-loaded SM (``ceil(NumCTA / NumSM)``)
 because that SM determines the layer's completion time.
 
-Note on Eq. 14: the paper's printed equation uses ``blkM x blkN`` for the
-prologue volume; the prologue actually stages the *input* tiles
-(``(blkM + blkN) x blkK`` elements), which is what this implementation uses.
-The difference is negligible (the prologue is charged once per layer).
+The equations are evaluated in one place, the structure-of-arrays
+:func:`repro.core.batched._performance_grid`.  :func:`estimate_workloads`
+runs a list of workloads through it on one GPU and returns one
+:class:`ExecutionEstimate` per workload.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Iterable, List, Tuple, Union
 
 from ..gpu.spec import GpuSpec
+from .batched import (CANDIDATE_ORDER, WorkloadStack, _performance_grid,
+                      single_design)
 from .bottleneck import Bottleneck
-from .layer import ConvLayerConfig, LayerConfig
-from .streams import StreamTimes, compute_stream_times
-from .tiling import active_ctas_per_sm
-from .traffic import TrafficEstimate, TrafficModel
+from .layer import LayerConfig
+from .traffic import TrafficEstimate
 from .workload import GemmWorkload, as_workload
 
 
@@ -43,14 +42,13 @@ class ExecutionEstimate:
 
     workload: GemmWorkload
     gpu: GpuSpec
+    #: traffic of the workload; workloads with equal structural keys in one
+    #: :func:`estimate_workloads` call share this object.
     traffic: TrafficEstimate
-    streams: StreamTimes
     #: execution time in seconds of the most-loaded SM (the layer's runtime).
     time_seconds: float
     #: the resource that bounds the execution time.
     bottleneck: Bottleneck
-    #: per-candidate execution times (seconds) keyed by bottleneck label.
-    candidates: Dict[Bottleneck, float]
     #: CTAs resident per SM used by the latency-hiding analysis.
     active_ctas: int
     #: CTAs executed by the most-loaded SM.
@@ -84,104 +82,39 @@ class ExecutionEstimate:
         return min(1.0, self.workload.flops / (self.time_seconds * peak))
 
 
-@dataclass(frozen=True)
-class PerformanceModel:
-    """DeLTA's execution time and bottleneck model (Section V)."""
+def estimate_workloads(gpu: GpuSpec,
+                       traffic_of: Callable[[GemmWorkload], TrafficEstimate],
+                       sources: Iterable[Union[LayerConfig, GemmWorkload]]
+                       ) -> List[ExecutionEstimate]:
+    """Estimate every source on ``gpu``, one estimate per source, in order.
 
-    gpu: GpuSpec
-    traffic_model: Optional[TrafficModel] = None
-
-    def _traffic_model(self) -> TrafficModel:
-        return self.traffic_model or TrafficModel(gpu=self.gpu)
-
-    # ------------------------------------------------------------------
-    # Prologue / epilogue (Eq. 14, 15)
-    # ------------------------------------------------------------------
-    def _prologue_time(self, traffic: TrafficEstimate,
-                       streams: StreamTimes) -> float:
-        gpu = self.gpu
-        tile = traffic.grid.tile
-        dtype = traffic.workload.dtype_bytes
-        clock = gpu.core_clock_hz
-        input_bytes = tile.input_elements_per_loop * dtype
-        warp_load_bytes = ((tile.warp_m + tile.warp_n) * tile.blk_k
-                           * tile.num_warps * dtype)
-        dram_term = (gpu.lat_dram_cycles / clock
-                     + input_bytes / (gpu.dram_bw / gpu.num_sm))
-        smem_store_term = (gpu.lat_smem_cycles / clock
-                           + input_bytes / gpu.smem_st_bw_per_sm)
-        smem_load_term = warp_load_bytes / gpu.smem_ld_bw_per_sm
-        return dram_term + smem_store_term + smem_load_term
-
-    def _epilogue_time(self, traffic: TrafficEstimate,
-                       bottleneck_bw: Optional[float] = None) -> float:
-        tile = traffic.grid.tile
-        dtype = traffic.workload.dtype_bytes
-        output_bytes = tile.output_elements * dtype
-        bw = bottleneck_bw if bottleneck_bw is not None else self.gpu.dram_bw
-        return output_bytes / bw
-
-    # ------------------------------------------------------------------
-    # Main estimate
-    # ------------------------------------------------------------------
-    def estimate(self, source: Union[LayerConfig, GemmWorkload],
-                 traffic: Optional[TrafficEstimate] = None) -> ExecutionEstimate:
-        """Predict execution time and bottleneck for one workload."""
-        gpu = self.gpu
-        workload = as_workload(source)
-        if traffic is None:
-            traffic = self._traffic_model().estimate(workload)
-        streams = compute_stream_times(traffic, gpu)
-        grid = traffic.grid
-        tile = grid.tile
-
-        loops = grid.main_loops_per_cta
-        num_ctas = grid.num_ctas
-        ctas_per_sm = math.ceil(num_ctas / gpu.num_sm)
-        active = min(active_ctas_per_sm(tile, gpu, workload.dtype_bytes),
-                     ctas_per_sm)
-
-        t_prologue = self._prologue_time(traffic, streams)
-        t_epilogue = self._epilogue_time(traffic)
-
-        candidates: Dict[Bottleneck, float] = {}
-
-        # Eq. 16 -- compute or shared-memory bound (cases 1 and 3).
-        t_cs_total = t_prologue + (streams.cs * loops + t_epilogue) * ctas_per_sm
-        t_sas_total = t_prologue + (streams.sas * loops + t_epilogue) * ctas_per_sm
-        candidates[Bottleneck.MAC_BW] = t_cs_total
-        candidates[Bottleneck.SMEM_BW] = t_sas_total
-
-        # Eq. 17 -- global load latency bound (case 2): each wave of active
-        # CTAs exposes a full tGLS per loop.
-        waves_per_sm = max(1.0, ctas_per_sm / active)
-        t_lat_total = (t_prologue
-                       + ((streams.gls + streams.compute_or_smem) * loops
-                          + t_epilogue) * waves_per_sm)
-        candidates[Bottleneck.DRAM_LAT] = t_lat_total
-
-        # Eq. 18 -- memory bandwidth bound (case 4), one per level.
-        level_bw = {
-            Bottleneck.L1_BW: (streams.l1_bw, gpu.l1_bw_per_sm),
-            Bottleneck.L2_BW: (streams.l2_bw, gpu.l2_bw),
-            Bottleneck.DRAM_BW: (streams.dram_bw, gpu.dram_bw),
-        }
-        for label, (per_loop, epilogue_bw) in level_bw.items():
-            t_epi = self._epilogue_time(traffic, bottleneck_bw=epilogue_bw)
-            candidates[label] = (t_prologue
-                                 + (per_loop * loops + t_epi) * ctas_per_sm)
-
-        bottleneck = max(candidates, key=lambda key: candidates[key])
-        time_seconds = candidates[bottleneck]
-
-        return ExecutionEstimate(
-            workload=workload,
-            gpu=gpu,
-            traffic=traffic,
-            streams=streams,
-            time_seconds=time_seconds,
-            bottleneck=bottleneck,
-            candidates=dict(candidates),
-            active_ctas=active,
-            ctas_per_sm=ctas_per_sm,
-        )
+    Layers are evaluated as their forward pass.  Workloads with equal
+    ``structural_key()`` (a network's repeated blocks) get one
+    ``traffic_of`` call between them, and all distinct workloads are
+    evaluated in one :func:`~repro.core.batched._performance_grid` call on
+    ``gpu``'s one-design batch.  Each estimate keeps its own workload, so
+    names and pass kinds stay per row.
+    """
+    workloads = [as_workload(source) for source in sources]
+    slot_of: Dict[Tuple, int] = {}
+    slots: List[int] = []
+    traffics: List[TrafficEstimate] = []
+    for workload in workloads:
+        key = workload.structural_key()
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(traffics)
+            traffics.append(traffic_of(workload))
+        slots.append(slot)
+    if not traffics:
+        return []
+    times, index, active, ctas_per_sm = (
+        column[:, 0].tolist() for column in _performance_grid(
+            single_design(gpu), WorkloadStack.from_traffic(traffics)))
+    return [ExecutionEstimate(workload=workload, gpu=gpu,
+                              traffic=traffics[slot],
+                              time_seconds=times[slot],
+                              bottleneck=CANDIDATE_ORDER[index[slot]],
+                              active_ctas=active[slot],
+                              ctas_per_sm=ctas_per_sm[slot])
+            for workload, slot in zip(workloads, slots)]

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from .layer import LayerConfig
 from .performance import ExecutionEstimate
-from .workload import TRAINING_PASSES, PassKind, lower_pass
+from .workload import TRAINING_PASSES, PassKind, lower_passes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..networks.base import ConvNetwork
@@ -134,19 +134,14 @@ def estimate_training_step(model: "DeltaModel",
     layers = list(network)
     if not layers:
         raise ValueError("training step needs at least one layer")
-    records = []
-    for layer in layers:
-        for pass_kind in passes:
-            workload = lower_pass(layer, pass_kind)
-            records.append(LayerPassEstimate(
-                layer_name=layer.name,
-                pass_kind=pass_kind,
-                estimate=model.estimate(workload),
-            ))
+    estimates = model.estimate_many(lower_passes(layers, passes))
     return TrainingStepEstimate(
         network=name,
         gpu=model.gpu.name,
         batch=batch or layers[0].batch,
         passes=tuple(passes),
-        records=tuple(records),
+        records=tuple(LayerPassEstimate(layer_name=estimate.layer.name,
+                                        pass_kind=estimate.pass_kind,
+                                        estimate=estimate)
+                      for estimate in estimates),
     )

@@ -50,7 +50,7 @@ row-major matrices (the same N<->K / M<->K swaps, all-unique L2 reuse, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Tuple, Union
+from typing import Iterable, List, Literal, Optional, Tuple, Union
 
 from .layer import (DENSE_LAYER_TYPES, BatchedGemmLayerConfig, ConvLayerConfig,
                     GemmShape, LayerConfig, LinearLayerConfig)
@@ -502,6 +502,13 @@ def lower_pass(layer: LayerConfig, pass_kind: PassKind) -> GemmWorkload:
 def training_workloads(layer: LayerConfig) -> Tuple[GemmWorkload, ...]:
     """All three per-layer GEMMs of one training step, in execution order."""
     return tuple(lower_pass(layer, pass_kind) for pass_kind in TRAINING_PASSES)
+
+
+def lower_passes(layers: Iterable[LayerConfig],
+                 pass_kinds: Tuple[PassKind, ...]) -> List[GemmWorkload]:
+    """Every (layer, pass) GEMM, layers outer and passes inner."""
+    return [lower_pass(layer, pass_kind)
+            for layer in layers for pass_kind in pass_kinds]
 
 
 def as_workload(source: Union[LayerConfig, GemmWorkload],

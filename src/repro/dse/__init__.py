@@ -46,7 +46,6 @@ from .runner import (
     PointFailure,
     PointResult,
     confirm_frontier,
-    evaluate_point,
     explore,
     store_key,
     store_keys,
@@ -106,7 +105,6 @@ __all__ = [
     "PointResult",
     "PointFailure",
     "explore",
-    "evaluate_point",
     "evaluate_points",
     "confirm_frontier",
     "store_key",

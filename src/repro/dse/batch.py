@@ -1,13 +1,13 @@
 """Array-of-points evaluation for DSE sweeps.
 
-:func:`evaluate_points` is the batched counterpart of
-:func:`repro.dse.runner.evaluate_point`: it groups design points by workload
-signature, lowers each workload's layers once, and evaluates the whole group
-through :mod:`repro.core.batched` in a handful of NumPy passes instead of one
-scalar pipeline walk per point.  The metrics dicts it returns are
-**bit-identical** to the scalar path's — same float values, same key order,
-same bottleneck-share insertion order — so the fig16 pin holds on the
-batched path and a resumed sweep's records equal a fresh one's.
+:func:`evaluate_points` turns design points into metrics dicts: it groups
+the points by workload signature, lowers each workload's layers once, and
+evaluates the whole group through :mod:`repro.core.batched` in a handful of
+NumPy passes.  Per-point sums accumulate left to right in layer order (layers
+outer, passes inner), so the metrics equal a one-point-at-a-time walk over
+the same estimates bit for bit — the fig16 pin and the scalar test oracle
+(``tests/model_reference.py``) hold, and a resumed sweep's records equal a
+fresh one's.
 
 Workload layers and plans are memoized per process, keyed by the network
 registry's generation (:func:`~repro.networks.registry.registry_generation`)
@@ -27,9 +27,8 @@ from ..analysis.frontier import (_CHIP_COST_WEIGHTS, _PER_SM_COST_WEIGHTS,
                                  design_cost)
 from ..core.batched import (CANDIDATE_ORDER, CTA_TILE_FAMILIES,
                             BatchedGpuSpec, WorkloadStack, build_stacks,
-                            estimate_grid)
-from ..core.traffic import TrafficModel
-from ..core.workload import as_workload, expand_passes, lower_pass
+                            estimate_grid, traffic_by_family)
+from ..core.workload import expand_passes, lower_passes
 from ..gpu.spec import FP32_BYTES, GpuSpec
 from ..networks.registry import get_network, registry_generation
 from .space import DesignPoint
@@ -72,19 +71,9 @@ def _workload_plan(base_gpu: GpuSpec, network: str, batch: int,
     layers = _workload_layers(network, batch, dtype_bytes, unique, generation)
     if layer_stride > 1:
         layers = layers[::layer_stride] or layers[:1]
-    pass_kinds = expand_passes(passes)
-    workloads = []
-    for layer in layers:
-        if pass_kinds == ("forward",):
-            workloads.append(as_workload(layer))
-        else:
-            for pass_kind in pass_kinds:
-                workloads.append(lower_pass(layer, pass_kind))
-    models = {hw: TrafficModel(gpu=base_gpu, cta_tile_hw=hw)
-              for hw in CTA_TILE_FAMILIES}
-    traffic_grid = tuple(
-        {hw: models[hw].estimate(workload) for hw in CTA_TILE_FAMILIES}
-        for workload in workloads)
+    workloads = lower_passes(layers, expand_passes(passes))
+    traffic_grid = [traffic_by_family(base_gpu, workload)
+                    for workload in workloads]
     # Python-int accumulation, matching the scalar `sum(workload.flops)`.
     flops_total = 0
     for workload in workloads:
@@ -199,14 +188,16 @@ def _assemble_group(plan: Tuple[int, int, int, Dict],
 def evaluate_points(base_gpu: GpuSpec, points: Sequence[DesignPoint], *,
                     unique: bool = True,
                     layer_stride: int = 1) -> List[Dict[str, object]]:
-    """Batched :func:`repro.dse.runner.evaluate_point` over many points.
+    """Metrics dicts of many design points, one per point, in input order.
 
     Groups the points by workload signature; groups that range over the
     *same* design list (the common case for a grid sweep, whose workload
     axes multiply the design axes) are fused into one stacked
     (sum-of-workloads x designs) grid so the whole sweep runs in a couple of
-    NumPy passes.  Returns one metrics dict per input point, in input order,
-    bit-identical to per-point scalar evaluation.
+    NumPy passes.  Each dict holds ``time_s``, ``throughput_tflops``,
+    ``dram_gb``, ``l2_gb``, ``resource_cost``, ``layers``, ``gemms`` and the
+    Fig. 16c-style ``bottlenecks`` time shares (labels in first-bounded
+    order, zero-time workloads skipped).
     """
     results: List[Optional[Dict[str, object]]] = [None] * len(points)
     groups: Dict[Tuple[str, int, str, int], List[int]] = {}

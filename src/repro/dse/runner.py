@@ -6,9 +6,8 @@ resumable :class:`~repro.dse.store.ResultStore`, fans the rest out over the
 session's shared process pool, and finishes with the Pareto frontier over the
 requested objectives.
 
-Every point is lowered through :meth:`DesignOption.apply` onto the baseline
-GPU and evaluated with the analytic :class:`~repro.core.model.DeltaModel`
-through the batched array-of-points path (:mod:`repro.dse.batch`); the
+Every point is evaluated on its design option over the baseline GPU through
+the batched array-of-points path (:mod:`repro.dse.batch`); the
 Fig. 16 scaling study is this pipeline over the nine paper columns, pinned
 bit for bit by ``tests/golden_fig16.json``.
 Frontier points can optionally be *confirmed* against the trace-driven
@@ -22,15 +21,13 @@ import dataclasses
 import hashlib
 import json
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..analysis.frontier import (DEFAULT_OBJECTIVE_NAMES, Objective,
-                                 design_cost, pareto_frontier,
-                                 resolve_objectives)
+                                 pareto_frontier, resolve_objectives)
 from ..core.model import DeltaModel
 from ..core.workload import expand_passes
 from ..gpu.devices import TITAN_XP
@@ -134,59 +131,6 @@ def store_keys(base_gpu: GpuSpec, points: Sequence[DesignPoint],
         digest.update(design)
         keys.append(digest.hexdigest())
     return keys
-
-
-def evaluate_point(base_gpu: GpuSpec, point: DesignPoint, *,
-                   unique: bool = True,
-                   layer_stride: int = 1) -> Dict[str, object]:
-    """Evaluate one design point with the scalar analytic model.
-
-    Returns a flat metrics dict (plus the Fig. 16c-style ``bottlenecks`` time
-    shares).  ``layer_stride`` > 1 subsamples the workload's layers — the
-    cheap proxy the successive-halving driver ranks candidates with.
-
-    :func:`explore` evaluates through the batched
-    :func:`~repro.dse.batch.evaluate_points`; this one-point reference
-    (layers outer, passes inner, running float sums) is the oracle the
-    batched path must reproduce bit for bit.
-    """
-    gpu = point.option.apply(base_gpu)
-    model = DeltaModel(gpu, cta_tile_hw=point.option.cta_tile_hw)
-    layers = _workload_layers(point.network, point.batch, point.dtype_bytes,
-                              unique, registry_generation())
-    if layer_stride > 1:
-        layers = layers[::layer_stride] or layers[:1]
-    pass_kinds = expand_passes(point.passes)
-    estimates = []
-    for layer in layers:
-        if pass_kinds == ("forward",):
-            estimates.append(model.estimate(layer))
-        else:
-            for pass_kind in pass_kinds:
-                estimates.append(model.estimate_pass(layer, pass_kind))
-    total = sum(est.time_seconds for est in estimates)
-    shares: Counter = Counter()
-    for est in estimates:
-        # zero-time estimates carry no share; including them would add a
-        # spurious zero-share bottleneck category.
-        if est.time_seconds <= 0:
-            continue
-        shares[est.bottleneck] += est.time_seconds
-    bottlenecks = ({key.value: value / total for key, value in shares.items()}
-                   if total > 0 else {})
-    flops = sum(est.workload.flops for est in estimates)
-    dram_bytes = sum(est.traffic.dram_bytes for est in estimates)
-    l2_bytes = sum(est.traffic.l2_bytes for est in estimates)
-    return {
-        "time_s": total,
-        "throughput_tflops": (flops / total / 1e12) if total > 0 else 0.0,
-        "dram_gb": dram_bytes / 1e9,
-        "l2_gb": l2_bytes / 1e9,
-        "resource_cost": design_cost(point.option),
-        "layers": len(layers),
-        "gemms": len(estimates),
-        "bottlenecks": bottlenecks,
-    }
 
 
 def _evaluate_batch_task(task) -> List[Dict[str, object]]:
@@ -461,8 +405,7 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
     override the session's resilience policy for the per-point evaluations.
 
     Points are evaluated in whole rungs through the vectorized
-    array-of-points path (:mod:`repro.dse.batch`), bit-identical to the
-    scalar :func:`evaluate_point` oracle.
+    array-of-points path (:mod:`repro.dse.batch`).
 
     Failures are isolated per point: an evaluation that still fails after the
     retry budget becomes a :class:`PointFailure` (recorded in the store when

@@ -68,11 +68,12 @@ def run(devices: Optional[Sequence[GpuSpec]] = None,
     baseline_report = validation_report(baseline_gpu, config, session=session)
     for miss_rate in miss_rates:
         prior = FixedMissRateModel(baseline_gpu, miss_rate=miss_rate)
-        ratios = []
-        for record in baseline_report.records:
-            estimate = prior.estimate(record.layer)
-            if record.measured_time > 0:
-                ratios.append(estimate.time_seconds / record.measured_time)
+        estimates = prior.estimate_many(
+            [record.layer for record in baseline_report.records])
+        ratios = [estimate.time_seconds / record.measured_time
+                  for record, estimate in zip(baseline_report.records,
+                                              estimates)
+                  if record.measured_time > 0]
         distribution = _distribution(ratios)
         rows.append({"model": f"MR{miss_rate}", "gpu": baseline_gpu.name,
                      **distribution})

@@ -11,7 +11,8 @@ pins that contract:
   every golden entry exactly);
 * a hypothesis property drives random design points — conv (alexnet),
   linear (mlp) and batched-GEMM (bert-base) workloads, every pass kind,
-  fp16 and fp32 — through ``evaluate_points`` vs ``evaluate_point``;
+  fp16 and fp32 — through ``evaluate_points`` vs the scalar oracle
+  ``evaluate_point`` (tests/model_reference.py);
 * ``pareto_frontier`` equals the scalar domination loop at every size;
 * the fast grid enumeration equals the ``_point_from_values`` reference;
 * the scalar edge-case fixes that rode along (fp16 L1 streaming clamp,
@@ -36,14 +37,15 @@ from repro.core.bottleneck import Bottleneck
 from repro.core.l1 import _streaming_mli
 from repro.core.l2 import sliding_tile_unique_elements
 from repro.core.workload import Im2colPattern, lower_forward, lower_pass
-from repro.dse import runner as dse_runner
 from repro.dse.batch import evaluate_points
-from repro.dse.runner import evaluate_point
 from repro.dse.space import (DesignPoint, GridSpace, _point_from_values,
                              grid)
 from repro.gpu.design_options import DesignOption
 from repro.gpu.devices import TITAN_XP, get_device
 from repro.networks.registry import get_network
+
+import model_reference
+from model_reference import evaluate_point
 
 _HERE = os.path.dirname(__file__)
 
@@ -318,14 +320,14 @@ def test_bottleneck_shares_skip_zero_time_layers(monkeypatch):
                       estimate(1.0, Bottleneck.L2_BW)))
 
     class ScriptedModel:
-        def __init__(self, gpu, cta_tile_hw):
+        def __init__(self, gpu, traffic_model):
             pass
 
         def estimate(self, layer):
             return next(estimates)
 
-    monkeypatch.setattr(dse_runner, "DeltaModel", ScriptedModel)
-    monkeypatch.setattr(dse_runner, "_workload_layers",
+    monkeypatch.setattr(model_reference, "PerformanceModel", ScriptedModel)
+    monkeypatch.setattr(model_reference, "_workload_layers",
                         lambda *args: ("a", "b", "c"))
     point = DesignPoint(option=DesignOption(name="baseline"),
                         network="alexnet", batch=8)

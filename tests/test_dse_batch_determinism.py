@@ -16,9 +16,10 @@ import pytest
 
 from repro.analysis.frontier import DEFAULT_OBJECTIVE_NAMES, resolve_objectives
 from repro.dse import (ExhaustiveDriver, RandomDriver, ResultStore,
-                       SuccessiveHalvingDriver, evaluate_point, explore, grid,
-                       store_key)
+                       SuccessiveHalvingDriver, explore, grid, store_key)
 from repro.gpu.devices import TITAN_XP
+
+from model_reference import evaluate_point
 
 SPACE = grid({"num_sm": (1, 1.5, 2, 3), "mac_bw": (1, 2, 4),
               "l2_bw": (1, 2), "dram_bw": (1, 1.5, 2),

@@ -11,13 +11,14 @@ from repro.api import DseRequest, Session
 from repro.dse import (
     DesignPoint,
     confirm_frontier,
-    evaluate_point,
     explore,
     grid,
     space_from_options,
 )
 from repro.experiments.fig16_scaling import run as run_fig16
 from repro.gpu import PAPER_DESIGN_OPTIONS, TITAN_XP, DesignOption
+
+from model_reference import evaluate_point
 
 #: the Fig. 16 study on ResNet152 at batch 64 (all 156 GEMM layers), frozen
 #: from the hand-enumerated per-option study the DSE replaced; floats are

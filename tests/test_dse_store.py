@@ -12,7 +12,6 @@ from repro.dse import (
     ResultStore,
     StaleStoreError,
     StoreLockedError,
-    evaluate_point,
     explore,
     grid,
     is_failure_record,
@@ -24,6 +23,8 @@ from repro.dse.space import DesignPoint
 from repro.gpu import TITAN_XP, DesignOption, get_device
 from repro.networks import get_network, register_network, unregister_network
 from repro.resilience import TaskFailure
+
+from model_reference import evaluate_point
 
 
 #: one changed value per design field: the eight multipliers and the tile.

@@ -1,4 +1,9 @@
-"""Tests for the performance model (Section V, Eq. 14-18 and Fig. 10 cases)."""
+"""Tests for the performance model (Section V, Eq. 14-18 and Fig. 10 cases).
+
+Time and bottleneck checks run through ``DeltaModel``; checks on the
+per-candidate times and on injected traffic run through the scalar reference
+model (tests/model_reference.py), which exposes those intermediates.
+"""
 
 
 import pytest
@@ -6,13 +11,19 @@ import pytest
 from repro.core.bottleneck import Bottleneck
 from repro.core.layer import ConvLayerConfig
 from repro.core.model import DeltaModel
-from repro.core.performance import PerformanceModel
 from repro.gpu import TESLA_V100, TITAN_XP
 from repro.networks import alexnet, resnet152, vgg16
+
+from model_reference import PerformanceModel
 
 
 @pytest.fixture
 def xp_model():
+    return DeltaModel(TITAN_XP)
+
+
+@pytest.fixture
+def xp_oracle():
     return PerformanceModel(gpu=TITAN_XP)
 
 
@@ -35,14 +46,14 @@ class TestExecutionEstimate:
         assert 0.0 < estimate.mac_efficiency <= 1.0
         assert estimate.throughput_tflops <= TITAN_XP.fp32_flops / 1e12 * 1.001
 
-    def test_reported_time_is_max_of_candidates(self, xp_model, reference_conv_layer):
-        estimate = xp_model.estimate(reference_conv_layer)
+    def test_reported_time_is_max_of_candidates(self, xp_oracle, reference_conv_layer):
+        estimate = xp_oracle.estimate(reference_conv_layer)
         assert estimate.time_seconds == pytest.approx(max(estimate.candidates.values()))
         assert estimate.candidates[estimate.bottleneck] == pytest.approx(
             estimate.time_seconds)
 
-    def test_all_bottleneck_candidates_evaluated(self, xp_model, reference_conv_layer):
-        estimate = xp_model.estimate(reference_conv_layer)
+    def test_all_bottleneck_candidates_evaluated(self, xp_oracle, reference_conv_layer):
+        estimate = xp_oracle.estimate(reference_conv_layer)
         assert set(estimate.candidates) == set(Bottleneck)
 
     def test_active_ctas_positive_and_bounded(self, xp_model, reference_conv_layer):
@@ -62,9 +73,9 @@ class TestBottleneckIdentification:
     def test_scaling_only_compute_shifts_bottleneck_to_memory(self):
         layer = ConvLayerConfig.square("c", 256, in_channels=96, in_size=28,
                                        out_channels=128, filter_size=3, padding=1)
-        base = PerformanceModel(gpu=TITAN_XP).estimate(layer)
+        base = DeltaModel(TITAN_XP).estimate(layer)
         scaled_gpu = TITAN_XP.scaled(mac_bw=8.0)
-        scaled = PerformanceModel(gpu=scaled_gpu).estimate(layer)
+        scaled = DeltaModel(scaled_gpu).estimate(layer)
         assert base.bottleneck == Bottleneck.MAC_BW
         assert scaled.bottleneck != Bottleneck.MAC_BW
         assert scaled.bottleneck.is_memory_bound or scaled.bottleneck == Bottleneck.SMEM_BW
@@ -90,8 +101,8 @@ class TestBottleneckIdentification:
 class TestCrossGpuBehaviour:
     def test_faster_gpu_runs_compute_bound_layers_faster(self):
         layer = vgg16(batch=256).layer("conv8")
-        time_xp = PerformanceModel(gpu=TITAN_XP).estimate(layer).time_seconds
-        time_v100 = PerformanceModel(gpu=TESLA_V100).estimate(layer).time_seconds
+        time_xp = DeltaModel(TITAN_XP).estimate(layer).time_seconds
+        time_v100 = DeltaModel(TESLA_V100).estimate(layer).time_seconds
         assert time_v100 < time_xp
 
     def test_total_network_time_scales_with_batch(self):
@@ -115,9 +126,9 @@ class TestCrossGpuBehaviour:
 
 
 class TestExternalTrafficInjection:
-    def test_estimate_accepts_precomputed_traffic(self, xp_model, reference_conv_layer):
+    def test_estimate_accepts_precomputed_traffic(self, xp_oracle, reference_conv_layer):
         traffic = DeltaModel(TITAN_XP).traffic(reference_conv_layer)
-        estimate = xp_model.estimate(reference_conv_layer, traffic=traffic)
+        estimate = xp_oracle.estimate(reference_conv_layer, traffic=traffic)
         assert estimate.traffic is traffic
 
     def test_more_traffic_cannot_be_faster(self, reference_conv_layer):

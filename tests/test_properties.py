@@ -19,6 +19,8 @@ from repro.core.tiling import active_ctas_per_sm, build_grid, select_cta_tile
 from repro.gpu import TESLA_V100, TITAN_XP
 from repro.sim.cache import LruCache, SetAssociativeCache
 
+from model_reference import PerformanceModel
+
 @st.composite
 def conv_layers(draw):
     """Strategy producing valid (if sometimes unusual) convolution layers."""
@@ -119,7 +121,7 @@ class TestTrafficModelProperties:
     @given(layer=conv_layers())
     @MODEL_SETTINGS
     def test_candidate_times_all_positive(self, layer):
-        estimate = DeltaModel(TITAN_XP).estimate(layer)
+        estimate = PerformanceModel(gpu=TITAN_XP).estimate(layer)
         assert all(value > 0 for value in estimate.candidates.values())
 
 

@@ -1,8 +1,9 @@
-"""Tests for the GEMM main-loop execution streams (Section V, Eq. 11-13)."""
+"""Tests for the GEMM main-loop execution streams (Section V, Eq. 11-13),
+through the scalar reference model the batched grid is checked against."""
 
 import pytest
 
-from repro.core.streams import bandwidth_times, compute_stream_times, cs_time, sas_time
+from model_reference import bandwidth_times, compute_stream_times, cs_time, sas_time
 from repro.core.traffic import TrafficModel
 from repro.gpu import TESLA_V100, TITAN_XP
 
