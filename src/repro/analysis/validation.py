@@ -69,12 +69,6 @@ class ValidationConfig:
     sim_cache_dir: Optional[str] = None
     #: restrict the population to these networks (None = the full paper suite).
     networks: Optional[Tuple[str, ...]] = None
-    #: per-layer simulation wall-clock timeout in seconds
-    #: (None = the active session's timeout policy).
-    timeout: Optional[float] = None
-    #: retry budget per simulation after a crash or task error
-    #: (None = the active session's retries policy).
-    retries: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.networks is not None:

@@ -271,8 +271,7 @@ def _run_sweep(session: "Session", request: SweepRequest) -> Report:
 def _validation_config(request: ValidateRequest) -> ValidationConfig:
     return ValidationConfig(batch=request.batch, max_ctas=request.max_ctas,
                             layers_per_network=request.layers_per_network,
-                            networks=request.networks,
-                            timeout=request.timeout, retries=request.retries)
+                            networks=request.networks)
 
 
 def _run_validate(session: "Session", request: ValidateRequest) -> Report:
@@ -317,9 +316,7 @@ def _run_dse(session: "Session", request: DseRequest) -> Report:
     try:
         exploration = explore(request.space, driver=driver, base_gpu=base_gpu,
                               objectives=objectives, store=store,
-                              session=session, unique=request.unique,
-                              timeout=request.timeout,
-                              retries=request.retries)
+                              session=session, unique=request.unique)
     finally:
         if store is not None:
             store.close()
@@ -467,20 +464,6 @@ def experiment_kwargs(spec: ExperimentSpec, request: ExperimentRequest,
             raise ValueError(
                 f"experiment {spec.experiment_id!r} does not support "
                 f"layers_per_network overrides")
-    if request.timeout is not None:
-        if "config" in params:
-            config_overrides["timeout"] = request.timeout
-        else:
-            raise ValueError(
-                f"experiment {spec.experiment_id!r} does not support timeout "
-                f"overrides (set the timeout on the Session instead)")
-    if request.retries is not None:
-        if "config" in params:
-            config_overrides["retries"] = request.retries
-        else:
-            raise ValueError(
-                f"experiment {spec.experiment_id!r} does not support retries "
-                f"overrides (set the retry budget on the Session instead)")
     if config_overrides:
         base = kwargs.get("config", QUICK_VALIDATION)
         kwargs["config"] = replace(base, **config_overrides)

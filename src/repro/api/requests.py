@@ -1,8 +1,10 @@
 """Typed request dataclasses accepted by ``Session.run`` / ``Session.run_many``.
 
 Requests are frozen value objects: they carry *what* to compute
-(network/GPU/batch/scale), never *how* (jobs, caching, resilience policy) —
-execution policy lives on the :class:`repro.api.Session` that runs them.
+(network/GPU/batch/scale), never *how*.  Jobs, caching, timeouts and retries
+are set only on the :class:`repro.api.Session` that runs them; no request
+overrides them.  Every mini-batch is checked by
+:func:`repro.core.workload.check_batch` (``1 <= batch <= 2**31 - 1``).
 (:class:`ExperimentRequest` is not hashable once ``options`` is set, since
 options hold arbitrary keyword arguments.)
 """
@@ -12,20 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.workload import PassKind, expand_passes, normalize_passes
-from ..resilience import check_timeout
+from ..core.workload import (PassKind, check_batch, expand_passes,
+                             normalize_passes)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..dse.space import SearchSpace
 
 Names = Union[str, Sequence[str]]
-
-
-def _check_policy(timeout: Optional[float], retries: Optional[int]) -> None:
-    """Validate the optional per-request resilience-policy overrides."""
-    check_timeout(timeout)
-    if retries is not None and retries < 0:
-        raise ValueError("retries must be non-negative (or None)")
 
 
 def _name_tuple(value: Optional[Names]) -> Optional[Tuple[str, ...]]:
@@ -57,8 +52,7 @@ class EstimateRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passes", normalize_passes(self.passes))
-        if self.batch <= 0:
-            raise ValueError("batch must be positive")
+        check_batch(self.batch)
 
     @property
     def pass_kinds(self) -> Tuple[PassKind, ...]:
@@ -85,8 +79,8 @@ class SweepRequest:
         object.__setattr__(self, "passes", normalize_passes(self.passes))
         if not (self.networks and self.gpus and self.batches):
             raise ValueError("networks, gpus and batches must be non-empty")
-        if any(batch <= 0 for batch in self.batches):
-            raise ValueError("batches must be positive")
+        for batch in self.batches:
+            check_batch(batch, "batches")
 
     @property
     def pass_kinds(self) -> Tuple[PassKind, ...]:
@@ -106,16 +100,10 @@ class ValidateRequest:
     layers_per_network: Optional[int] = 4
     #: restrict the population to these networks (None = all four CNNs).
     networks: Optional[Names] = None
-    #: per-layer simulation wall-clock timeout override (None = session policy).
-    timeout: Optional[float] = None
-    #: retry-budget override for crashed/failed simulations (None = session).
-    retries: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "networks", _name_tuple(self.networks))
-        if self.batch <= 0:
-            raise ValueError("batch must be positive")
-        _check_policy(self.timeout, self.retries)
+        check_batch(self.batch)
 
 
 @dataclass(frozen=True)
@@ -136,10 +124,6 @@ class ExperimentRequest:
     batch: Optional[int] = None
     max_ctas: Optional[int] = None
     layers_per_network: Optional[int] = None
-    #: per-layer simulation wall-clock timeout override (None = session policy).
-    timeout: Optional[float] = None
-    #: retry-budget override for crashed/failed simulations (None = session).
-    retries: Optional[int] = None
     options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -147,9 +131,8 @@ class ExperimentRequest:
         object.__setattr__(self, "gpus", _name_tuple(self.gpus))
         object.__setattr__(self, "networks", _name_tuple(self.networks))
         object.__setattr__(self, "options", dict(self.options))
-        if self.batch is not None and self.batch <= 0:
-            raise ValueError("batch must be positive")
-        _check_policy(self.timeout, self.retries)
+        if self.batch is not None:
+            check_batch(self.batch)
 
 
 @dataclass(frozen=True)
@@ -179,10 +162,6 @@ class DseRequest:
     unique: bool = True
     #: simulator-confirm this many top frontier points (0 = model only).
     confirm_top: int = 0
-    #: per-point evaluation wall-clock timeout override (None = session policy).
-    timeout: Optional[float] = None
-    #: retry-budget override for crashed/failed evaluations (None = session).
-    retries: Optional[int] = None
 
     def __post_init__(self) -> None:
         from ..analysis.frontier import resolve_objectives
@@ -209,7 +188,6 @@ class DseRequest:
             raise ValueError(f"the {driver} driver requires a budget")
         if self.confirm_top < 0:
             raise ValueError("confirm_top must be non-negative")
-        _check_policy(self.timeout, self.retries)
 
 
 Request = Union[EstimateRequest, SweepRequest, ValidateRequest,

@@ -5,9 +5,10 @@ mutable state: how many worker processes per-layer simulations fan out over
 (``jobs``), where simulator results persist on disk (``sim_cache_dir``), the
 default decimal precision of rendered reports (``precision``), and the
 resilience policy for fan-out execution (``timeout`` / ``retries`` /
-``retry_backoff``).  On top of the policy it keeps two in-memory result
-stores so that many requests
-executed against the same session share work:
+``retry_backoff``).  Requests, :meth:`Session.map_tasks` and
+:func:`repro.dse.explore` take no timeout, retries or jobs of their own.
+On top of the policy it keeps two in-memory result stores so that many
+requests executed against the same session share work:
 
 * a simulation memo keyed by ``(gpu, layer, simulator config)`` — the unit of
   work the batch executor dedupes across requests, and
@@ -68,10 +69,6 @@ from .progress import emit_progress
 #: ``(gpu, layer, config)`` simulates the forward pass; a trailing pass kind
 #: selects a backward-pass GEMM: ``(gpu, layer, config, "wgrad")``.
 SimUnit = Tuple[GpuSpec, LayerConfig, SimulatorConfig]
-
-#: sentinel distinguishing "argument not given" from an explicit ``None``
-#: (an explicit ``timeout=None`` disables the session default for one call).
-_UNSET = object()
 
 
 def _normalize_unit(unit) -> Tuple[GpuSpec, LayerConfig,
@@ -280,29 +277,21 @@ class Session:
                 "this Session is closed; create a new Session (or use the "
                 "session before close()) to execute work")
 
-    def _resolve_policy(self, timeout, retries) -> Tuple[Optional[float], int]:
-        effective_timeout = (self.timeout if timeout is _UNSET
-                             else check_timeout(timeout))
-        budget = self.retries if retries is None else int(retries)
-        if budget < 0:
-            raise ValueError("retries must be non-negative")
-        return effective_timeout, budget
-
     def _run_tasks(self, func, tasks: Sequence, *, jobs: Optional[int] = None,
-                   timeout=_UNSET, retries: Optional[int] = None,
                    isolate: bool = False
                    ) -> List[Union[object, TaskFailure]]:
         """Execute tasks with crash recovery, retries and timeouts.
 
         Returns one entry per task: the result, or a :class:`TaskFailure`
         describing why the unit produced none.  This is the single resilient
-        engine under :meth:`simulate_many` and :meth:`map_tasks`.
+        engine under :meth:`simulate_many` and :meth:`map_tasks`; the
+        timeout and retry budget are always the session's.
         """
         tasks = list(tasks)
         if not tasks:
             return []
         self._check_open()
-        effective_timeout, budget = self._resolve_policy(timeout, retries)
+        timeout, budget = self.timeout, self.retries
         workers = jobs if jobs is not None else self.jobs
         # a timeout needs a pool even for serial work: an in-process task
         # cannot be cancelled, a worker process can be killed; ``isolate``
@@ -310,11 +299,11 @@ class Session:
         # host (one batched DSE chunk would otherwise run — and die — in
         # the driver).
         use_pool = ((workers > 1 and len(tasks) > 1)
-                    or effective_timeout is not None or isolate)
+                    or timeout is not None or isolate)
         if not use_pool:
             return self._run_tasks_serial(func, tasks, budget)
         return self._run_tasks_pool(func, tasks, max(1, int(workers)),
-                                    effective_timeout, budget)
+                                    timeout, budget)
 
     def _run_tasks_serial(self, func, tasks: List, budget: int) -> List:
         outcomes: List[Union[object, TaskFailure]] = []
@@ -541,7 +530,6 @@ class Session:
     def simulate_many(self, units: Sequence[SimUnit],
                       jobs: Optional[int] = None,
                       cache_dir: Optional[str] = None,
-                      timeout=_UNSET, retries: Optional[int] = None,
                       strict: bool = True) -> List[SimResult]:
         """Simulate many work units, deduped, over the session's pool.
 
@@ -549,8 +537,8 @@ class Session:
         the session memo cost nothing; duplicates within ``units`` — including
         same-structure layers under different names, and the same layer
         requested for the same training pass twice — run once.
-        ``jobs``/``cache_dir``/``timeout``/``retries`` override the session
-        policy for this call.
+        ``jobs``/``cache_dir`` override the session's for this call (the
+        validation harness passes its :class:`ValidationConfig` values).
 
         Execution is fault tolerant: worker crashes relaunch the pool and
         retry the unfinished units, stragglers past ``timeout`` are cancelled.
@@ -577,8 +565,7 @@ class Session:
                  for gpu, layer, config, pass_kind in fresh]
         with obs_spans.trace("simulate", units=len(tasks),
                              memo_hits=len(units) - len(tasks)):
-            results = self._run_tasks(_run_unit, tasks, jobs=jobs,
-                                      timeout=timeout, retries=retries)
+            results = self._run_tasks(_run_unit, tasks, jobs=jobs)
         failures: Dict[Tuple, TaskFailure] = {}
         with self._lock:
             for key, result in zip(fresh_keys, results):
@@ -597,20 +584,19 @@ class Session:
             return [self._sim_results[key] if key in self._sim_results
                     else failures[key] for key in keys]
 
-    def map_tasks(self, func, tasks: Sequence, jobs: Optional[int] = None,
-                  timeout=_UNSET, retries: Optional[int] = None,
+    def map_tasks(self, func, tasks: Sequence,
                   return_failures: bool = False,
                   isolate: bool = False) -> List:
         """Map a picklable function over tasks on the session's process pool.
 
         The generic fan-out primitive the design-space exploration uses for
         per-point model evaluations; falls back to a serial loop when the
-        effective job count (or the task count) is 1 and no timeout is set.
+        session's job count (or the task count) is 1 and no timeout is set.
         ``isolate=True`` disables that fallback: tasks always run in worker
         processes, so a task that crashes its host process (fault injection,
         native-code faults) can never take the driver down with it.
 
-        Fault tolerance follows the session policy (overridable per call):
+        Fault tolerance follows the session policy:
         crashed workers relaunch the pool and the unfinished tasks retry with
         bounded exponential backoff; stragglers past ``timeout`` are
         cancelled.  A task that still has no result after the retry budget
@@ -620,9 +606,7 @@ class Session:
         """
         tasks = list(tasks)
         with obs_spans.trace("map_tasks", tasks=len(tasks)):
-            outcomes = self._run_tasks(func, tasks, jobs=jobs,
-                                       timeout=timeout, retries=retries,
-                                       isolate=isolate)
+            outcomes = self._run_tasks(func, tasks, isolate=isolate)
         if not return_failures:
             failures = [outcome for outcome in outcomes
                         if isinstance(outcome, TaskFailure)]
@@ -672,13 +656,11 @@ class Session:
                           ) -> ValidationReport:
         """Model-vs-simulator records for one GPU, memoized on the session.
 
-        The memo key ignores ``jobs``/``sim_cache_dir``/``timeout``/
-        ``retries`` (execution policy does not change results), so
-        experiments with equal populations share one run regardless of how
-        it was parallelized.
+        The memo key ignores ``jobs``/``sim_cache_dir`` (execution policy
+        does not change results), so experiments with equal populations
+        share one run regardless of how it was parallelized.
         """
-        key = (gpu, replace(config, jobs=None, sim_cache_dir=None,
-                            timeout=None, retries=None))
+        key = (gpu, replace(config, jobs=None, sim_cache_dir=None))
         with self._lock:
             memoized = self._validation_memo.get(key)
         if memoized is not None:
@@ -692,9 +674,7 @@ class Session:
         sim_config = config.simulator_config()
         sims = self.simulate_many(
             [(gpu, layer, sim_config) for _, layer in population],
-            jobs=config.jobs, cache_dir=config.sim_cache_dir,
-            timeout=config.timeout if config.timeout is not None else _UNSET,
-            retries=config.retries)
+            jobs=config.jobs, cache_dir=config.sim_cache_dir)
         report = ValidationReport(
             gpu=gpu, records=validation_records(gpu, population, sims))
         with self._lock:

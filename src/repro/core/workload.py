@@ -99,6 +99,19 @@ def expand_passes(value: Union[str, None]) -> Tuple[PassKind, ...]:
     return (normalized,)  # type: ignore[return-value]
 
 
+#: largest accepted mini-batch (a constant, not an option): every registered
+#: network still evaluates to finite, positive times there, while batch
+#: 2**40 overflows the model's int64 arithmetic.
+MAX_BATCH = 2**31 - 1
+
+
+def check_batch(value: int, what: str = "batch") -> None:
+    """Validate one public mini-batch value: ``1 <= value <= MAX_BATCH``."""
+    if not 0 < value <= MAX_BATCH:
+        raise ValueError(f"{what} must be positive and at most {MAX_BATCH}, "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class Im2colPattern:
     """Sliding-window reuse geometry of an im2col operand.

@@ -17,7 +17,6 @@ so a network registered again under the same name is re-lowered.
 from __future__ import annotations
 
 import dataclasses
-import operator
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,14 +30,10 @@ from ..core.batched import (CANDIDATE_ORDER, CTA_TILE_FAMILIES,
 from ..core.workload import expand_passes, lower_passes
 from ..gpu.spec import FP32_BYTES, GpuSpec
 from ..networks.registry import get_network, registry_generation
-from .space import DesignPoint
+from .space import DesignPoint, signature_of
 
 #: bottleneck labels in candidate-stack order (metrics-dict key strings).
 _CANDIDATE_LABELS: Tuple[str, ...] = tuple(b.value for b in CANDIDATE_ORDER)
-
-#: C-level :meth:`DesignPoint.workload_signature` (hot grouping loop).
-_signature_of = operator.attrgetter("network", "batch", "passes",
-                                    "dtype_bytes")
 
 
 @lru_cache(maxsize=256)
@@ -202,7 +197,7 @@ def evaluate_points(base_gpu: GpuSpec, points: Sequence[DesignPoint], *,
     results: List[Optional[Dict[str, object]]] = [None] * len(points)
     groups: Dict[Tuple[str, int, str, int], List[int]] = {}
     for i, point in enumerate(points):
-        groups.setdefault(_signature_of(point), []).append(i)
+        groups.setdefault(signature_of(point), []).append(i)
 
     # Partition signature groups by their (ordered) design list.
     generation = registry_generation()

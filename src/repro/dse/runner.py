@@ -39,7 +39,7 @@ from ..resilience import TaskFailure
 from ..sim.engine import SimulatorConfig
 from .batch import _workload_layers, evaluate_points
 from .drivers import ExhaustiveDriver, SuccessiveHalvingDriver
-from .space import GPU_AXIS_KEYS, DesignPoint, SearchSpace
+from .space import GPU_AXIS_KEYS, DesignPoint, SearchSpace, signature_of
 from .store import FAILURE_FIELD, ResultStore, is_failure_record
 
 #: bump when the evaluation's metric semantics change (invalidates stores).
@@ -49,9 +49,8 @@ EVALUATION_SCHEMA = 2
 #: in a chunk crashes the worker (the chunk is then retried point by point).
 BATCH_CHUNK = 1024
 
-#: C-level :meth:`DesignPoint.workload_signature` (hot sweep loops).
-_signature_of = operator.attrgetter("network", "batch", "passes",
-                                    "dtype_bytes")
+#: successive halving's cheap proxy evaluates every this-many-th layer.
+PROXY_LAYER_STRIDE = 4
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +114,7 @@ def store_keys(base_gpu: GpuSpec, points: Sequence[DesignPoint],
     designs: Dict[int, bytes] = {}
     keys: List[str] = []
     for point in points:
-        signature = _signature_of(point)
+        signature = signature_of(point)
         seed = seeds.get(signature)
         if seed is None:
             payload = [EVALUATION_SCHEMA, gpu, list(signature),
@@ -136,24 +135,19 @@ def store_keys(base_gpu: GpuSpec, points: Sequence[DesignPoint],
 def _evaluate_batch_task(task) -> List[Dict[str, object]]:
     """Process-pool worker: evaluate one chunk of points as a batch.
 
-    Fires the per-point fault sites first, then evaluates the whole chunk
-    through the array-of-points path.
+    ``task`` is ``(base_gpu, points, unique, layer_stride)``; a stride above
+    1 is successive halving's layer-subsampled proxy, whose fault sites carry
+    a ``proxy:`` prefix.  Fires the per-point fault sites first, then
+    evaluates the whole chunk through the array-of-points path.
     """
-    base_gpu, points, unique = task
+    base_gpu, points, unique, layer_stride = task
     if faults.active():
+        prefix = "proxy:" if layer_stride > 1 else ""
         for point in points:
-            faults.fire("dse", f"{point.name}/{point.network}/b{point.batch}")
-    return evaluate_points(base_gpu, points, unique=unique)
-
-
-def _proxy_batch_task(task) -> List[Dict[str, object]]:
-    """Process-pool worker: one chunk of layer-subsampled proxy evaluations."""
-    base_gpu, points, unique = task
-    if faults.active():
-        for point in points:
-            faults.fire(
-                "dse", f"proxy:{point.name}/{point.network}/b{point.batch}")
-    return evaluate_points(base_gpu, points, unique=unique, layer_stride=4)
+            faults.fire("dse", f"{prefix}{point.name}/{point.network}"
+                               f"/b{point.batch}")
+    return evaluate_points(base_gpu, points, unique=unique,
+                           layer_stride=layer_stride)
 
 
 # ----------------------------------------------------------------------
@@ -293,16 +287,6 @@ class Exploration:
 # The orchestrator
 # ----------------------------------------------------------------------
 
-def _resilience_kwargs(jobs: Optional[int], timeout: Optional[float],
-                       retries: Optional[int]) -> Dict[str, object]:
-    kwargs: Dict[str, object] = {"jobs": jobs, "return_failures": True}
-    if timeout is not None:
-        kwargs["timeout"] = timeout
-    if retries is not None:
-        kwargs["retries"] = retries
-    return kwargs
-
-
 def _evaluate_batch_local(base_gpu: GpuSpec, points: Sequence[DesignPoint],
                           unique: bool) -> List[object]:
     """In-process batched evaluation with per-point failure isolation.
@@ -341,11 +325,17 @@ def _evaluate_batch_local(base_gpu: GpuSpec, points: Sequence[DesignPoint],
     return outcomes
 
 
-def _map_evaluations_batched(session, jobs: Optional[int],
-                             base_gpu: GpuSpec,
-                             points: Sequence[DesignPoint], unique: bool,
-                             timeout: Optional[float],
-                             retries: Optional[int]) -> List[object]:
+def _chunk_tasks(base_gpu: GpuSpec, points: Sequence[DesignPoint],
+                 unique: bool, layer_stride: int) -> List[Tuple]:
+    """``BATCH_CHUNK``-point :func:`_evaluate_batch_task` tasks."""
+    return [(base_gpu, tuple(points[start:start + BATCH_CHUNK]), unique,
+             layer_stride)
+            for start in range(0, len(points), BATCH_CHUNK)]
+
+
+def _map_evaluations_batched(session, base_gpu: GpuSpec,
+                             points: Sequence[DesignPoint],
+                             unique: bool) -> List[object]:
     """Batched evaluation fan-out with chunk-level crash isolation.
 
     Chunks go through the session pool as single tasks; a chunk that fails
@@ -354,26 +344,24 @@ def _map_evaluations_batched(session, jobs: Optional[int],
     """
     if session is None:
         return _evaluate_batch_local(base_gpu, points, unique)
-    kwargs = _resilience_kwargs(jobs, timeout, retries)
-    chunks = [tuple(points[start:start + BATCH_CHUNK])
-              for start in range(0, len(points), BATCH_CHUNK)]
-    chunk_tasks = [(base_gpu, chunk, unique) for chunk in chunks]
+    chunk_tasks = _chunk_tasks(base_gpu, points, unique, 1)
     chunk_outcomes = session.map_tasks(_evaluate_batch_task, chunk_tasks,
-                                       isolate=True, **kwargs)
+                                       return_failures=True, isolate=True)
     outcomes: List[object] = []
-    for chunk, outcome in zip(chunks, chunk_outcomes):
+    for (_, chunk, _, _), outcome in zip(chunk_tasks, chunk_outcomes):
         if isinstance(outcome, TaskFailure):
-            tasks = [(base_gpu, (point,), unique) for point in chunk]
+            tasks = [(base_gpu, (point,), unique, 1) for point in chunk]
             outcomes.extend(
                 single if isinstance(single, TaskFailure) else single[0]
-                for single in session.map_tasks(_evaluate_batch_task, tasks,
-                                                isolate=True, **kwargs))
+                for single in session.map_tasks(
+                    _evaluate_batch_task, tasks, return_failures=True,
+                    isolate=True))
         else:
             outcomes.extend(outcome)
     return outcomes
 
 
-def _score_proxy_batched(session, jobs: Optional[int], base_gpu: GpuSpec,
+def _score_proxy_batched(session, base_gpu: GpuSpec,
                          points: Sequence[DesignPoint],
                          unique: bool) -> List[Dict[str, object]]:
     """Batched proxy scoring for successive halving rungs.
@@ -382,27 +370,26 @@ def _score_proxy_batched(session, jobs: Optional[int], base_gpu: GpuSpec,
     no per-point isolation (``map_tasks`` without ``return_failures``).
     """
     if session is None:
-        return _proxy_batch_task((base_gpu, points, unique))
-    chunk_tasks = [(base_gpu, tuple(points[start:start + BATCH_CHUNK]),
-                    unique)
-                   for start in range(0, len(points), BATCH_CHUNK)]
-    chunk_results = session.map_tasks(_proxy_batch_task, chunk_tasks,
-                                      jobs=jobs, isolate=True)
+        return _evaluate_batch_task(
+            (base_gpu, points, unique, PROXY_LAYER_STRIDE))
+    chunk_results = session.map_tasks(
+        _evaluate_batch_task,
+        _chunk_tasks(base_gpu, points, unique, PROXY_LAYER_STRIDE),
+        isolate=True)
     return [metrics for chunk in chunk_results for metrics in chunk]
 
 
 def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
             objectives: Sequence[object] = DEFAULT_OBJECTIVE_NAMES,
             store: Optional[ResultStore] = None, session=None,
-            jobs: Optional[int] = None, unique: bool = True,
-            include_baseline: bool = True, timeout: Optional[float] = None,
-            retries: Optional[int] = None) -> Exploration:
+            unique: bool = True,
+            include_baseline: bool = True) -> Exploration:
     """Run one design-space exploration end to end.
 
-    ``session`` supplies process-pool parallelism and the cross-request
-    in-memory memo; ``store`` adds on-disk resumability.  Either (or both)
-    may be omitted for a serial, stateless sweep.  ``timeout``/``retries``
-    override the session's resilience policy for the per-point evaluations.
+    ``session`` supplies process-pool parallelism, the resilience policy
+    (timeout and retry budget) and the cross-request in-memory memo;
+    ``store`` adds on-disk resumability.  Either (or both) may be omitted
+    for a serial, stateless sweep.
 
     Points are evaluated in whole rungs through the vectorized
     array-of-points path (:mod:`repro.dse.batch`).
@@ -434,7 +421,7 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
             with obs_spans.trace("dse.rung", candidates=len(candidates),
                                  fresh=len(missing)):
                 if missing:
-                    fresh = _score_proxy_batched(session, jobs, base_gpu,
+                    fresh = _score_proxy_batched(session, base_gpu,
                                                  missing, unique)
                     stats.proxy_evaluations += len(missing)
                     for point, metrics in zip(missing, fresh):
@@ -449,7 +436,7 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
     baseline_points: Dict[Tuple[str, int, str, int], DesignPoint] = {}
     if include_baseline:
         for point in points:
-            signature = _signature_of(point)
+            signature = signature_of(point)
             if signature not in baseline_points:
                 baseline_points[signature] = point.baseline_point()
 
@@ -490,8 +477,7 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
                              memo_hits=stats.memo_hits,
                              store_hits=stats.store_hits):
             fresh = _map_evaluations_batched(
-                session, jobs, base_gpu, [point for _, point in pending],
-                unique, timeout, retries)
+                session, base_gpu, [point for _, point in pending], unique)
         evaluated = failed = 0
         for (key, _), outcome in zip(pending, fresh):
             if isinstance(outcome, TaskFailure):
@@ -526,7 +512,7 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
         if index < len(points):
             results_list.append(result)
         else:
-            baselines[_signature_of(point)] = result
+            baselines[signature_of(point)] = result
     results = tuple(results_list)
     with obs_spans.trace("dse.frontier", results=len(results)):
         frontier = tuple(pareto_frontier(

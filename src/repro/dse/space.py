@@ -27,11 +27,12 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import (Dict, Iterable, Iterator, Mapping, Optional, Sequence,
                     Tuple, Union)
 
-from ..core.workload import normalize_passes
+from ..core.workload import check_batch, normalize_passes
 from ..gpu.design_options import DesignOption
 from ..gpu.spec import FP32_BYTES
 
@@ -43,6 +44,10 @@ GPU_AXIS_KEYS: Tuple[str, ...] = (
 
 #: workload dimensions of a design point.
 WORKLOAD_AXIS_KEYS: Tuple[str, ...] = ("network", "batch", "passes", "dtype_bytes")
+
+#: C-level :meth:`DesignPoint.workload_signature` of any point (hot sweep
+#: loops call it directly).
+signature_of = operator.attrgetter(*WORKLOAD_AXIS_KEYS)
 
 #: every axis key a search space accepts ("cta_tile" selects the GEMM kernel's
 #: CTA tile height/width, 128 or 256 in the paper).
@@ -70,7 +75,10 @@ class Axis:
                     f"axis {self.key!r} multipliers must be positive and finite")
         elif self.key in ("cta_tile", "batch", "dtype_bytes"):
             values = tuple(int(v) for v in values)
-            if any(v <= 0 for v in values):
+            if self.key == "batch":
+                for v in values:
+                    check_batch(v, "axis 'batch' value")
+            elif any(v <= 0 for v in values):
                 raise ValueError(f"axis {self.key!r} values must be positive")
         elif self.key == "network":
             values = tuple(str(v).strip().lower() for v in values)
@@ -100,8 +108,7 @@ class DesignPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "network", self.network.strip().lower())
         object.__setattr__(self, "passes", normalize_passes(self.passes))
-        if self.batch <= 0:
-            raise ValueError("batch must be positive")
+        check_batch(self.batch)
         if self.dtype_bytes <= 0:
             raise ValueError("dtype_bytes must be positive")
 
@@ -132,7 +139,7 @@ class DesignPoint:
 
     def workload_signature(self) -> Tuple[str, int, str, int]:
         """The workload half of the point (what a speedup baseline shares)."""
-        return (self.network, self.batch, self.passes, self.dtype_bytes)
+        return signature_of(self)
 
     def baseline_point(self) -> "DesignPoint":
         """The identity-design point of the same workload (speedup = 1)."""

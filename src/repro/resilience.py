@@ -14,8 +14,8 @@ DSE runner, the CLI) without creating import cycles:
   of tasks and converts per-task exceptions into serializable failure
   payloads *inside the worker*, so an ordinary task error never breaks the
   pool round it rides on (only a genuine worker crash does).
-* :func:`check_timeout` — the one bound on every wall-clock timeout
-  (session policy, request overrides, per-call overrides).
+* :func:`check_timeout` — the bound on the session's wall-clock timeout,
+  the only timeout there is (``Session(timeout=...)``, ``--timeout``).
 * The exception family the execution layer raises: ``SessionClosedError``,
   ``TaskError`` and ``SimulationError``.
 
@@ -47,9 +47,11 @@ def backoff_delay(round_index: int, base: float,
 def check_timeout(timeout: Optional[float]) -> Optional[float]:
     """Validate a wall-clock timeout in seconds (``None`` = unbounded).
 
-    The one bound every timeout passes: positive, finite and at most
-    ``threading.TIMEOUT_MAX``, beyond which the futures/condition waits of
-    the pool raise ``OverflowError``.  Returns the timeout as a float.
+    The bound the :class:`~repro.api.Session` timeout setter applies (no
+    request or call overrides the session's timeout): positive, finite and
+    at most ``threading.TIMEOUT_MAX``, beyond which the futures/condition
+    waits of the pool raise ``OverflowError``.  Returns the timeout as a
+    float.
     """
     if timeout is None:
         return None

@@ -11,7 +11,7 @@ are resident on the device at the same time (``num_sm x active CTAs per SM``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Literal, Tuple
+from typing import Callable, Iterator, List, Literal, Tuple
 
 from ..core.tiling import GemmGrid, active_ctas_per_sm
 from ..gpu.spec import FP32_BYTES, GpuSpec
@@ -25,6 +25,30 @@ CtaCoord = Tuple[int, int]
 ScheduledCta = Tuple[int, int, int]
 
 
+def _coord_of(grid: GemmGrid, order: SchedulingOrder
+              ) -> Callable[[int], CtaCoord]:
+    """``index -> (cta_m, cta_n)`` of the index-th CTA in scheduling order.
+
+    Computes one coordinate from its launch index with ``divmod``, so a
+    consumer that stops early (the engine stops after ``max_ctas``) never
+    materializes the whole grid, whose size grows with the mini-batch.
+    """
+    if order not in ("column", "row"):
+        raise ValueError(f"unknown scheduling order {order!r}")
+    column = order == "column"
+    ctas_m, ctas_n = grid.ctas_m, grid.ctas_n
+    per_group = ctas_m * ctas_n
+
+    def coord(index: int) -> CtaCoord:
+        group, rest = divmod(index, per_group)
+        if column:
+            n, m = divmod(rest, ctas_m)
+        else:
+            m, n = divmod(rest, ctas_n)
+        return group * ctas_m + m, group * ctas_n + n
+    return coord
+
+
 def cta_order(grid: GemmGrid, order: SchedulingOrder = "column") -> List[CtaCoord]:
     """All CTA coordinates of the GEMM grid in scheduling order.
 
@@ -34,18 +58,8 @@ def cta_order(grid: GemmGrid, order: SchedulingOrder = "column") -> List[CtaCoor
     instance index into the per-operand address decomposition.  Small
     per-instance grids therefore still fill whole waves across instances.
     """
-    if order == "column":
-        per_group = [(m, n) for n in range(grid.ctas_n)
-                     for m in range(grid.ctas_m)]
-    elif order == "row":
-        per_group = [(m, n) for m in range(grid.ctas_m)
-                     for n in range(grid.ctas_n)]
-    else:
-        raise ValueError(f"unknown scheduling order {order!r}")
-    if grid.groups == 1:
-        return per_group
-    return [(g * grid.ctas_m + m, g * grid.ctas_n + n)
-            for g in range(grid.groups) for m, n in per_group]
+    coord = _coord_of(grid, order)
+    return [coord(index) for index in range(grid.num_ctas)]
 
 
 @dataclass(frozen=True)
@@ -87,19 +101,28 @@ class CtaScheduler:
 
     def schedule(self) -> List[ScheduledCta]:
         """Every CTA with its round-robin SM assignment, in launch order."""
-        coords = cta_order(self.grid, self.order)
-        return [(index % self.gpu.num_sm, m, n)
-                for index, (m, n) in enumerate(coords)]
+        return [cta for wave in self.waves() for cta in wave.ctas]
 
     def waves(self, max_waves: int | None = None) -> Iterator[Wave]:
-        """Yield waves in execution order, optionally limited to ``max_waves``."""
-        scheduled = self.schedule()
+        """Yield waves in execution order, optionally limited to ``max_waves``.
+
+        Each wave is built from its CTAs' launch indices when it is reached,
+        so memory stays bounded by one wave whatever the grid size.
+        """
+        coord = _coord_of(self.grid, self.order)
+        num_sm = self.gpu.num_sm
+        num_ctas = self.grid.num_ctas
         size = self.wave_size
-        total_waves = (len(scheduled) + size - 1) // size
-        limit = total_waves if max_waves is None else min(max_waves, total_waves)
+        limit = self.num_waves
+        if max_waves is not None:
+            limit = min(max_waves, limit)
         for wave_index in range(limit):
-            chunk = scheduled[wave_index * size:(wave_index + 1) * size]
-            yield Wave(index=wave_index, ctas=tuple(chunk))
+            start = wave_index * size
+            ctas = []
+            for index in range(start, min(start + size, num_ctas)):
+                m, n = coord(index)
+                ctas.append((index % num_sm, m, n))
+            yield Wave(index=wave_index, ctas=tuple(ctas))
 
     @property
     def num_waves(self) -> int:

@@ -13,6 +13,7 @@ from repro.dse import (
     confirm_frontier,
     explore,
     grid,
+    runner,
     space_from_options,
 )
 from repro.experiments.fig16_scaling import run as run_fig16
@@ -107,6 +108,25 @@ class TestEvaluatePoint:
 
 
 class TestExplore:
+    def test_full_and_proxy_chunks_fire_their_fault_sites(self, monkeypatch):
+        # one worker task serves both evaluations; the proxy's fault sites
+        # keep their "proxy:" prefix so fault plans can target either.
+        fired = []
+        monkeypatch.setattr(runner.faults, "active", lambda: True)
+        monkeypatch.setattr(runner.faults, "fire",
+                            lambda site, description: fired.append(
+                                (site, description)))
+        point = DesignPoint(option=DesignOption("wide", num_sm=2.0),
+                            network="alexnet", batch=16)
+        full = runner._evaluate_batch_task((TITAN_XP, (point,), True, 1))
+        proxy = runner._evaluate_batch_task(
+            (TITAN_XP, (point,), True, runner.PROXY_LAYER_STRIDE))
+        assert fired == [("dse", "wide/alexnet/b16"),
+                         ("dse", "proxy:wide/alexnet/b16")]
+        assert full == [evaluate_point(TITAN_XP, point, unique=True)]
+        assert proxy == [evaluate_point(TITAN_XP, point, unique=True,
+                                        layer_stride=4)]
+
     def test_exhaustive_explore_shape(self, small_space):
         result = explore(small_space)
         assert len(result.results) == len(small_space)

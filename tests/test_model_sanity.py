@@ -1,6 +1,8 @@
 """Sanity properties of the performance model over scaled designs.
 
-* Every estimate is a finite, positive time, for any layer on any scaled GPU.
+* Every estimate is a finite, positive time, for any layer on any scaled GPU,
+  and for every network up to the largest accepted batch (``MAX_BATCH``,
+  which every request and design point enforces).
 * More of a resource should never make a design slower.  The model breaks
   this on ``num_sm`` today: the bandwidth terms divide L2/DRAM bandwidth
   among *all* SMs, occupied or not, so a small grid on more SMs gets a
@@ -14,11 +16,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import (EstimateRequest, ExperimentRequest, Session,
+                       SweepRequest, ValidateRequest)
 from repro.core.layer import ConvLayerConfig, LinearLayerConfig
 from repro.core.model import DeltaModel
-from repro.core.workload import PASS_KINDS, lower_pass
+from repro.core.workload import MAX_BATCH, PASS_KINDS, lower_pass
+from repro.dse.space import Axis, DesignPoint
 from repro.gpu import TESLA_V100, TITAN_XP
-from repro.networks import get_network
+from repro.gpu.design_options import DesignOption
+from repro.networks import available_networks, get_network
 
 MULTIPLIERS = st.sampled_from((0.25, 0.5, 1.0, 1.5, 2.0, 4.0))
 
@@ -74,3 +80,29 @@ def test_more_sms_never_slower_mlp_forward():
     times = {multiplier: DeltaModel(TITAN_XP.scaled(num_sm=multiplier))
              .total_time(layers_) for multiplier in (2.0, 4.0)}
     assert times[4.0] <= times[2.0]
+
+
+@pytest.mark.parametrize("network", available_networks())
+def test_largest_accepted_batch_gives_finite_positive_times(network):
+    # MAX_BATCH is the request bound; past 2**40 the model overflows.
+    report = Session().run(EstimateRequest(network, gpu="v100",
+                                           batch=MAX_BATCH, unique=True,
+                                           passes="training"))
+    times = [row["time_ms"] for row in report.rows]
+    assert times and all(math.isfinite(t) and t > 0 for t in times)
+
+
+@pytest.mark.parametrize("batch", [0, MAX_BATCH + 1, 2**40])
+def test_batch_outside_the_bound_is_rejected_at_construction(batch):
+    with pytest.raises(ValueError, match="batch must be positive and at most"):
+        EstimateRequest("alexnet", batch=batch)
+    with pytest.raises(ValueError, match="batches must be positive and at"):
+        SweepRequest(batches=(64, batch))
+    with pytest.raises(ValueError, match="batch must be positive and at most"):
+        ValidateRequest(batch=batch)
+    with pytest.raises(ValueError, match="batch must be positive and at most"):
+        ExperimentRequest("tab01", batch=batch)
+    with pytest.raises(ValueError, match="batch must be positive and at most"):
+        DesignPoint(option=DesignOption(name="baseline"), batch=batch)
+    with pytest.raises(ValueError, match="batch' value must be positive and"):
+        Axis("batch", (16, batch))

@@ -134,8 +134,9 @@ BAD_BODIES = [
     ("dse", {"axes": {"warp_speed": [1]}}),
 ]
 
-# nulls on non-Optional fields, timeouts past the wait bound and non-JSON
-# number literals once escaped the parser as 500s (or were accepted).
+# nulls on non-Optional fields, client-set execution policy (timeout,
+# retries: unknown fields, the session owns them) and non-JSON number
+# literals once escaped the parser as 500s (or were accepted).
 HOSTILE_BODIES = [
     ("estimate", b'{"network": "alexnet", "gpu": null}'),
     ("validate", b'{"gpu": null}'),
@@ -177,6 +178,36 @@ class TestStructuredErrors:
         assert payload["kind"] == "error"
         assert payload["meta"]["error_type"] == "BadRequest"
         assert route in payload["meta"]["error_message"]
+
+    @pytest.mark.parametrize("route,name", [
+        ("validate", "timeout"), ("validate", "retries"),
+        ("experiment", "timeout"), ("experiment", "retries"),
+        ("dse", "timeout"), ("dse", "retries")])
+    def test_execution_policy_field_is_structured_400(self, app, route,
+                                                      name):
+        body = {"experiment": "tab01"} if route == "experiment" else {}
+        status, payload = json_request(app, "POST", f"/v1/{route}",
+                                       body={**body, name: 1})
+        assert status == 400
+        assert payload["meta"]["error_type"] == "BadRequest"
+        assert f"unknown field(s) ['{name}']" in \
+            payload["meta"]["error_message"]
+
+    # batches this large overflowed the model's float arithmetic into a 500.
+    @pytest.mark.parametrize("route,body", [
+        ("estimate", {"network": "alexnet", "batch": 10**20}),
+        ("estimate", {"network": "alexnet", "batch": 2**40}),
+        ("sweep", {"networks": ["alexnet"], "batches": [10**20]}),
+        ("dse", {"networks": ["alexnet"], "batches": [10**20]}),
+        ("dse", {"networks": ["alexnet"], "batches": [16, 2**40]}),
+    ])
+    def test_batch_overflow_is_structured_400(self, app, route, body):
+        status, payload = json_request(app, "POST", f"/v1/{route}",
+                                       body=body)
+        assert status == 400
+        assert payload["kind"] == "error"
+        assert payload["meta"]["error_type"] == "BadRequest"
+        assert "at most 2147483647" in payload["meta"]["error_message"]
 
     def test_error_body_shape_matches_cli_error_report(self, app, capsys):
         exit_code = main(["estimate", "--network", "made-up-net",

@@ -140,8 +140,12 @@ class TestValidate:
         assert request.max_ctas == 180 and request.layers_per_network == 4
 
     def test_execution_policy_fields(self):
-        request = parse("validate", {"timeout": 2, "retries": 0}).request
-        assert request.timeout == 2.0 and request.retries == 0
+        # execution policy lives on the Session only: a body that names
+        # timeout or retries gets the unknown-field 400, naming the field.
+        for name, value in (("timeout", 2), ("retries", 0)):
+            with pytest.raises(BadRequest,
+                               match=rf"unknown field\(s\) \['{name}'\]"):
+                parse("validate", {name: value})
 
     def test_unknown_network_in_list(self):
         with pytest.raises(BadRequest, match="unknown network"):
@@ -200,7 +204,9 @@ class TestDse:
 
 
 #: (route, body, content key) computed by the hand-written per-route parsers
-#: the route table replaced; keys must never drift (memo identity).
+#: the route table replaced; keys must never drift (memo identity).  The
+#: validate, experiment and dse keys are the sha1 of the same canonical
+#: payloads minus the removed "timeout" and "retries" fields.
 PINNED_KEYS = [
     ("estimate", {"network": "alexnet"},
      "22e6212cde4889d6f166979a3931023d802c2476"),
@@ -211,31 +217,30 @@ PINNED_KEYS = [
     ("sweep", {"networks": "alexnet", "gpus": ["V100"], "batches": 32,
                "unique": False, "paper_subset": False, "passes": "wgrad"},
      "9a3aaa99b8963180040fa384aca9875907482daf"),
-    ("validate", {}, "5df94da3db50e5485e7b75d56e87d7ed2807ec75"),
+    ("validate", {}, "b1c65dcc5c643cb0c98668c1097de89067fd6167"),
     ("validate", {"gpu": "v100", "batch": 8, "max_ctas": None,
-                  "layers_per_network": None, "networks": ["alexnet", "VGG16"],
-                  "timeout": 2, "retries": 0},
-     "b76a4d738de45cedcc2fd78530f2881b622852e9"),
+                  "layers_per_network": None, "networks": ["alexnet", "VGG16"]},
+     "70cd6cd4baf171c9fce932a7d98812b77c74e874"),
     ("experiment", {"experiment": "tab01"},
-     "00cf2c8f73d24c77262ba3ad4cac15736b1c04ad"),
+     "fd77a8abbbfe9170bd6429f1876946f2642a2fdd"),
     ("experiment", {"experiment": "FIG11", "gpus": "titanxp",
                     "networks": ["alexnet"], "batch": 8, "max_ctas": 10,
-                    "layers_per_network": 2, "timeout": 3, "retries": 1},
-     "b4ddab145de715fc9f9dc70595017781ac675586"),
-    ("dse", {}, "beb1c4f0157e719a0b5b52d2623032924a87c21b"),
+                    "layers_per_network": 2},
+     "5d8614f646d3ae63bceb39006a6c1753c9d271f8"),
+    ("dse", {}, "93cd8cd13a5d62d8e6887dd3061984ec2d4c95c7"),
     ("dse", {"gpu": "V100", "networks": ["alexnet", "vgg16"],
              "batches": [16, 32], "passes": "Training", "driver": "random",
              "budget": 10, "seed": 3, "objectives": ["throughput"],
-             "unique": False, "confirm_top": 1, "timeout": 4, "retries": 2},
-     "0c8eec36d3246a9dffa3264906fd06cea7474591"),
+             "unique": False, "confirm_top": 1},
+     "ad82886f7e10c3e45bcc754fbcfdcba0b3db1326"),
     ("dse", {"axes": {"num_sm": [1, 2]}, "networks": ["alexnet", "vgg16"]},
-     "42ba431d2b495a5c757826caa9eacb49658d7b1b"),
+     "214fc8cfb7ae768c98aeda415c49f7f83086bcd1"),
     ("dse", {"axes": {"network": ["AlexNet", "vgg16"], "batch": [4, 8]},
              "networks": ["alexnet", "vgg16"], "batches": [1, 2]},
-     "301d7bcc38f853c1b9a9510a2ea627929ad8f192"),
+     "8eea08babdd467ba8cd0f993937af83d856d6258"),
     ("dse", {"driver": "halving", "budget": 5,
              "axes": {"dram_bw": [1, 2], "passes": ["forward", "dgrad"]}},
-     "fb44249fc352f2fc76c3465d4264f69ac4b174ef"),
+     "3621c6cf68d53abd8cd8b1bf98b3ea156642b0da"),
 ]
 
 #: the smallest valid body of each route.
@@ -297,11 +302,10 @@ NON_NULLABLE = {
             "objectives", "unique", "confirm_top"],
 }
 NULLABLE = {
-    "validate": ["max_ctas", "layers_per_network", "networks", "timeout",
-                 "retries"],
+    "validate": ["max_ctas", "layers_per_network", "networks"],
     "experiment": ["gpus", "networks", "batch", "max_ctas",
-                   "layers_per_network", "timeout", "retries"],
-    "dse": ["budget", "timeout", "retries"],
+                   "layers_per_network"],
+    "dse": ["budget"],
 }
 
 
@@ -332,7 +336,7 @@ class TestNonFinite:
         with pytest.raises(BadRequest, match=f"dse: .*{literal}"):
             parse_body("dse", raw)
         with pytest.raises(BadRequest, match="not valid JSON"):
-            parse_body("validate", f'{{"timeout": {literal}}}'.encode())
+            parse_body("validate", f'{{"batch": {literal}}}'.encode())
 
     def test_overflowing_numbers_are_rejected(self):
         # 1e400 is valid JSON that decodes to inf.
@@ -340,19 +344,39 @@ class TestNonFinite:
             parse_body("dse", b'{"axes": {"num_sm": [1e400]}}')
         with pytest.raises(BadRequest, match="bad axis 'cta_tile'"):
             parse_body("dse", b'{"axes": {"cta_tile": [1e400]}}')
-        with pytest.raises(BadRequest, match="'timeout' must be a finite"):
-            parse_body("dse", b'{"timeout": 1e400}')
-        with pytest.raises(BadRequest, match="'timeout' must be a finite"):
-            parse_body("validate", b'{"timeout": 1%s}' % (b"0" * 400))
+        with pytest.raises(BadRequest, match="'batch' must be an integer"):
+            parse_body("validate", b'{"batch": 1e400}')
+        with pytest.raises(BadRequest, match="batch must be positive and at "
+                                             "most 2147483647"):
+            parse_body("validate", b'{"batch": 1%s}' % (b"0" * 400))
 
     def test_deeply_nested_body_is_rejected(self):
         with pytest.raises(BadRequest, match="not valid JSON"):
             parse_body("estimate", b"[" * 100_000)
 
+    # estimate, sweep and dse "batches" are covered over ASGI in
+    # test_server_app.py.
+    @pytest.mark.parametrize("route,body", [
+        ("validate", {"batch": 2**31}),
+        ("experiment", {"experiment": "tab01", "batch": 2**31}),
+        ("dse", {"axes": {"batch": [2**40]}}),
+    ])
+    def test_batch_beyond_the_bound_is_rejected(self, route, body):
+        with pytest.raises(BadRequest, match="at most 2147483647"):
+            parse(route, body)
+
     @pytest.mark.parametrize("route", ["validate", "experiment", "dse"])
     def test_timeout_beyond_the_wait_bound_is_rejected(self, route):
-        with pytest.raises(BadRequest, match="timeout must be positive"):
-            parse(route, {**MINIMAL[route], "timeout": 1e12})
+        # the bodies that once overrode the server's policy unbounded (or
+        # past threading.TIMEOUT_MAX) are unknown-field 400s now.
+        for name, value in (("timeout", 1e12), ("retries", 10**18)):
+            with pytest.raises(BadRequest, match=f"unknown field.*'{name}'"):
+                parse(route, {**MINIMAL[route], name: value})
+
+    def test_largest_batch_is_accepted(self):
+        assert parse("estimate", {"network": "alexnet",
+                                  "batch": 2**31 - 1}).request.batch == \
+            2**31 - 1
 
 
 class TestOneSpaceBuilder:

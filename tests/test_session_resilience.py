@@ -48,15 +48,14 @@ class TestPolicyValidation:
 
     @pytest.mark.parametrize("timeout", [1e12, float("inf"), float("nan")])
     def test_timeout_beyond_the_wait_bound_is_rejected(self, timeout):
-        # waits past threading.TIMEOUT_MAX raise OverflowError; every
-        # timeout entry point refuses such a value up front instead.
+        # waits past threading.TIMEOUT_MAX raise OverflowError; the
+        # session, the one place a timeout is set, refuses such a value up
+        # front instead.
         with pytest.raises(ValueError, match="timeout"):
             Session(timeout=timeout)
+        session = Session()
         with pytest.raises(ValueError, match="timeout"):
-            ValidateRequest(timeout=timeout)
-        with Session() as session:
-            with pytest.raises(ValueError, match="timeout"):
-                session.map_tasks(abs, [1], timeout=timeout)
+            session.timeout = timeout
 
     def test_repr_shows_policy(self):
         assert "timeout=1.5" in repr(Session(timeout=1.5, retries=0))

@@ -1,5 +1,8 @@
 """Tests for the DRAM channel model and the CTA scheduler."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 
 from repro.core.layer import ConvLayerConfig
@@ -104,6 +107,49 @@ class TestCtaScheduler:
         scheduler = CtaScheduler(grid, TITAN_XP)
         limited = list(scheduler.waves(max_waves=2))
         assert len(limited) == min(2, scheduler.num_waves)
+
+    def test_first_wave_of_a_huge_grid_does_not_build_the_schedule(self):
+        # batch 10**6 gives 562,500 CTAs; the engine simulates a few, so
+        # the first wave must arrive without materializing the others.
+        layer = ConvLayerConfig.square("huge", 10**6, in_channels=256,
+                                       in_size=6, out_channels=256,
+                                       filter_size=1)
+        scheduler = CtaScheduler(build_grid(layer), TITAN_XP)
+        assert scheduler.grid.num_ctas == 562_500
+        tracemalloc.start()
+        try:
+            wave = next(iter(scheduler.waves()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        num_sm = TITAN_XP.num_sm
+        assert wave.ctas == tuple((i % num_sm, i, 0)
+                                  for i in range(scheduler.wave_size))
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("order", ["column", "row"])
+    def test_waves_slice_the_launch_order(self, grid, groups, order):
+        # the launch order spelled out with nested loops: instances back to
+        # back, each walked column-wise (or row-wise), offset per instance.
+        grid = dataclasses.replace(grid, groups=groups)
+        if order == "column":
+            per_group = [(m, n) for n in range(grid.ctas_n)
+                         for m in range(grid.ctas_m)]
+        else:
+            per_group = [(m, n) for m in range(grid.ctas_m)
+                         for n in range(grid.ctas_n)]
+        coords = [(g * grid.ctas_m + m, g * grid.ctas_n + n)
+                  for g in range(groups) for m, n in per_group]
+        scheduled = [(index % TITAN_XP.num_sm, m, n)
+                     for index, (m, n) in enumerate(coords)]
+        scheduler = CtaScheduler(grid, TITAN_XP, order=order)
+        size = scheduler.wave_size
+        assert cta_order(grid, order) == coords
+        assert scheduler.schedule() == scheduled
+        assert [wave.ctas for wave in scheduler.waves()] == [
+            tuple(scheduled[start:start + size])
+            for start in range(0, len(scheduled), size)]
 
     def test_per_sm_grouping(self, grid):
         scheduler = CtaScheduler(grid, TITAN_XP)
