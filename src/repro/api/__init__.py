@@ -69,7 +69,6 @@ from .session import (
     default_session,
     reset_default_session,
     use_session,
-    work_unit_key,
 )
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "use_session",
     "configure_default_session",
     "reset_default_session",
-    "work_unit_key",
     "observe_progress",
     "emit_progress",
     "Report",

@@ -93,18 +93,6 @@ def _unit_key(unit) -> Tuple:
     return (gpu, layer.structural_key(), config, pass_kind)
 
 
-def work_unit_key(unit) -> Tuple:
-    """Public name of the work-unit dedupe identity (see :func:`_unit_key`).
-
-    The estimation service and other long-lived callers use this to speak
-    the same content-key language as the session memo: two units with equal
-    keys — same GPU, structurally identical layer, same simulator config and
-    pass kind — produce identical results and execute at most once per
-    session, no matter how many requests ask for them.
-    """
-    return _unit_key(unit)
-
-
 def _describe_unit(unit) -> str:
     gpu, layer, _config, pass_kind = _normalize_unit(unit)
     return f"{gpu.name}/{layer.name}/{pass_kind}"

@@ -189,11 +189,6 @@ class ConvLayerConfig:
         return self.batch * self.in_channels * self.in_height * self.in_width
 
     @property
-    def padded_ifmap_elements(self) -> int:
-        """Padded IFmap footprint in elements: B*Ci*(Hi+2P)*(Wi+2P)."""
-        return self.batch * self.in_channels * self.padded_height * self.padded_width
-
-    @property
     def ofmap_elements(self) -> int:
         """OFmap footprint in elements: B*Co*Ho*Wo."""
         return self.batch * self.out_channels * self.out_height * self.out_width
@@ -357,16 +352,6 @@ class LinearLayerConfig:
         return self.batch * self.rows_per_sample
 
     @property
-    def input_elements(self) -> int:
-        """Activation footprint in elements: M * K."""
-        return self.rows * self.in_features
-
-    @property
-    def weight_elements(self) -> int:
-        """Weight footprint in elements: N * K."""
-        return self.out_features * self.in_features
-
-    @property
     def output_elements(self) -> int:
         """Output footprint in elements: M * N."""
         return self.rows * self.out_features
@@ -449,16 +434,6 @@ class BatchedGemmLayerConfig:
     def groups(self) -> int:
         """Independent GEMM instances: batch * groups_per_sample."""
         return self.batch * self.groups_per_sample
-
-    @property
-    def input_elements(self) -> int:
-        """A-operand footprint across all instances: groups * M * K."""
-        return self.groups * self.m * self.k
-
-    @property
-    def weight_elements(self) -> int:
-        """B-operand footprint across all instances: groups * N * K."""
-        return self.groups * self.n * self.k
 
     @property
     def output_elements(self) -> int:

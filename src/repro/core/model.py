@@ -34,8 +34,7 @@ from .layer import LayerConfig
 from .performance import ExecutionEstimate, estimate_workloads
 from .traffic import TrafficEstimate, TrafficModel
 from .training import TrainingStepEstimate, estimate_training_step
-from .workload import (TRAINING_PASSES, GemmWorkload, PassKind, lower_pass,
-                       training_workloads)
+from .workload import TRAINING_PASSES, GemmWorkload, PassKind, lower_pass
 
 Source = Union[LayerConfig, GemmWorkload]
 
@@ -88,11 +87,6 @@ class DeltaModel:
                       pass_kind: PassKind) -> ExecutionEstimate:
         """Estimate one training pass (forward, dgrad or wgrad) of a layer."""
         return self.estimate(lower_pass(layer, pass_kind))
-
-    def estimate_layer_training(self, layer: LayerConfig
-                                ) -> List[ExecutionEstimate]:
-        """All three training-pass estimates of one layer, in pass order."""
-        return self.estimate_many(training_workloads(layer))
 
     def estimate_layers(self, layers: Iterable[Source]) -> List[ExecutionEstimate]:
         """Estimate every layer of a network (or any workload iterable)."""

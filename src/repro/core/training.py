@@ -54,10 +54,6 @@ class TrainingStepEstimate:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
-    def pass_records(self, pass_kind: PassKind) -> List[LayerPassEstimate]:
-        return [record for record in self.records
-                if record.pass_kind == pass_kind]
-
     @property
     def time_by_pass(self) -> Dict[str, float]:
         """Total predicted seconds per pass, summed over all layers."""

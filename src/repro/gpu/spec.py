@@ -95,11 +95,6 @@ class GpuSpec:
         return self.l1_bw_per_sm / self.core_clock_hz
 
     @property
-    def l2_bw_bytes_per_cycle(self) -> float:
-        """Aggregate L2 bandwidth in bytes per core cycle."""
-        return self.l2_bw / self.core_clock_hz
-
-    @property
     def dram_bw_bytes_per_cycle(self) -> float:
         """Aggregate DRAM bandwidth in bytes per core cycle."""
         return self.dram_bw / self.core_clock_hz
@@ -113,10 +108,6 @@ class GpuSpec:
     def smem_ld_bw_per_sm(self) -> float:
         """Shared-memory load bandwidth of one SM, bytes/s."""
         return self.smem_ld_bytes_per_cycle * self.core_clock_hz
-
-    @property
-    def sectors_per_l1_request(self) -> int:
-        return self.l1_request_bytes // self.sector_bytes
 
     @property
     def sectors_per_line(self) -> int:

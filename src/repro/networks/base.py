@@ -21,7 +21,7 @@ consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..core.layer import ConvLayerConfig, LayerConfig
 
@@ -98,10 +98,3 @@ class ConvNetwork:
 #: the container holds any GEMM-lowerable layer family, not just convolutions;
 #: ``Network`` is the forward-looking name, ``ConvNetwork`` the historical one.
 Network = ConvNetwork
-
-
-def prefixed(network_name: str, layers: Sequence[LayerConfig]) -> Tuple[LayerConfig, ...]:
-    """Prefix layer names with the network name for unambiguous reporting."""
-    return tuple(layer.with_name(f"{network_name}/{layer.name}")
-                 if not layer.name.startswith(f"{network_name}/") else layer
-                 for layer in layers)

@@ -12,7 +12,7 @@ sweeps/DSE runs become pollable jobs with NDJSON progress streams.
 
 from .app import ReproApp, create_app
 from .coalesce import CoalesceStats, CoalescingCache
-from .http import ServerThread, pick_free_port, run_app
+from .http import ServerThread, run_app
 from .jobs import Job, JobManager
 from .schemas import ROUTES, BadRequest, ParsedRequest, parse_body
 
@@ -28,6 +28,5 @@ __all__ = [
     "ServerThread",
     "create_app",
     "parse_body",
-    "pick_free_port",
     "run_app",
 ]

@@ -10,6 +10,9 @@ standard library.  It supports exactly what the service needs:
   100-continue`` for curl-friendly large POSTs); a malformed length is a
   400 and a ``Transfer-Encoding`` request body a 411, both closing the
   connection so its remaining bytes are never parsed as a request,
+* a read deadline: a client that sends a request head or body slower than
+  :data:`READ_TIMEOUT_S` (or idles that long between keep-alive requests)
+  has its connection closed, so a stalled client cannot hold one forever,
 * fixed-length responses with keep-alive, and
 * ``Transfer-Encoding: chunked`` streaming for endpoints that send bodies
   incrementally (the NDJSON job event stream).
@@ -28,7 +31,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import signal
-import socket
 import threading
 from typing import Callable, Optional, Tuple
 
@@ -41,6 +43,10 @@ MAX_HEADER_BYTES = 64 * 1024
 
 #: request bodies larger than this are rejected with 413.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: seconds allowed for reading one request head, and again for its body;
+#: on expiry the connection is closed without a response.
+READ_TIMEOUT_S = 30.0
 
 _STATUS_PHRASES = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -120,9 +126,10 @@ class _Connection:
 
     async def _read_head(self) -> Optional[Tuple[str, "dict[str, str]"]]:
         try:
-            raw = await self.reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError:
-            return None  # clean EOF between requests
+            async with asyncio.timeout(READ_TIMEOUT_S):
+                raw = await self.reader.readuntil(b"\r\n\r\n")
+        except (asyncio.IncompleteReadError, TimeoutError):
+            return None  # clean EOF between requests, or a stalled client
         except asyncio.LimitOverrunError:
             await self._send_plain(400, "headers too large")
             return None
@@ -159,8 +166,9 @@ class _Connection:
         if length == 0:
             return b"", True
         try:
-            return await self.reader.readexactly(length), True
-        except asyncio.IncompleteReadError:
+            async with asyncio.timeout(READ_TIMEOUT_S):
+                return await self.reader.readexactly(length), True
+        except (asyncio.IncompleteReadError, TimeoutError):
             return b"", False
 
     async def _send_plain(self, status: int, message: str) -> None:
@@ -382,14 +390,3 @@ class ServerThread:
         if self._thread is not None:
             self._thread.join(timeout=30.0)
             self._thread = None
-
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-
-def pick_free_port(host: str = "127.0.0.1") -> int:
-    """An OS-assigned free TCP port (for subprocess server tests)."""
-    with socket.socket() as probe:
-        probe.bind((host, 0))
-        return probe.getsockname()[1]

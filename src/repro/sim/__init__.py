@@ -1,25 +1,23 @@
 """Trace-driven GPU memory-hierarchy simulator (the "measured" substrate)."""
 
-from .address import INVALID_ADDRESS, TensorLayout
+from .address import INVALID_ADDRESS, WorkloadLayout
 from .cache import CacheStats, LruCache, SetAssociativeCache
 from .dram import DramChannel
 from .engine import ConvLayerSimulator, SimResult, SimTraffic, SimulatorConfig
-from .im2col import Im2colTraceGenerator, TileAccess
+from .im2col import GemmTraceGenerator
 from .microbench import DramLatencyCurve, LatencyPoint, measure_dram_latency_curve
-from .scheduler import CtaScheduler, Wave, cta_order
+from .scheduler import CtaScheduler, Wave
 
 __all__ = [
-    "TensorLayout",
+    "WorkloadLayout",
     "INVALID_ADDRESS",
     "LruCache",
     "SetAssociativeCache",
     "CacheStats",
     "DramChannel",
-    "Im2colTraceGenerator",
-    "TileAccess",
+    "GemmTraceGenerator",
     "CtaScheduler",
     "Wave",
-    "cta_order",
     "ConvLayerSimulator",
     "SimulatorConfig",
     "SimResult",

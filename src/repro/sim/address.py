@@ -1,14 +1,15 @@
-"""Physical address mapping of the convolution tensors.
+"""Physical address mapping of the GEMM operand tensors.
 
 The simulator places each GEMM workload's M-side (``a``) operand tensor at
 address 0 and its N-side (``b``) operand tensor immediately after it, aligned
 to a cache line (:class:`WorkloadLayout`).  For the forward pass that is the
 IFmap tensor (BCHW layout, the performance-efficient ordering the paper
-assumes) followed by the filter tensor (KCRS layout) — exactly the seed's
-:class:`TensorLayout`, which is kept as the forward-pass view.  Zero-padded
-positions are not backed by memory: the implicit-GEMM kernel predicates those
-loads away, so the address generator returns ``INVALID_ADDRESS`` for them and
-the trace simply omits the access.
+assumes) followed by the filter tensor (KCRS layout); the element addresses
+themselves come from the trace generator's per-axis decomposition
+(:mod:`repro.sim.im2col`).  Zero-padded positions are not backed by memory:
+the implicit-GEMM kernel predicates those loads away, so the address
+generator returns ``INVALID_ADDRESS`` for them and the trace simply omits
+the access.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.layer import ConvLayerConfig
 from ..core.workload import GemmWorkload
 
 #: marker for predicated-off (padding / out-of-range) accesses.
@@ -29,83 +29,11 @@ def _align_up(value: int, alignment: int) -> int:
 
 
 @dataclass(frozen=True)
-class TensorLayout:
-    """Byte-address layout of one layer's IFmap and filter tensors."""
-
-    layer: ConvLayerConfig
-    line_bytes: int = 128
-
-    @property
-    def dtype_bytes(self) -> int:
-        return self.layer.dtype_bytes
-
-    @property
-    def ifmap_base(self) -> int:
-        return 0
-
-    @property
-    def ifmap_bytes(self) -> int:
-        return self.layer.ifmap_elements * self.dtype_bytes
-
-    @property
-    def filter_base(self) -> int:
-        return _align_up(self.ifmap_bytes, self.line_bytes)
-
-    @property
-    def filter_bytes(self) -> int:
-        return self.layer.filter_elements * self.dtype_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        return self.filter_base + self.filter_bytes
-
-    # ------------------------------------------------------------------
-    # IFmap addresses (BCHW)
-    # ------------------------------------------------------------------
-    def ifmap_addresses(self, batch: np.ndarray, channel: np.ndarray,
-                        row: np.ndarray, col: np.ndarray) -> np.ndarray:
-        """Byte addresses of IFmap elements; invalid for padded positions.
-
-        ``row``/``col`` are coordinates in the *unpadded* feature map; callers
-        pass ``h*stride - pad + r`` style values, so negative or >= Hi/Wi
-        coordinates denote zero padding and map to :data:`INVALID_ADDRESS`.
-        """
-        layer = self.layer
-        valid = ((row >= 0) & (row < layer.in_height)
-                 & (col >= 0) & (col < layer.in_width)
-                 & (batch >= 0) & (batch < layer.batch))
-        index = (((batch * layer.in_channels + channel) * layer.in_height + row)
-                 * layer.in_width + col)
-        addresses = self.ifmap_base + index.astype(np.int64) * self.dtype_bytes
-        return np.where(valid, addresses, INVALID_ADDRESS)
-
-    # ------------------------------------------------------------------
-    # Filter addresses (KCRS: output channel, input channel, row, col)
-    # ------------------------------------------------------------------
-    def filter_addresses(self, out_channel: np.ndarray,
-                         k_index: np.ndarray) -> np.ndarray:
-        """Byte addresses of filter elements addressed by GEMM coordinates.
-
-        ``k_index`` is the GEMM K coordinate, i.e. the flattened
-        (input channel, filter row, filter col) index, which is exactly the
-        KCRS inner layout, so the address is simply ``n * K + k``.
-        """
-        layer = self.layer
-        k_total = layer.in_channels * layer.filter_height * layer.filter_width
-        valid = ((out_channel >= 0) & (out_channel < layer.out_channels)
-                 & (k_index >= 0) & (k_index < k_total))
-        index = out_channel.astype(np.int64) * k_total + k_index.astype(np.int64)
-        addresses = self.filter_base + index * self.dtype_bytes
-        return np.where(valid, addresses, INVALID_ADDRESS)
-
-
-@dataclass(frozen=True)
 class WorkloadLayout:
     """Byte-address layout of one GEMM workload's two input operand tensors.
 
     The A-operand tensor sits at address 0 and the B-operand tensor follows,
-    aligned to a cache line.  For a forward workload this reproduces
-    :class:`TensorLayout` byte for byte (A = IFmap, B = filter).
+    aligned to a cache line (for a forward workload A = IFmap, B = filter).
     """
 
     workload: GemmWorkload
@@ -134,12 +62,3 @@ class WorkloadLayout:
     @property
     def total_bytes(self) -> int:
         return self.b_base + self.b_bytes
-
-    # forward-pass vocabulary aliases (the paper's naming).
-    @property
-    def ifmap_base(self) -> int:
-        return self.a_base
-
-    @property
-    def filter_base(self) -> int:
-        return self.b_base

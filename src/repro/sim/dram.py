@@ -21,25 +21,11 @@ class DramChannel:
 
     gpu: GpuSpec
     bytes_read: float = 0.0
-    bytes_written: float = 0.0
 
     def read(self, num_bytes: float) -> None:
         if num_bytes < 0:
             raise ValueError("cannot read a negative number of bytes")
         self.bytes_read += num_bytes
-
-    def write(self, num_bytes: float) -> None:
-        if num_bytes < 0:
-            raise ValueError("cannot write a negative number of bytes")
-        self.bytes_written += num_bytes
-
-    @property
-    def total_bytes(self) -> float:
-        return self.bytes_read + self.bytes_written
-
-    def reset(self) -> None:
-        self.bytes_read = 0.0
-        self.bytes_written = 0.0
 
     # ------------------------------------------------------------------
     # Latency model (Fig. 18)
@@ -70,9 +56,3 @@ class DramChannel:
             return base
         queueing = base * self.QUEUE_WEIGHT * rho * rho / (1.0 - rho)
         return base + queueing
-
-    def transfer_seconds(self, num_bytes: float) -> float:
-        """Time to move ``num_bytes`` at the effective channel bandwidth."""
-        if num_bytes < 0:
-            raise ValueError("cannot transfer a negative number of bytes")
-        return num_bytes / self.gpu.dram_bw

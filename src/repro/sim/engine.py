@@ -19,9 +19,12 @@ and memoized per (CTA coordinate, K offset), every SM's L1 accesses of one
 main-loop iteration go through a single batched set-associative kernel, and
 the L1 miss stream is classified by the L2's batched LRU kernel, so per-loop
 work is a handful of array operations instead of per-sector Python calls.
-The original per-sector loop lives on as a test oracle
-(``tests/sim_reference.py``); both produce bit-identical :class:`SimTraffic`
-results (see tests/test_sim_engine.py).
+This is the simulator's only access path.  The test oracle
+(``tests/sim_reference.py``) replays the same tile addresses sector by
+sector through its own OrderedDict LRU models and per-tile ``np.unique``
+coalescing, sharing no cache or coalescing code with this engine; both
+produce bit-identical :class:`SimTraffic` results (see
+tests/test_sim_engine.py).
 
 Even so, exact cache simulation of a full mini-batch-256 layer remains far
 more expensive than the analytical model, so the engine simulates a
@@ -77,8 +80,6 @@ class SimulatorConfig:
     #: use a fully associative LRU for L2 (fast path) instead of set-assoc.
     l2_fully_associative: bool = True
     l2_ways: int = 16
-    #: also simulate the epilogue's OFmap write traffic.
-    include_output_write: bool = False
     #: CTA tile family (128 for the stock kernels, 256 for scaled designs).
     cta_tile_hw: int = 128
 
@@ -341,8 +342,7 @@ class ConvLayerSimulator:
         traffic = self._extrapolate_traffic(
             workload, grid, scale,
             l1_bytes, l2_bytes, dram_a_bytes, dram_b_bytes, l1_requests)
-        time_seconds = self._total_time(workload, grid, simulated_time, scale,
-                                        dram)
+        time_seconds = self._total_time(workload, simulated_time, scale)
 
         return SimResult(
             layer=workload.layer,
@@ -398,16 +398,12 @@ class ConvLayerSimulator:
             latency_bound = 0.0
         return max(compute_time, l1_time, l2_time, dram_bw_time, latency_bound)
 
-    def _total_time(self, workload: GemmWorkload, grid: GemmGrid,
-                    simulated_time: float, scale: float,
-                    dram: DramChannel) -> float:
+    def _total_time(self, workload: GemmWorkload, simulated_time: float,
+                    scale: float) -> float:
         """Extrapolated execution time including prologue and epilogue."""
         gpu = self.gpu
         prologue = gpu.lat_dram_cycles / gpu.core_clock_hz
-        output_bytes = workload.out_elements * workload.dtype_bytes
-        epilogue = output_bytes / gpu.dram_bw
-        if self.config.include_output_write:
-            dram.write(output_bytes)
+        epilogue = workload.out_elements * workload.dtype_bytes / gpu.dram_bw
         return prologue + simulated_time * scale + epilogue
 
     # ------------------------------------------------------------------

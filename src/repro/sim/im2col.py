@@ -2,12 +2,12 @@
 
 For each CTA main-loop iteration the GEMM kernel loads one ``blkM x blkK``
 A-operand tile and one ``blkN x blkK`` B-operand tile from global memory.
-:class:`GemmTraceGenerator` produces, for a given CTA coordinate and K offset
-of any training-pass workload (forward, dgrad or wgrad), the byte addresses of
-those tiles (implicitly, without ever materializing the replicated im2col
-matrix), the number of L1 requests the warps issue after coalescing, and the
-set of memory sectors the tile touches.  The three passes differ only in how
-GEMM coordinates map to tensor addresses:
+:class:`GemmTraceGenerator` produces, for batches of CTA coordinates and K
+offsets of any training-pass workload (forward, dgrad or wgrad), the byte
+addresses of those tiles (implicitly, without ever materializing the
+replicated im2col matrix), the number of L1 requests the warps issue after
+coalescing, and the set of memory sectors each tile touches.  The three
+passes differ only in how GEMM coordinates map to tensor addresses:
 
 * **forward** — A is the im2col IFmap matrix (M rows are output positions, K
   columns are filter offsets), B is the KCRS filter matrix.
@@ -19,7 +19,7 @@ GEMM coordinates map to tensor addresses:
 
 Every mapping decomposes into a sum of a pure own-axis part and a pure K-axis
 part, so tile addresses are built with one outer add over small per-axis
-coordinate vectors — the property the batched fast path exploits.
+coordinate vectors (:meth:`GemmTraceGenerator.tile_addresses`).
 
 Thread-to-data mapping follows Section IV-A of the paper:
 
@@ -29,52 +29,20 @@ Thread-to-data mapping follows Section IV-A of the paper:
 * B tiles are loaded with ``32 / blkK`` columns per warp (each thread loads
   one element), so each warp gathers several distant ``blkK``-element
   segments.
-
-:class:`Im2colTraceGenerator` is the forward-pass view with the paper's
-IFmap/filter vocabulary; it accepts a :class:`ConvLayerConfig` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.layer import ConvLayerConfig, LayerConfig
+from ..core.layer import LayerConfig
 from ..core.tiling import CtaTile
-from ..core.workload import GemmWorkload, as_workload
+from ..core.workload import GemmWorkload
 from ..gpu.spec import GpuSpec, WARP_SIZE
 from .address import INVALID_ADDRESS, WorkloadLayout
-
-
-@dataclass(frozen=True)
-class TileAccess:
-    """Memory accesses of one input tile during one main-loop iteration."""
-
-    #: number of coalesced L1 requests issued by the warps (one per distinct
-    #: ``gpu.l1_request_bytes`` block touched by a warp).
-    l1_requests: int
-    #: number of distinct 32-byte sectors touched per warp request, summed
-    #: over all warps (what a sectored memory system actually fetches).
-    l1_sectors: int
-    #: unique sector addresses (sector index, not bytes) touched by the tile.
-    sectors: np.ndarray
-    #: number of elements actually loaded (excludes predicated-off padding).
-    elements: int
-
-    @property
-    def unique_sector_count(self) -> int:
-        return int(self.sectors.size)
-
-    def fetch_bytes(self, accounting: str, request_bytes: int,
-                    sector_bytes: int) -> float:
-        """L1 traffic of this tile under the chosen accounting granularity."""
-        if accounting == "request":
-            return float(self.l1_requests * request_bytes)
-        if accounting == "sector":
-            return float(self.l1_sectors * sector_bytes)
-        raise ValueError(f"unknown L1 accounting mode {accounting!r}")
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -87,26 +55,6 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     keep[0] = True
     keep[1:] = ordered[1:] != ordered[:-1]
     return ordered[keep]
-
-
-def _count_grouped_blocks(addresses: np.ndarray, group_ids: np.ndarray,
-                          block_bytes: int) -> int:
-    """Count unique (warp group, aligned block) pairs among valid accesses."""
-    valid = addresses != INVALID_ADDRESS
-    if not np.any(valid):
-        return 0
-    block_addr = addresses[valid] // block_bytes
-    groups = group_ids[valid].astype(np.int64)
-    # Pack (group, block) into one key; block addresses fit well below 2**40.
-    keys = groups * (1 << 40) + block_addr
-    return int(np.unique(keys).size)
-
-
-def _unique_sectors(addresses: np.ndarray, sector_bytes: int) -> np.ndarray:
-    valid = addresses != INVALID_ADDRESS
-    if not np.any(valid):
-        return np.empty(0, dtype=np.int64)
-    return np.unique(addresses[valid] // sector_bytes)
 
 
 #: per-axis address decomposition of one operand: byte offsets relative to
@@ -343,65 +291,18 @@ class GemmTraceGenerator:
     def _operand_base(self, operand: str) -> int:
         return self.layout.a_base if operand == "a" else self.layout.b_base
 
-    # ------------------------------------------------------------------
-    # Tile address generation
-    # ------------------------------------------------------------------
-    def _tile_addresses(self, operand: str, own_values: np.ndarray,
-                        k_values: np.ndarray) -> np.ndarray:
-        """Byte addresses of one (own x K) tile; predicated-off -> INVALID."""
-        base_o, row_o, col_o, ok_o = self._operand_parts(operand, "own",
-                                                         own_values)
-        base_k, row_k, col_k, ok_k = self._operand_parts(operand, "k", k_values)
-        valid = ok_o[:, np.newaxis] & ok_k[np.newaxis, :]
-        bounds = self._operand_bounds(operand)
-        if bounds is not None:
-            height, width = bounds
-            row = row_o[:, np.newaxis] + row_k[np.newaxis, :]
-            col = col_o[:, np.newaxis] + col_k[np.newaxis, :]
-            valid &= (row >= 0) & (row < height) & (col >= 0) & (col < width)
-        addresses = (base_o[:, np.newaxis].astype(np.int64)
-                     + base_k[np.newaxis, :] + self._operand_base(operand))
-        return np.where(valid, addresses, INVALID_ADDRESS)
+    def _group_ids(self, operand: str) -> np.ndarray:
+        """Warp group of each element of one flattened (own x K) tile.
 
-    def a_tile_addresses(self, cta_m: int, k_offset: int) -> np.ndarray:
-        """Byte addresses of the (blkM x blkK) A tile of one main loop.
-
-        Rows beyond M and columns beyond K, as well as zero-padded input
-        positions, are marked :data:`INVALID_ADDRESS`.
-        """
-        own = cta_m * self.tile.blk_m + np.arange(self.tile.blk_m)
-        k = k_offset + np.arange(self.tile.blk_k)
-        return self._tile_addresses("a", own, k)
-
-    def b_tile_addresses(self, cta_n: int, k_offset: int) -> np.ndarray:
-        """Byte addresses of the (blkN x blkK) B tile of one main loop."""
-        own = cta_n * self.tile.blk_n + np.arange(self.tile.blk_n)
-        k = k_offset + np.arange(self.tile.blk_k)
-        return self._tile_addresses("b", own, k)
-
-    # ------------------------------------------------------------------
-    # Coalescing
-    # ------------------------------------------------------------------
-    def _build_access(self, addresses: np.ndarray,
-                      group_ids: np.ndarray) -> TileAccess:
-        requests = _count_grouped_blocks(addresses, group_ids,
-                                         self.gpu.l1_request_bytes)
-        warp_sectors = _count_grouped_blocks(addresses, group_ids,
-                                             self.gpu.sector_bytes)
-        sectors = _unique_sectors(addresses, self.gpu.sector_bytes)
-        elements = int(np.count_nonzero(addresses != INVALID_ADDRESS))
-        return TileAccess(l1_requests=requests, l1_sectors=warp_sectors,
-                          sectors=sectors, elements=elements)
-
-    def _a_group_ids(self) -> np.ndarray:
-        """Warp map of the A tile, following the operand's contiguity axis.
-
-        Conv forward and dgrad A operands are contiguous along M, so each warp
-        covers 32 rows of one column (the paper's column-major mapping).  The
-        conv wgrad A operand (dO^T) is contiguous along K: the kernel streams
-        32/blkK row segments per warp and transposes through shared memory —
-        the same lane mapping the B-tile loads use — which is the load
-        stream the lowering's ``contiguous`` L1 pattern models.
+        B tiles are loaded with ``32 / blkK`` columns per warp: consecutive
+        lanes walk the own-major, K-minor element order.  The A tile's warp
+        map follows the operand's contiguity axis.  Conv forward and dgrad A
+        operands are contiguous along M, so each warp covers 32 rows of one
+        column (the paper's column-major mapping).  The conv wgrad A operand
+        (dO^T) is contiguous along K: the kernel streams 32/blkK row segments
+        per warp and transposes through shared memory — the same lane mapping
+        the B-tile loads use — which is the load stream the lowering's
+        ``contiguous`` L1 pattern models.
 
         Dense workloads follow the same rule by contiguity: the forward/dgrad
         A matrices are row-major along K (blkK-segment loads, matching the
@@ -409,58 +310,44 @@ class GemmTraceGenerator:
         contiguous along its own axis (fully coalesced column loads,
         ``contiguous``).
         """
-        rows, cols = self.tile.blk_m, self.tile.blk_k
+        blk_k = self.tile.blk_k
+        if operand == "b":
+            return np.arange(self.tile.blk_n * blk_k) // WARP_SIZE
+        rows = self.tile.blk_m
         if self.workload.layout == "dense":
             segment_major = self.workload.pass_kind != "wgrad"
         else:
             segment_major = (self.workload.a.l1_pattern == "contiguous"
                              and self.workload.pass_kind == "wgrad")
         if segment_major:
-            return (np.arange(rows * cols) // WARP_SIZE).reshape(rows, cols)
+            return np.arange(rows * blk_k) // WARP_SIZE
         row_group = np.arange(rows) // WARP_SIZE
-        col_ids = np.arange(cols)
+        col_ids = np.arange(blk_k)
         return (col_ids[np.newaxis, :] * (rows // WARP_SIZE + 1)
-                + row_group[:, np.newaxis])
-
-    def a_tile_access(self, cta_m: int, k_offset: int) -> TileAccess:
-        """Coalesced accesses of one A tile (column-major warp mapping)."""
-        addresses = self.a_tile_addresses(cta_m, k_offset)
-        group_ids = self._a_group_ids()
-        return self._build_access(addresses, np.broadcast_to(group_ids,
-                                                             addresses.shape))
-
-    def b_tile_access(self, cta_n: int, k_offset: int) -> TileAccess:
-        """Coalesced accesses of one B tile (blkK-major warp mapping)."""
-        addresses = self.b_tile_addresses(cta_n, k_offset)
-        flat = addresses.reshape(-1)  # n-major, k-minor: matches thread order
-        lane = np.arange(flat.size)
-        group_ids = lane // WARP_SIZE
-        return self._build_access(flat, group_ids)
+                + row_group[:, np.newaxis]).ravel()
 
     # ------------------------------------------------------------------
-    # Batched generation (vectorized engine fast path)
+    # Tile generation
     # ------------------------------------------------------------------
-    def _tile_batch(self, operand: str, blk_own: int,
-                    coords: Sequence[int],
-                    k_offsets: Sequence[int]) -> "TileAccessBatch":
-        """All (coord, k_offset) tiles of the cross product, batched.
+    def tile_addresses(self, operand: str, coords: Sequence[int],
+                       k_offsets: Sequence[int]) -> np.ndarray:
+        """Byte addresses of every (coord, k_offset) tile of one operand.
 
-        Tile index ``ci * len(k_offsets) + ki`` corresponds to
-        ``(coords[ci], k_offsets[ki])``.  Results are identical to the scalar
-        per-tile methods, but one address computation and one sort serve the
-        whole batch, which is what makes exact trace generation tractable.
-        The per-axis decomposition keeps every division/modulo on the small
-        per-axis coordinate vectors; only cheap adds/compares touch the full
-        lattice.
+        ``operand`` is ``"a"`` (``coords`` are CTA rows, tiles are ``blkM x
+        blkK``) or ``"b"`` (CTA columns, ``blkN x blkK``).  Row ``ci *
+        len(k_offsets) + ki`` of the returned ``(tiles, blk_own * blk_k)``
+        lattice is tile ``(coords[ci], k_offsets[ki])`` in own-major, K-minor
+        element order.  Rows beyond M/N, columns beyond K and zero-padded
+        input positions are predicated off and marked
+        :data:`INVALID_ADDRESS`.  The per-axis decomposition keeps every
+        division/modulo on the small per-axis coordinate vectors; only cheap
+        adds/compares touch the full lattice, which stays in the narrow
+        coordinate dtype.
         """
+        blk_own = self.tile.blk_m if operand == "a" else self.tile.blk_n
+        blk_k = self.tile.blk_k
         coords = np.asarray(coords, dtype=np.int64)
         k_offsets = np.asarray(k_offsets, dtype=np.int64)
-        num_tiles = coords.size * k_offsets.size
-        if num_tiles == 0:
-            return TileAccessBatch.empty()
-        tile = self.tile
-        blk_k = tile.blk_k
-
         own_values = (coords[:, np.newaxis] * blk_own
                       + np.arange(blk_own)).ravel()
         k_values = (k_offsets[:, np.newaxis] + np.arange(blk_k)).ravel()
@@ -469,8 +356,7 @@ class GemmTraceGenerator:
         base_k, row_k, col_k, ok_k = self._operand_parts(operand, "k",
                                                          k_values)
 
-        # Outer combination over the (own axis, K axis) lattice.  Addresses
-        # stay in the narrow dtype; the key builder upcasts only if necessary.
+        # Outer combination over the (own axis, K axis) lattice.
         valid = ok_o[:, np.newaxis] & ok_k[np.newaxis, :]
         bounds = self._operand_bounds(operand)
         if bounds is not None:
@@ -486,34 +372,31 @@ class GemmTraceGenerator:
             coord_dtype(INVALID_ADDRESS))
 
         # (ncoords, blk_own, nk, blk_k) -> (ncoords, nk, blk_own, blk_k)
-        addresses = addresses.reshape(coords.size, blk_own,
-                                      k_offsets.size, blk_k) \
-            .transpose(0, 2, 1, 3).reshape(num_tiles, -1)
-        if operand == "a":
-            group_ids = self._a_group_ids().ravel()
-        else:
-            group_ids = np.arange(blk_own * blk_k) // WARP_SIZE
-        return self._build_access_batch(addresses, group_ids)
+        return addresses.reshape(coords.size, blk_own, k_offsets.size, blk_k) \
+            .transpose(0, 2, 1, 3) \
+            .reshape(coords.size * k_offsets.size, blk_own * blk_k)
+
+    def _tile_batch(self, operand: str, coords: Sequence[int],
+                    k_offsets: Sequence[int]) -> "TileAccessBatch":
+        """Coalesced accesses of every (coord, k_offset) tile, batched.
+
+        Tiles are indexed as in :meth:`tile_addresses`; one address
+        computation and one sort serve the whole batch, which is what makes
+        exact trace generation tractable.
+        """
+        return self._build_access_batch(
+            self.tile_addresses(operand, coords, k_offsets),
+            self._group_ids(operand))
 
     def a_tile_batch(self, cta_ms: Sequence[int],
                      k_offsets: Sequence[int]) -> "TileAccessBatch":
         """All (cta_m, k_offset) A tiles of the cross product, batched."""
-        return self._tile_batch("a", self.tile.blk_m, cta_ms, k_offsets)
+        return self._tile_batch("a", cta_ms, k_offsets)
 
     def b_tile_batch(self, cta_ns: Sequence[int],
                      k_offsets: Sequence[int]) -> "TileAccessBatch":
         """All (cta_n, k_offset) B tiles of the cross product, batched."""
-        return self._tile_batch("b", self.tile.blk_n, cta_ns, k_offsets)
-
-    def a_tile_access_batch(self, cta_ms: Sequence[int],
-                            k_offset: int) -> List[TileAccess]:
-        """Batched :meth:`a_tile_access` over many CTA rows at once."""
-        return self.a_tile_batch(cta_ms, [k_offset]).tiles()
-
-    def b_tile_access_batch(self, cta_ns: Sequence[int],
-                            k_offset: int) -> List[TileAccess]:
-        """Batched :meth:`b_tile_access` over many CTA columns at once."""
-        return self.b_tile_batch(cta_ns, [k_offset]).tiles()
+        return self._tile_batch("b", cta_ns, k_offsets)
 
     def _build_access_batch(self, addresses: np.ndarray,
                             group_ids: np.ndarray) -> "TileAccessBatch":
@@ -604,35 +487,17 @@ class GemmTraceGenerator:
         )
 
 
-class Im2colTraceGenerator(GemmTraceGenerator):
-    """Forward-pass trace generator with the paper's IFmap/filter vocabulary.
-
-    Accepts a :class:`ConvLayerConfig` (lowered to its forward workload) for
-    backward compatibility with the seed API; the ``ifmap_*``/``filter_*``
-    methods alias the generic A/B-operand ones.
-    """
-
-    def __init__(self, layer: Union[ConvLayerConfig, GemmWorkload],
-                 tile: CtaTile, gpu: GpuSpec) -> None:
-        super().__init__(workload=as_workload(layer), tile=tile, gpu=gpu)
-
-    ifmap_tile_addresses = GemmTraceGenerator.a_tile_addresses
-    filter_tile_addresses = GemmTraceGenerator.b_tile_addresses
-    ifmap_tile_access = GemmTraceGenerator.a_tile_access
-    filter_tile_access = GemmTraceGenerator.b_tile_access
-    ifmap_tile_batch = GemmTraceGenerator.a_tile_batch
-    filter_tile_batch = GemmTraceGenerator.b_tile_batch
-    ifmap_tile_access_batch = GemmTraceGenerator.a_tile_access_batch
-    filter_tile_access_batch = GemmTraceGenerator.b_tile_access_batch
-
-
 @dataclass(frozen=True)
 class TileAccessBatch:
-    """Struct-of-arrays form of many :class:`TileAccess` records.
+    """Coalesced accesses of a batch of tiles, one array entry per tile.
 
-    ``sectors[offsets[i]:offsets[i + 1]]`` are tile ``i``'s unique sectors;
-    the scalar fields line up by tile index.  The vectorized engine consumes
-    these arrays directly instead of materializing per-tile objects.
+    ``l1_requests`` counts the coalesced L1 requests the warps issue (one per
+    distinct ``gpu.l1_request_bytes`` block a warp touches), ``l1_sectors``
+    the distinct 32-byte sectors per warp request summed over warps (what a
+    sectored memory system fetches), and ``elements`` the loads actually
+    issued (predicated-off padding excluded).
+    ``sectors[offsets[i]:offsets[i + 1]]`` are tile ``i``'s unique sector
+    indices, sorted.
     """
 
     l1_requests: np.ndarray
@@ -640,27 +505,3 @@ class TileAccessBatch:
     elements: np.ndarray
     sectors: np.ndarray
     offsets: np.ndarray
-
-    @staticmethod
-    def empty() -> "TileAccessBatch":
-        zero = np.zeros(0, dtype=np.int64)
-        return TileAccessBatch(zero, zero, zero, zero,
-                               np.zeros(1, dtype=np.int64))
-
-    @property
-    def num_tiles(self) -> int:
-        return int(self.l1_requests.size)
-
-    def tile_sectors(self, index: int) -> np.ndarray:
-        return self.sectors[self.offsets[index]:self.offsets[index + 1]]
-
-    def tile(self, index: int) -> TileAccess:
-        return TileAccess(
-            l1_requests=int(self.l1_requests[index]),
-            l1_sectors=int(self.l1_sectors[index]),
-            sectors=self.tile_sectors(index),
-            elements=int(self.elements[index]),
-        )
-
-    def tiles(self) -> List[TileAccess]:
-        return [self.tile(index) for index in range(self.num_tiles)]

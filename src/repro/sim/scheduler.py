@@ -11,7 +11,7 @@ are resident on the device at the same time (``num_sm x active CTAs per SM``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Literal, Tuple
+from typing import Callable, Iterator, Literal, Tuple
 
 from ..core.tiling import GemmGrid, active_ctas_per_sm
 from ..gpu.spec import FP32_BYTES, GpuSpec
@@ -32,6 +32,12 @@ def _coord_of(grid: GemmGrid, order: SchedulingOrder
     Computes one coordinate from its launch index with ``divmod``, so a
     consumer that stops early (the engine stops after ``max_ctas``) never
     materializes the whole grid, whose size grows with the mini-batch.
+
+    A batched workload (``grid.groups`` > 1) launches its instances back to
+    back; instance ``g``'s coordinates are offset by ``(g * ctas_m,
+    g * ctas_n)``, which is exactly how the trace generator folds the
+    instance index into the per-operand address decomposition.  Small
+    per-instance grids therefore still fill whole waves across instances.
     """
     if order not in ("column", "row"):
         raise ValueError(f"unknown scheduling order {order!r}")
@@ -47,19 +53,6 @@ def _coord_of(grid: GemmGrid, order: SchedulingOrder
             m, n = divmod(rest, ctas_n)
         return group * ctas_m + m, group * ctas_n + n
     return coord
-
-
-def cta_order(grid: GemmGrid, order: SchedulingOrder = "column") -> List[CtaCoord]:
-    """All CTA coordinates of the GEMM grid in scheduling order.
-
-    A batched workload (``grid.groups`` > 1) launches its instances back to
-    back; instance ``g``'s coordinates are offset by ``(g * ctas_m,
-    g * ctas_n)``, which is exactly how the trace generator folds the
-    instance index into the per-operand address decomposition.  Small
-    per-instance grids therefore still fill whole waves across instances.
-    """
-    coord = _coord_of(grid, order)
-    return [coord(index) for index in range(grid.num_ctas)]
 
 
 @dataclass(frozen=True)
@@ -98,10 +91,6 @@ class CtaScheduler:
     @property
     def wave_size(self) -> int:
         return self.active_ctas_per_sm * self.gpu.num_sm
-
-    def schedule(self) -> List[ScheduledCta]:
-        """Every CTA with its round-robin SM assignment, in launch order."""
-        return [cta for wave in self.waves() for cta in wave.ctas]
 
     def waves(self, max_waves: int | None = None) -> Iterator[Wave]:
         """Yield waves in execution order, optionally limited to ``max_waves``.

@@ -1,11 +1,13 @@
 """Equivalence tests: vectorized cache kernels vs the scalar reference.
 
-Both cache classes expose a scalar ``access`` and a batched ``access_block``
-over one shared replacement state.  These tests check, against an independent
-OrderedDict model of LRU replacement, that
+Each cache class has one access path, the batched ``access_block``.  These
+tests check it against the independent OrderedDict models of LRU
+replacement in ``tests/sim_reference.py``:
 
-* the scalar path, the block path, and arbitrary interleavings of the two
-  produce bit-identical hit masks,
+* one-sector blocks (one-access semantics), multi-sector blocks, and
+  arbitrary interleavings of the two produce bit-identical hit masks, for
+  both state forms of :class:`LruCache` (dense ``sector_universe`` array
+  and dict),
 * statistics stay exact under batched updates, and
 * adversarial reuse patterns around the capacity boundary are classified
   exactly.
@@ -14,8 +16,6 @@ Streams are drawn with hypothesis so duplicates inside one block, repeats
 across blocks, and capacity-straddling working sets all occur.
 """
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,47 +23,12 @@ from hypothesis import strategies as st
 
 from repro.sim.cache import (LruCache, SetAssociativeCache,
                              SetAssociativeCacheBank)
+from sim_reference import LruModel, SetAssocModel
 
 SECTOR = 32
 
 CACHE_SETTINGS = settings(max_examples=60, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
-
-
-class LruModel:
-    """Independent OrderedDict model of fully associative LRU."""
-
-    def __init__(self, capacity_sectors: int) -> None:
-        self.capacity = capacity_sectors
-        self.entries: "OrderedDict[int, None]" = OrderedDict()
-
-    def access(self, sector: int) -> bool:
-        if sector in self.entries:
-            self.entries.move_to_end(sector)
-            return True
-        self.entries[sector] = None
-        if len(self.entries) > self.capacity:
-            self.entries.popitem(last=False)
-        return False
-
-
-class SetAssocModel:
-    """Independent OrderedDict model of set-indexed LRU."""
-
-    def __init__(self, num_sets: int, ways: int) -> None:
-        self.num_sets = num_sets
-        self.ways = ways
-        self.sets = [OrderedDict() for _ in range(num_sets)]
-
-    def access(self, sector: int) -> bool:
-        entries = self.sets[sector % self.num_sets]
-        if sector in entries:
-            entries.move_to_end(sector)
-            return True
-        entries[sector] = None
-        if len(entries) > self.ways:
-            entries.popitem(last=False)
-        return False
 
 
 @st.composite
@@ -79,14 +44,29 @@ def sector_streams(draw):
     return np.asarray(stream, dtype=np.int64), cuts
 
 
-def run_blocks(cache, stream, cuts, scalar_on_odd=False):
+def run_blocks(cache, stream, cuts, single_on_odd=False):
+    """Replay ``stream`` split at ``cuts``; odd blocks one sector at a time
+    when ``single_on_odd``."""
     results = []
     for index, block in enumerate(np.split(stream, cuts)):
-        if scalar_on_odd and index % 2 == 1:
-            results.extend(cache.access(int(sector)) for sector in block)
+        if single_on_odd and index % 2 == 1:
+            results.extend(bool(cache.access_block(block[i:i + 1])[0])
+                           for i in range(block.size))
         else:
             results.extend(cache.access_block(block).tolist())
     return np.asarray(results, dtype=bool)
+
+
+def run_singles(cache, stream):
+    """One-access semantics: every sector in its own block."""
+    return run_blocks(cache, stream, list(range(1, stream.size)))
+
+
+def lru_caches(capacity, stream):
+    """Both state forms: the dense sector-universe array and the dict."""
+    return (LruCache(capacity * SECTOR, SECTOR,
+                     sector_universe=int(stream.max()) + 1),
+            LruCache(capacity * SECTOR, SECTOR))
 
 
 class TestLruEquivalence:
@@ -97,15 +77,14 @@ class TestLruEquivalence:
         model = LruModel(capacity)
         expected = np.asarray([model.access(int(s)) for s in stream])
 
-        scalar = LruCache(capacity * SECTOR, SECTOR)
-        scalar_hits = np.asarray([scalar.access(int(s)) for s in stream])
-        assert np.array_equal(scalar_hits, expected)
+        for scalar in lru_caches(capacity, stream):
+            assert np.array_equal(run_singles(scalar, stream), expected)
 
-        blocked = LruCache(capacity * SECTOR, SECTOR)
-        assert np.array_equal(run_blocks(blocked, stream, cuts), expected)
-        assert blocked.stats.accesses == stream.size
-        assert blocked.stats.misses == int(np.count_nonzero(~expected))
-        assert blocked.occupancy == len(model.entries)
+        for blocked in lru_caches(capacity, stream):
+            assert np.array_equal(run_blocks(blocked, stream, cuts), expected)
+            assert blocked.stats.accesses == stream.size
+            assert blocked.stats.misses == int(np.count_nonzero(~expected))
+            assert blocked.occupancy == len(model.entries)
 
     @given(data=sector_streams(), capacity=st.integers(1, 48))
     @CACHE_SETTINGS
@@ -123,9 +102,9 @@ class TestLruEquivalence:
         stream, cuts = data
         model = LruModel(capacity)
         expected = np.asarray([model.access(int(s)) for s in stream])
-        mixed = LruCache(capacity * SECTOR, SECTOR)
-        assert np.array_equal(
-            run_blocks(mixed, stream, cuts, scalar_on_odd=True), expected)
+        for mixed in lru_caches(capacity, stream):
+            assert np.array_equal(
+                run_blocks(mixed, stream, cuts, single_on_odd=True), expected)
 
     @pytest.mark.parametrize("capacity", [1, 2, 7, 64])
     @pytest.mark.parametrize("delta", [-1, 0, 1, 8])
@@ -143,14 +122,6 @@ class TestLruEquivalence:
         if delta > 0:
             assert not cache.access_block(np.arange(working_set)).any()
 
-    def test_access_many_delegates_to_block(self):
-        cache = LruCache(4 * SECTOR, SECTOR)
-        misses = cache.access_many([1, 2, 3, 1, 2, 3])
-        assert misses == 3
-        assert cache.stats.accesses == 6
-        assert cache.stats.misses == 3
-
-
 class TestSetAssociativeEquivalence:
     @given(data=sector_streams(), ways=st.integers(1, 8),
            sets=st.integers(1, 12))
@@ -162,8 +133,7 @@ class TestSetAssociativeEquivalence:
         expected = np.asarray([model.access(int(s)) for s in stream])
 
         scalar = SetAssociativeCache(sets * ways * SECTOR, SECTOR, ways=ways)
-        scalar_hits = np.asarray([scalar.access(int(s)) for s in stream])
-        assert np.array_equal(scalar_hits, expected)
+        assert np.array_equal(run_singles(scalar, stream), expected)
 
         assert np.array_equal(run_blocks(cache, stream, cuts), expected)
         assert cache.stats.accesses == stream.size
@@ -178,7 +148,7 @@ class TestSetAssociativeEquivalence:
         model = SetAssocModel(cache.num_sets, cache.ways)
         expected = np.asarray([model.access(int(s)) for s in stream])
         assert np.array_equal(
-            run_blocks(cache, stream, cuts, scalar_on_odd=True), expected)
+            run_blocks(cache, stream, cuts, single_on_odd=True), expected)
 
     @pytest.mark.parametrize("ways", [1, 2, 8])
     def test_way_conflict_thrash(self, ways):
@@ -191,14 +161,6 @@ class TestSetAssociativeEquivalence:
         assert np.array_equal(cache.access_block(stream), expected)
         assert not expected[ways + 1:].any()  # pure miss thrash
 
-    def test_access_many_delegates_to_block(self):
-        cache = SetAssociativeCache(1024, SECTOR, ways=4)
-        misses = cache.access_many([5, 5, 6, 7, 5])
-        assert misses == 3
-        assert cache.stats.accesses == 5
-        assert cache.stats.misses == 3
-
-
 class TestCacheBank:
     @given(data=sector_streams(), ways=st.integers(1, 4),
            sets=st.integers(1, 6), num_caches=st.integers(1, 4))
@@ -210,13 +172,13 @@ class TestCacheBank:
         rng = np.random.default_rng(stream.size)
         owners = rng.integers(0, num_caches, stream.size)
 
-        singles = [SetAssociativeCache(capacity, SECTOR, ways=ways)
-                   for _ in range(num_caches)]
-        expected = np.asarray([singles[int(c)].access(int(s))
-                               for c, s in zip(owners, stream)])
-
         bank = SetAssociativeCacheBank(num_caches, capacity, SECTOR,
                                        ways=ways)
+        models = [SetAssocModel(bank.num_sets, bank.ways)
+                  for _ in range(num_caches)]
+        expected = np.asarray([models[int(c)].access(int(s))
+                               for c, s in zip(owners, stream)])
+
         got = np.concatenate(
             [bank.access_block(owner_block, block)
              for owner_block, block in zip(np.split(owners, cuts),

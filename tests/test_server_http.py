@@ -7,11 +7,12 @@ never drop it silently or parse leftover body bytes as the next request.
 """
 
 import socket
+import time
 
 import pytest
 
 from repro.api import Session
-from repro.server import ServerThread, create_app
+from repro.server import ServerThread, create_app, http
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +23,10 @@ def server():
     session.close()
 
 
-def _exchange(server, payload: bytes) -> bytes:
+def _exchange(server, payload: bytes, timeout: float = 30) -> bytes:
     """Send raw bytes, then read everything until the server closes."""
     with socket.create_connection((server.host, server.port),
-                                  timeout=30) as conn:
+                                  timeout=timeout) as conn:
         conn.sendall(payload)
         received = b""
         while True:
@@ -65,3 +66,20 @@ def test_chunked_request_body_is_a_411_and_closes(server):
     head, _, _ = raw.partition(b"\r\n\r\n")
     assert b"connection: close" in head.lower()
 
+
+@pytest.mark.parametrize("partial", [
+    b"GET /healthz HTTP/1.1\r\nhost: local",
+    b"POST /v1/estimate HTTP/1.1\r\nhost: localhost\r\n"
+    b"content-type: application/json\r\ncontent-length: 100\r\n\r\n"
+    b"{\"network\"",
+], ids=["head", "body"])
+def test_stalled_client_is_disconnected(server, monkeypatch, partial):
+    monkeypatch.setattr(http, "READ_TIMEOUT_S", 0.2)
+    started = time.monotonic()
+    # the server closes without answering; a server that waits forever
+    # makes the client's 5 s socket timeout fail the test.
+    assert _exchange(server, partial, timeout=5) == b""
+    assert time.monotonic() - started < 5
+    fresh = _exchange(server, b"GET /healthz HTTP/1.1\r\nhost: localhost\r\n"
+                              b"connection: close\r\n\r\n", timeout=5)
+    assert _status_lines(fresh) == ["HTTP/1.1 200 OK"]

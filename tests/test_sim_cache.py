@@ -1,15 +1,26 @@
 """Tests for the sector-granularity cache models (repro.sim.cache)."""
 
+import numpy as np
 import pytest
 
 from repro.sim.cache import CacheStats, LruCache, SetAssociativeCache
 
 
+def access(cache, sector):
+    """One access: a one-sector block; True on hit."""
+    return bool(cache.access_block([sector])[0])
+
+
+def misses(cache, sectors):
+    """Access ``sectors`` as one block; returns the number of misses."""
+    return int(np.count_nonzero(~cache.access_block(list(sectors))))
+
+
 class TestLruCache:
     def test_cold_miss_then_hit(self):
         cache = LruCache(capacity_bytes=1024, sector_bytes=32)
-        assert cache.access(5) is False
-        assert cache.access(5) is True
+        assert access(cache, 5) is False
+        assert access(cache, 5) is True
         assert cache.stats.accesses == 2
         assert cache.stats.misses == 1
 
@@ -20,31 +31,30 @@ class TestLruCache:
     def test_lru_eviction_order(self):
         cache = LruCache(capacity_bytes=4 * 32, sector_bytes=32)
         for sector in range(4):
-            cache.access(sector)
-        cache.access(0)          # refresh sector 0
-        cache.access(100)        # evicts sector 1 (the LRU entry)
-        assert cache.access(0) is True
-        assert cache.access(1) is False
+            access(cache, sector)
+        access(cache, 0)          # refresh sector 0
+        access(cache, 100)        # evicts sector 1 (the LRU entry)
+        assert access(cache, 0) is True
+        assert access(cache, 1) is False
 
     def test_occupancy_never_exceeds_capacity(self):
         cache = LruCache(capacity_bytes=8 * 32, sector_bytes=32)
         for sector in range(1000):
-            cache.access(sector)
+            access(cache, sector)
         assert cache.occupancy == 8
 
     def test_access_many_counts_misses(self):
         cache = LruCache(capacity_bytes=1024, sector_bytes=32)
-        misses = cache.access_many([1, 2, 3, 1, 2, 3])
-        assert misses == 3
+        assert misses(cache, [1, 2, 3, 1, 2, 3]) == 3
         assert cache.stats.miss_rate == pytest.approx(0.5)
 
     def test_reset_clears_state(self):
         cache = LruCache(capacity_bytes=1024, sector_bytes=32)
-        cache.access_many(range(10))
+        misses(cache, range(10))
         cache.reset()
         assert cache.occupancy == 0
         assert cache.stats.accesses == 0
-        assert cache.access(3) is False
+        assert access(cache, 3) is False
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -54,17 +64,17 @@ class TestLruCache:
 class TestSetAssociativeCache:
     def test_hit_after_fill(self):
         cache = SetAssociativeCache(capacity_bytes=1024, sector_bytes=32, ways=4)
-        assert cache.access(7) is False
-        assert cache.access(7) is True
+        assert access(cache, 7) is False
+        assert access(cache, 7) is True
 
     def test_way_conflict_eviction(self):
         cache = SetAssociativeCache(capacity_bytes=4 * 32, sector_bytes=32, ways=2)
         # num_sets = 2; sectors 0, 2, 4 all map to set 0 with 2 ways.
-        cache.access(0)
-        cache.access(2)
-        cache.access(4)           # evicts 0
-        assert cache.access(0) is False
-        assert cache.access(4) is True
+        access(cache, 0)
+        access(cache, 2)
+        access(cache, 4)           # evicts 0
+        assert access(cache, 0) is False
+        assert access(cache, 4) is True
 
     def test_fully_associative_degenerate_case(self):
         cache = SetAssociativeCache(capacity_bytes=4 * 32, sector_bytes=32, ways=16)
@@ -74,7 +84,7 @@ class TestSetAssociativeCache:
     def test_occupancy_bounded_by_capacity(self):
         cache = SetAssociativeCache(capacity_bytes=16 * 32, sector_bytes=32, ways=4)
         for sector in range(500):
-            cache.access(sector)
+            access(cache, sector)
         assert cache.occupancy <= 16
 
     def test_invalid_ways_rejected(self):
@@ -83,7 +93,7 @@ class TestSetAssociativeCache:
 
     def test_reset(self):
         cache = SetAssociativeCache(capacity_bytes=1024, sector_bytes=32)
-        cache.access_many(range(20))
+        misses(cache, range(20))
         cache.reset()
         assert cache.occupancy == 0
         assert cache.stats.accesses == 0
@@ -110,12 +120,12 @@ class TestStreamingBehaviour:
         # Two sequential passes over a working set 4x the capacity: LRU keeps
         # evicting the data before it is reused, so the second pass misses too.
         working_set = list(range(256))
-        cache.access_many(working_set)
-        second_pass_misses = cache.access_many(working_set)
+        misses(cache, working_set)
+        second_pass_misses = misses(cache, working_set)
         assert second_pass_misses == len(working_set)
 
     def test_working_set_smaller_than_cache_hits(self):
         cache = LruCache(capacity_bytes=512 * 32, sector_bytes=32)
         working_set = list(range(256))
-        cache.access_many(working_set)
-        assert cache.access_many(working_set) == 0
+        misses(cache, working_set)
+        assert misses(cache, working_set) == 0

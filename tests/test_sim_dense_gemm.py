@@ -2,7 +2,8 @@
 
 Mirrors the conv equivalence suite for the GEMM-native lowering: the trace
 generator's separable dense address decomposition is checked against a
-brute-force per-element reference, and the vectorized engine must produce
+brute-force per-element reference, its batched coalescing against the
+per-tile oracle, and the vectorized engine must produce
 bit-identical ``SimTraffic`` to the scalar reference loop
 (tests/sim_reference.py) on linear and batched-GEMM workloads for all three
 training passes.
@@ -20,7 +21,7 @@ from repro.gpu.devices import TITAN_XP
 from repro.sim.address import INVALID_ADDRESS
 from repro.sim.engine import ConvLayerSimulator, SimulatorConfig
 from repro.sim.im2col import GemmTraceGenerator
-from sim_reference import ReferenceSimulator
+from sim_reference import ReferenceSimulator, assert_batch_matches_tiles
 
 LINEAR = LinearLayerConfig("fc", batch=140, in_features=70, out_features=150)
 BATCHED = BatchedGemmLayerConfig("bgemm", batch=2, groups_per_sample=2,
@@ -70,20 +71,19 @@ def test_dense_tile_addresses_match_reference(layer, pass_kind):
     # every K offset, including the final (partial) K tile whose tail lanes
     # must be predicated off, not wrapped into aliased addresses.
     k_offsets = [loop * tile.blk_k for loop in range(grid.main_loops_per_cta)]
-    for cta_m in range(grid.groups * grid.ctas_m):
-        own = cta_m * tile.blk_m + np.arange(tile.blk_m)
-        for k_offset in k_offsets:
-            k = k_offset + np.arange(tile.blk_k)
-            expected = _naive_dense_addresses(workload, trace, "a", own, k)
-            assert np.array_equal(trace.a_tile_addresses(cta_m, k_offset),
-                                  expected)
-    for cta_n in range(grid.groups * grid.ctas_n):
-        own = cta_n * tile.blk_n + np.arange(tile.blk_n)
-        for k_offset in k_offsets:
-            k = k_offset + np.arange(tile.blk_k)
-            expected = _naive_dense_addresses(workload, trace, "b", own, k)
-            assert np.array_equal(trace.b_tile_addresses(cta_n, k_offset),
-                                  expected)
+    for operand, blk, ctas in (("a", tile.blk_m, grid.ctas_m),
+                               ("b", tile.blk_n, grid.ctas_n)):
+        coords = range(grid.groups * ctas)
+        lattice = trace.tile_addresses(operand, coords, k_offsets)
+        for ci, coord in enumerate(coords):
+            own = coord * blk + np.arange(blk)
+            for ki, k_offset in enumerate(k_offsets):
+                k = k_offset + np.arange(tile.blk_k)
+                expected = _naive_dense_addresses(workload, trace, operand,
+                                                  own, k)
+                got = lattice[ci * len(k_offsets) + ki].reshape(blk,
+                                                                tile.blk_k)
+                assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("layer", [LINEAR, BATCHED],
@@ -94,18 +94,12 @@ def test_dense_batched_trace_matches_scalar_tiles(layer, pass_kind):
     workload = lower_pass(layer, pass_kind)
     grid = build_grid(workload)
     trace = GemmTraceGenerator(workload, grid.tile, TITAN_XP)
-    coords = list(range(grid.groups * grid.ctas_m))
     k_offsets = [loop * grid.tile.blk_k
                  for loop in range(grid.main_loops_per_cta)]
-    batch = trace.a_tile_batch(coords, k_offsets)
-    for position, coord in enumerate(coords):
-        for loop, k_offset in enumerate(k_offsets):
-            scalar = trace.a_tile_access(coord, k_offset)
-            tile = batch.tile(position * len(k_offsets) + loop)
-            assert tile.l1_requests == scalar.l1_requests
-            assert tile.l1_sectors == scalar.l1_sectors
-            assert tile.elements == scalar.elements
-            assert np.array_equal(tile.sectors, scalar.sectors)
+    assert_batch_matches_tiles(trace, "a", list(range(grid.groups * grid.ctas_m)),
+                               k_offsets)
+    assert_batch_matches_tiles(trace, "b", list(range(grid.groups * grid.ctas_n)),
+                               k_offsets)
 
 
 @pytest.mark.parametrize("layer", [LINEAR, BATCHED],
@@ -142,13 +136,11 @@ class TestBatchedGrouping:
         trace = GemmTraceGenerator(workload, grid.tile, TITAN_XP)
         per_group = {}
         for group in range(grid.groups):
-            addresses = set()
-            for local_m in range(grid.ctas_m):
-                tile_addresses = trace.a_tile_addresses(
-                    group * grid.ctas_m + local_m, 0)
-                addresses.update(
-                    tile_addresses[tile_addresses != INVALID_ADDRESS].tolist())
-            per_group[group] = addresses
+            tile_addresses = trace.tile_addresses(
+                "a", range(group * grid.ctas_m, (group + 1) * grid.ctas_m),
+                [0])
+            per_group[group] = set(
+                tile_addresses[tile_addresses != INVALID_ADDRESS].tolist())
         for group in range(1, grid.groups):
             assert not (per_group[0] & per_group[group])
 

@@ -9,25 +9,22 @@ from repro.core.layer import ConvLayerConfig
 from repro.core.tiling import build_grid
 from repro.gpu import TITAN_XP
 from repro.sim.dram import DramChannel
-from repro.sim.scheduler import CtaScheduler, cta_order
+from repro.sim.scheduler import CtaScheduler
 
 
 class TestDramChannel:
     def test_byte_accounting(self):
         channel = DramChannel(TITAN_XP)
+        assert channel.bytes_read == 0
         channel.read(1000)
-        channel.write(500)
-        assert channel.bytes_read == 1000
-        assert channel.total_bytes == 1500
-        channel.reset()
-        assert channel.total_bytes == 0
+        channel.read(500)
+        assert channel.bytes_read == 1500
 
     def test_negative_bytes_rejected(self):
         channel = DramChannel(TITAN_XP)
         with pytest.raises(ValueError):
             channel.read(-1)
-        with pytest.raises(ValueError):
-            channel.write(-1)
+        assert channel.bytes_read == 0
 
     def test_unloaded_latency_is_flat(self):
         channel = DramChannel(TITAN_XP)
@@ -49,12 +46,6 @@ class TestDramChannel:
         latencies = [channel.latency_cycles(load) for load in loads]
         assert latencies == sorted(latencies)
 
-    def test_transfer_time(self):
-        channel = DramChannel(TITAN_XP)
-        assert channel.transfer_seconds(TITAN_XP.dram_bw) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            channel.transfer_seconds(-1)
-
 
 @pytest.fixture
 def grid():
@@ -63,30 +54,37 @@ def grid():
     return build_grid(layer)
 
 
+def launch_order(grid, order):
+    """(cta_m, cta_n) of every CTA in launch order, read off the waves."""
+    scheduler = CtaScheduler(grid, TITAN_XP, order=order)
+    return [(m, n) for wave in scheduler.waves() for _, m, n in wave.ctas]
+
+
 class TestCtaOrder:
     def test_column_order_walks_rows_first(self, grid):
-        order = cta_order(grid, "column")
+        order = launch_order(grid, "column")
         assert order[0] == (0, 0)
         assert order[1] == (1, 0)
         assert order[grid.ctas_m] == (0, 1)
         assert len(order) == grid.num_ctas
 
     def test_row_order_walks_columns_first(self, grid):
-        order = cta_order(grid, "row")
+        order = launch_order(grid, "row")
         assert order[0] == (0, 0)
         assert order[1] == (0, 1)
 
     def test_unknown_order_rejected(self, grid):
         with pytest.raises(ValueError):
-            cta_order(grid, "diagonal")
+            launch_order(grid, "diagonal")
 
 
 class TestCtaScheduler:
     def test_round_robin_sm_assignment(self, grid):
         scheduler = CtaScheduler(grid, TITAN_XP)
-        scheduled = scheduler.schedule()
-        sms = [sm for sm, _, _ in scheduled[:TITAN_XP.num_sm]]
-        assert sms == list(range(TITAN_XP.num_sm))
+        scheduled = [cta for wave in scheduler.waves() for cta in wave.ctas]
+        sms = [sm for sm, _, _ in scheduled]
+        assert sms == [index % TITAN_XP.num_sm
+                       for index in range(grid.num_ctas)]
 
     def test_waves_cover_all_ctas_exactly_once(self, grid):
         scheduler = CtaScheduler(grid, TITAN_XP)
@@ -145,8 +143,6 @@ class TestCtaScheduler:
                      for index, (m, n) in enumerate(coords)]
         scheduler = CtaScheduler(grid, TITAN_XP, order=order)
         size = scheduler.wave_size
-        assert cta_order(grid, order) == coords
-        assert scheduler.schedule() == scheduled
         assert [wave.ctas for wave in scheduler.waves()] == [
             tuple(scheduled[start:start + size])
             for start in range(0, len(scheduled), size)]

@@ -2,7 +2,7 @@
 
 The trace generator and engine consume the same workload IR as the analytic
 model; these tests check the backward-pass address streams are well formed,
-that the batched fast path matches the scalar generator tile for tile, and
+that the batched coalescing matches the per-tile oracle tile for tile, and
 that the vectorized engine stays bit-identical to the scalar reference loop
 (tests/sim_reference.py) on every training pass.
 """
@@ -16,7 +16,8 @@ from repro.gpu import TESLA_V100, TITAN_XP
 from repro.sim.address import INVALID_ADDRESS, WorkloadLayout
 from repro.sim.engine import ConvLayerSimulator, SimulatorConfig
 from repro.sim.im2col import GemmTraceGenerator
-from sim_reference import ReferenceSimulator
+from sim_reference import (ReferenceSimulator, assert_batch_matches_tiles,
+                           tile_of)
 
 
 def make_generator(workload, gpu=TITAN_XP):
@@ -26,13 +27,16 @@ def make_generator(workload, gpu=TITAN_XP):
 
 class TestWorkloadLayout:
     def test_forward_layout_matches_tensor_layout(self, small_conv_layer):
-        from repro.sim.address import TensorLayout
+        """Forward: the IFmap at 0, the filter at the next 128 B line."""
         forward = lower_pass(small_conv_layer, "forward")
         layout = WorkloadLayout(forward, 128)
-        seed = TensorLayout(small_conv_layer, 128)
-        assert layout.a_base == seed.ifmap_base
-        assert layout.b_base == seed.filter_base
-        assert layout.total_bytes == seed.total_bytes
+        ifmap_bytes = small_conv_layer.ifmap_elements * 4
+        filter_base = -(-ifmap_bytes // 128) * 128
+        assert layout.a_base == 0
+        assert layout.a_bytes == ifmap_bytes
+        assert layout.b_base == filter_base
+        assert layout.total_bytes == (filter_base
+                                      + small_conv_layer.filter_elements * 4)
 
     def test_backward_layouts_are_disjoint(self, small_conv_layer):
         for pass_kind in ("dgrad", "wgrad"):
@@ -46,8 +50,8 @@ class TestBackwardAddresses:
     def test_dgrad_addresses_in_operand_ranges(self, small_conv_layer):
         workload = lower_pass(small_conv_layer, "dgrad")
         gen, grid = make_generator(workload)
-        a = gen.a_tile_addresses(0, 0)
-        b = gen.b_tile_addresses(0, 0)
+        a = tile_of(gen, "a", 0, 0)
+        b = tile_of(gen, "b", 0, 0)
         layout = gen.layout
         a_valid = a[a != INVALID_ADDRESS]
         b_valid = b[b != INVALID_ADDRESS]
@@ -61,7 +65,7 @@ class TestBackwardAddresses:
         """dO and W are dense tensors: every in-range slot is a real load."""
         workload = lower_pass(small_conv_layer, "dgrad")
         gen, grid = make_generator(workload)
-        a = gen.a_tile_addresses(0, 0)
+        a = tile_of(gen, "a", 0, 0)
         gemm = workload.gemm
         rows = min(grid.tile.blk_m, gemm.m)
         cols = min(grid.tile.blk_k, gemm.k)
@@ -71,14 +75,14 @@ class TestBackwardAddresses:
         """Within one output row of one image, dO loads are unit stride."""
         workload = lower_pass(small_conv_layer, "dgrad")
         gen, _ = make_generator(workload)
-        column = gen.a_tile_addresses(0, 0)[:small_conv_layer.out_width, 0]
+        column = tile_of(gen, "a", 0, 0)[:small_conv_layer.out_width, 0]
         assert np.all(np.diff(column) == small_conv_layer.dtype_bytes)
 
     def test_wgrad_b_respects_padding(self, small_conv_layer):
         """The wgrad B operand is the im2col input: padded slots predicate off."""
         workload = lower_pass(small_conv_layer, "wgrad")
         gen, _ = make_generator(workload)
-        addresses = gen.b_tile_addresses(0, 0)
+        addresses = tile_of(gen, "b", 0, 0)
         assert np.any(addresses == INVALID_ADDRESS)
         valid = addresses[addresses != INVALID_ADDRESS]
         layout = gen.layout
@@ -88,14 +92,15 @@ class TestBackwardAddresses:
     def test_wgrad_tile_shapes(self, small_conv_layer):
         workload = lower_pass(small_conv_layer, "wgrad")
         gen, grid = make_generator(workload)
-        assert gen.a_tile_addresses(0, 0).shape == (grid.tile.blk_m,
-                                                    grid.tile.blk_k)
-        assert gen.b_tile_addresses(0, 0).shape == (grid.tile.blk_n,
-                                                    grid.tile.blk_k)
+        tile = grid.tile
+        assert gen.tile_addresses("a", [0], [0]).shape == (
+            1, tile.blk_m * tile.blk_k)
+        assert gen.tile_addresses("b", [0], [0]).shape == (
+            1, tile.blk_n * tile.blk_k)
 
 
 class TestBatchedBackwardGeneration:
-    """The batched path must match the scalar one for every pass."""
+    """The batched coalescing must match the per-tile oracle, every pass."""
 
     @pytest.mark.parametrize("pass_kind", ["forward", "dgrad", "wgrad"])
     def test_batch_matches_scalar(self, small_conv_layer, pass_kind):
@@ -104,29 +109,13 @@ class TestBatchedBackwardGeneration:
         cta_ms = list(range(min(grid.ctas_m, 4)))
         cta_ns = list(range(min(grid.ctas_n, 3)))
         k_offsets = sorted({0, (grid.main_loops_per_cta - 1) * grid.tile.blk_k})
-        for k_offset in k_offsets:
-            for cta_m, got in zip(cta_ms,
-                                  gen.a_tile_access_batch(cta_ms, k_offset)):
-                ref = gen.a_tile_access(cta_m, k_offset)
-                assert got.l1_requests == ref.l1_requests
-                assert got.l1_sectors == ref.l1_sectors
-                assert got.elements == ref.elements
-                assert np.array_equal(got.sectors, ref.sectors)
-            for cta_n, got in zip(cta_ns,
-                                  gen.b_tile_access_batch(cta_ns, k_offset)):
-                ref = gen.b_tile_access(cta_n, k_offset)
-                assert got.l1_requests == ref.l1_requests
-                assert got.l1_sectors == ref.l1_sectors
-                assert got.elements == ref.elements
-                assert np.array_equal(got.sectors, ref.sectors)
+        assert_batch_matches_tiles(gen, "a", cta_ms, k_offsets)
+        assert_batch_matches_tiles(gen, "b", cta_ns, k_offsets)
 
     def test_strided_wgrad_on_volta(self, strided_conv_layer):
         workload = lower_pass(strided_conv_layer, "wgrad")
         gen, grid = make_generator(workload, TESLA_V100)
-        batch = gen.b_tile_batch([0], [0])
-        ref = gen.b_tile_access(0, 0)
-        assert batch.tile(0).l1_requests == ref.l1_requests
-        assert np.array_equal(batch.tile(0).sectors, ref.sectors)
+        assert_batch_matches_tiles(gen, "b", [0], [0])
 
 
 class TestBackwardEngine:
