@@ -94,6 +94,9 @@ def pareto_frontier(metric_rows: Sequence[Mapping[str, float]],
                     objectives: Sequence[Objective]) -> List[int]:
     """Indices of the non-dominated rows, in their original order.
 
+    ``metric_rows`` is a sequence of metrics dicts or a column table with
+    one array attribute per metric (a DSE
+    :class:`~repro.dse.batch.MetricTable`), whose columns are read directly.
     Duplicated metric vectors are all kept (they dominate nothing and are
     dominated by nothing), so equal-merit designs stay visible side by side.
     """
@@ -101,8 +104,10 @@ def pareto_frontier(metric_rows: Sequence[Mapping[str, float]],
     # bitwise equal to the scalar Objective.oriented values.
     values = np.empty((len(metric_rows), len(objectives)))
     for j, objective in enumerate(objectives):
-        values[:, j] = list(map(operator.itemgetter(objective.metric),
-                                metric_rows))
+        column = getattr(metric_rows, objective.metric, None)
+        values[:, j] = (column if column is not None else
+                        list(map(operator.itemgetter(objective.metric),
+                                 metric_rows)))
         if objective.direction == "min":
             np.negative(values[:, j], out=values[:, j])
     return _pareto_frontier_vectorized(values)

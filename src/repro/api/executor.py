@@ -325,6 +325,7 @@ def _run_dse(session: "Session", request: DseRequest) -> Report:
                                        top=request.confirm_top)
 
     rows = exploration.frontier_rows()
+    frontier = exploration.frontier_results()
     stats = exploration.stats
     summary: Dict[str, object] = {
         "points planned": stats.planned,
@@ -341,7 +342,7 @@ def _run_dse(session: "Session", request: DseRequest) -> Report:
             summary["failures skipped on resume"] = stats.skipped_failures
     for objective in objectives:
         best = None
-        for result in exploration.frontier_results():
+        for result in frontier:
             value = float(result.metrics[objective.metric])
             if best is None or objective.oriented(value) > objective.oriented(best[1]):
                 best = (result.point.name, value)
@@ -353,7 +354,7 @@ def _run_dse(session: "Session", request: DseRequest) -> Report:
         ],
     }
     recommendations = scale_next_rows(
-        [result.metrics for result in exploration.frontier_results()])
+        [result.metrics for result in frontier])
     children: tuple = ()
     if recommendations:
         children = (Report(kind="dse-recommendations",

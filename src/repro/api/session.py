@@ -40,6 +40,8 @@ from contextvars import ContextVar
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..analysis.validation import (
     QUICK_VALIDATION,
     ValidationConfig,
@@ -50,6 +52,8 @@ from ..analysis.validation import (
 )
 from ..core.layer import LayerConfig
 from ..core.workload import PassKind
+from ..dse.batch import MetricTable
+from ..dse.store import ResultStore
 from ..gpu.spec import GpuSpec
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
@@ -184,10 +188,10 @@ class Session:
         self._sim_results: Dict[Tuple, SimResult] = {}
         self._validation_memo: Dict[Tuple[GpuSpec, ValidationConfig],
                                     ValidationReport] = {}
-        #: design-space evaluation memo keyed by the DSE store key (the
-        #: in-memory half of the resumable result store: cross-request
-        #: dedupe within one session, no disk required).
-        self._dse_memo: Dict[str, Dict[str, object]] = {}
+        #: design-space evaluation memo keyed by the DSE store key: a
+        #: path-less result store (cross-request dedupe within one session,
+        #: no disk required), looked up in bulk like the on-disk one.
+        self._dse_memo = ResultStore()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
         #: pools replaced by a grow; shut down at close() so in-flight work
@@ -604,18 +608,20 @@ class Session:
 
     # -- design-space memo ----------------------------------------------
 
-    def dse_lookup(self, key: str) -> Optional[Dict[str, object]]:
-        """Memoized design-point metrics for a DSE store key, if any."""
+    def dse_lookup(self, keys: Sequence[str]
+                   ) -> Tuple[np.ndarray, MetricTable, Dict[int, Dict]]:
+        """Memoized design-point records for DSE store keys, in bulk
+        (:meth:`repro.dse.store.ResultStore.get_many`)."""
         with self._lock:
-            record = self._dse_memo.get(key)
-            if record is not None:
-                self.stats.dse_memo_hits += 1
-            return record
+            found, table, failures = self._dse_memo.get_many(keys)
+            self.stats.dse_memo_hits += len(found) + len(failures)
+            return found, table, failures
 
-    def dse_record(self, key: str, metrics: Dict[str, object]) -> None:
-        """Memoize one design-point evaluation (first writer wins)."""
+    def dse_record(self, keys: Sequence[str], table: MetricTable,
+                   failures: Dict[str, Dict[str, object]]) -> None:
+        """Memoize design-point evaluations (first writer wins)."""
         with self._lock:
-            self._dse_memo.setdefault(key, metrics)
+            self._dse_memo.put_many(keys, table, failures)
 
     def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
         """The shared pool, grown (never shrunk) to at least ``workers``.

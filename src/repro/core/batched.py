@@ -59,10 +59,20 @@ CANDIDATE_ORDER: Tuple[Bottleneck, ...] = (
 #: supported CTA tile height/width families (see ``select_cta_tile``).
 CTA_TILE_FAMILIES: Tuple[int, ...] = (128, 256)
 
-#: one C-level read of every scaled DesignOption field (matrix column order).
-_OPTION_FIELDS = operator.attrgetter(
+#: the :class:`DesignOption` fields of one design-matrix row, in column
+#: order: the eight resource multipliers, then the CTA tile.
+DESIGN_FIELDS: Tuple[str, ...] = (
     "num_sm", "mac_bw", "regs", "smem_size", "smem_bw",
     "l1_bw", "l2_bw", "dram_bw", "cta_tile_hw")
+
+_OPTION_FIELDS = operator.attrgetter(*DESIGN_FIELDS)
+
+
+def design_matrix(options: Sequence[DesignOption]) -> np.ndarray:
+    """The ``(N, 9)`` float64 design matrix of N design options."""
+    return np.array([_OPTION_FIELDS(opt) for opt in options],
+                    dtype=np.float64).reshape(len(options),
+                                              len(DESIGN_FIELDS))
 
 
 def _scaled_int(base: int, mult: np.ndarray) -> np.ndarray:
@@ -108,19 +118,19 @@ class BatchedGpuSpec:
 
     @classmethod
     def from_options(cls, base: GpuSpec,
-                     options: Sequence[DesignOption]) -> "BatchedGpuSpec":
-        """Batch N design options over one baseline GPU.
+                     design: np.ndarray) -> "BatchedGpuSpec":
+        """Batch N designs over one baseline GPU.
 
-        Replicates :meth:`GpuSpec.scaled` element-wise: ``num_sm`` is only
+        ``design`` is an ``(N, 9)`` design matrix (:data:`DESIGN_FIELDS`
+        columns, see :func:`design_matrix`).  Replicates
+        :meth:`GpuSpec.scaled` element-wise: ``num_sm`` is only
         requantized when its multiplier differs from 1.0 (the scalar guard),
         the MAC multiplier compounds ``mac_bw * num_sm`` multipliers, and
         capacity fields quantize with round-half-even.
         """
-        # One Python pass over the options, one float matrix, column views.
-        matrix = np.array([_OPTION_FIELDS(opt) for opt in options],
-                          dtype=np.float64).reshape(len(options), 9)
         (num_sm_mult, mac_bw_mult, regs_mult, smem_size_mult, smem_bw_mult,
-         l1_bw_mult, l2_bw_mult, dram_bw_mult, tiles_f) = matrix.T
+         l1_bw_mult, l2_bw_mult, dram_bw_mult, tiles_f) = np.asarray(
+             design, dtype=np.float64).T
         tiles = tiles_f.astype(np.int64)
         unsupported = set(tiles.tolist()) - set(CTA_TILE_FAMILIES)
         if unsupported:
@@ -258,7 +268,8 @@ def single_design(gpu: GpuSpec) -> BatchedGpuSpec:
     Memoized per GPU: building a batch costs tens of microseconds, more
     than evaluating a small network on it.
     """
-    return BatchedGpuSpec.from_options(gpu, (DesignOption(name=gpu.name),))
+    return BatchedGpuSpec.from_options(
+        gpu, design_matrix((DesignOption(name=gpu.name),)))
 
 
 def _performance_grid(gpus: BatchedGpuSpec, stack: WorkloadStack

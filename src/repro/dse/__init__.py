@@ -39,12 +39,13 @@ from .drivers import (
     build_driver,
     driver_names,
 )
-from .batch import evaluate_points
+from .batch import MetricTable, evaluate_points
 from .runner import (
     Exploration,
     ExplorationStats,
     PointFailure,
     PointResult,
+    PointResults,
     confirm_frontier,
     explore,
     store_key,
@@ -59,6 +60,7 @@ from .space import (
     DesignPoint,
     ExplicitSpace,
     GridSpace,
+    PointTable,
     SearchSpace,
     UnionSpace,
     ZipSpace,
@@ -80,6 +82,7 @@ __all__ = [
     "GPU_AXIS_KEYS",
     "WORKLOAD_AXIS_KEYS",
     "DesignPoint",
+    "PointTable",
     "SearchSpace",
     "ExplicitSpace",
     "GridSpace",
@@ -103,9 +106,11 @@ __all__ = [
     "Exploration",
     "ExplorationStats",
     "PointResult",
+    "PointResults",
     "PointFailure",
     "explore",
     "evaluate_points",
+    "MetricTable",
     "confirm_frontier",
     "store_key",
     "store_keys",

@@ -1,13 +1,14 @@
 """Array-of-points evaluation for DSE sweeps.
 
-:func:`evaluate_points` turns design points into metrics dicts: it groups
-the points by workload signature, lowers each workload's layers once, and
-evaluates the whole group through :mod:`repro.core.batched` in a handful of
-NumPy passes.  Per-point sums accumulate left to right in layer order (layers
-outer, passes inner), so the metrics equal a one-point-at-a-time walk over
-the same estimates bit for bit — the fig16 pin and the scalar test oracle
+:func:`evaluate_points` turns a :class:`~repro.dse.space.PointTable` into a
+:class:`MetricTable` of metric columns: it groups the rows by workload
+signature, lowers each workload's layers once, and evaluates the whole group
+through :mod:`repro.core.batched` in a handful of NumPy passes.  Per-point
+sums accumulate left to right in layer order (layers outer, passes inner),
+so the metrics equal a one-point-at-a-time walk over the same estimates bit
+for bit — the fig16 pin and the scalar test oracle
 (``tests/model_reference.py``) hold, and a resumed sweep's records equal a
-fresh one's.
+fresh one's.  Metrics dicts are built only for the rows a caller reads.
 
 Workload layers and plans are memoized per process, keyed by the network
 registry's generation (:func:`~repro.networks.registry.registry_generation`)
@@ -16,9 +17,11 @@ so a network registered again under the same name is re-lowered.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -30,7 +33,8 @@ from ..core.batched import (CANDIDATE_ORDER, CTA_TILE_FAMILIES,
 from ..core.workload import expand_passes, lower_passes
 from ..gpu.spec import FP32_BYTES, GpuSpec
 from ..networks.registry import get_network, registry_generation
-from .space import DesignPoint, signature_of
+from ..obs import spans as obs_spans
+from .space import DesignPoint, PointTable
 
 #: bottleneck labels in candidate-stack order (metrics-dict key strings).
 _CANDIDATE_LABELS: Tuple[str, ...] = tuple(b.value for b in CANDIDATE_ORDER)
@@ -112,121 +116,244 @@ def _concat_stacks(stack_list: Sequence[WorkloadStack]) -> WorkloadStack:
         for f in dataclasses.fields(WorkloadStack)})
 
 
+#: keys of a metrics dict, in dict order.
+METRIC_FIELDS: Tuple[str, ...] = (
+    "time_s", "throughput_tflops", "dram_gb", "l2_gb", "resource_cost",
+    "layers", "gemms", "bottlenecks")
+
+#: little-endian storage dtype of every :class:`MetricTable` column.
+_COLUMN_DTYPES: Dict[str, str] = {
+    "time_s": "<f8", "throughput_tflops": "<f8", "dram_gb": "<f8",
+    "l2_gb": "<f8", "resource_cost": "<f8", "layers": "<i4", "gemms": "<i4",
+    "bottleneck_shares": "<f8", "bottleneck_order": "<i1",
+}
+
+_LABEL_INDEX: Dict[str, int] = {label: index for index, label
+                                in enumerate(_CANDIDATE_LABELS)}
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class MetricTable(Sequence):
+    """Metrics of N evaluated design points as columns.
+
+    A ``Sequence`` whose items are the metrics dicts (``time_s``,
+    ``throughput_tflops``, ``dram_gb``, ``l2_gb``, ``resource_cost``,
+    ``layers``, ``gemms`` and the Fig. 16c-style ``bottlenecks`` time
+    shares, labels in first-bounded order), built only for the rows read;
+    sweeps, frontiers and the result store read the columns.
+    """
+
+    time_s: np.ndarray
+    throughput_tflops: np.ndarray
+    dram_gb: np.ndarray
+    l2_gb: np.ndarray
+    resource_cost: np.ndarray
+    layers: np.ndarray
+    gemms: np.ndarray
+    #: (N, 6) share of the time each label bounds, :data:`CANDIDATE_ORDER`
+    #: columns (0.0 where a label never bounds).
+    bottleneck_shares: np.ndarray
+    #: (N, 6) label columns in first-bounded order, padded with -1.
+    bottleneck_order: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Sequence[Mapping[str, object]]
+                     ) -> "MetricTable":
+        """The table of metrics dicts (keys in :data:`METRIC_FIELDS`
+        order, as :meth:`__getitem__` returns them)."""
+        records = list(records)
+        shares = np.zeros((len(records), len(_CANDIDATE_LABELS)))
+        order = np.full(shares.shape, -1, dtype=np.int8)
+        for row, record in enumerate(records):
+            if tuple(record) != METRIC_FIELDS:
+                raise ValueError(
+                    f"not a metrics record: keys {list(record)}, expected "
+                    f"{list(METRIC_FIELDS)}")
+            for rank, (label, share) in enumerate(
+                    record["bottlenecks"].items()):
+                if label not in _LABEL_INDEX:
+                    raise ValueError(f"unknown bottleneck label {label!r}")
+                shares[row, _LABEL_INDEX[label]] = share
+                order[row, rank] = _LABEL_INDEX[label]
+        columns = {name: np.array([record[name] for record in records],
+                                  dtype=_COLUMN_DTYPES[name][1:])
+                   for name in METRIC_FIELDS[:-1]}
+        return cls(**columns, bottleneck_shares=shares,
+                   bottleneck_order=order)
+
+    @classmethod
+    def concat(cls, tables: Sequence["MetricTable"]) -> "MetricTable":
+        if len(tables) == 1:
+            return tables[0]
+        if not tables:
+            return cls.from_records(())
+        return cls(**{f.name: np.concatenate([getattr(table, f.name)
+                                              for table in tables])
+                      for f in dataclasses.fields(cls)})
+
+    def take(self, rows: Sequence[int]) -> "MetricTable":
+        """The table of ``rows`` (row indices, in the order given)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return MetricTable(**{f.name: getattr(self, f.name)[rows]
+                              for f in dataclasses.fields(self)})
+
+    def encode(self) -> Dict[str, str]:
+        """Columns as base64 of their little-endian bytes (bit-exact)."""
+        return {name: base64.b64encode(np.ascontiguousarray(
+                    getattr(self, name), dtype=dtype).tobytes()
+                ).decode("ascii")
+                for name, dtype in _COLUMN_DTYPES.items()}
+
+    @classmethod
+    def decode(cls, columns: Mapping[str, str], count: int) -> "MetricTable":
+        """Inverse of :meth:`encode` for ``count`` rows; a missing, extra
+        or wrongly sized column raises ``ValueError``."""
+        if set(columns) != set(_COLUMN_DTYPES):
+            raise ValueError(f"columns {sorted(columns)} are not "
+                             f"{sorted(_COLUMN_DTYPES)}")
+        decoded = {}
+        for name, dtype in _COLUMN_DTYPES.items():
+            values = np.frombuffer(base64.b64decode(columns[name],
+                                                    validate=True), dtype)
+            shape = ((count, len(_CANDIDATE_LABELS))
+                     if name.startswith("bottleneck_") else (count,))
+            decoded[name] = values.reshape(shape)
+        return cls(**decoded)
+
+    def __len__(self) -> int:
+        return len(self.time_s)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        return next(iter(self.take([index])))
+
+    def __iter__(self) -> Iterator[Dict[str, object]]:
+        labels = _CANDIDATE_LABELS
+        for (time_s, throughput, dram_gb, l2_gb, cost, layers, gemms,
+             shares, order) in zip(
+                *(getattr(self, f.name).tolist()
+                  for f in dataclasses.fields(self))):
+            bottlenecks: Dict[str, float] = {}
+            for label in order:
+                if label < 0:
+                    break
+                bottlenecks[labels[label]] = shares[label]
+            yield {"time_s": time_s, "throughput_tflops": throughput,
+                   "dram_gb": dram_gb, "l2_gb": l2_gb,
+                   "resource_cost": cost, "layers": layers, "gemms": gemms,
+                   "bottlenecks": bottlenecks}
+
+
 def _assemble_group(plan: Tuple[int, int, int, Dict],
                     times: np.ndarray, index: np.ndarray,
                     dram_rows: np.ndarray, l2_rows: np.ndarray,
-                    cost_list: List[float]) -> List[Dict[str, object]]:
-    """Metrics dicts of one workload-signature group from its (W, N) slab."""
+                    costs: np.ndarray) -> MetricTable:
+    """Metric columns of one workload-signature group from its (W, N) slab.
+
+    Every sum adds the workload rows in place, left to right in evaluation
+    order, so each column equals the scalar running sums bit for bit.
+    """
     num_layers, num_workloads, flops, _ = plan
-    num_labels = len(_CANDIDATE_LABELS)
+    count = times.shape[1]
+    columns = np.arange(count)
+    total = np.array(times[0], dtype=np.float64)
+    dram_bytes = np.array(dram_rows[0], dtype=np.float64)
+    l2_bytes = np.array(l2_rows[0], dtype=np.float64)
+    # Per label: the time it bounds and the workload where it first does.
+    # The scalar shares add only positive times, and the +0.0 added for the
+    # other rows never changes a non-negative accumulator.
+    shares = np.zeros((len(_CANDIDATE_LABELS), count))
+    first = np.full(shares.shape, num_workloads)
+    for workload in range(num_workloads):
+        row_times = times[workload]
+        if workload:
+            total += row_times
+            dram_bytes += dram_rows[workload]
+            l2_bytes += l2_rows[workload]
+        labels = index[workload]
+        bounded = row_times > 0.0
+        shares[labels, columns] += np.where(bounded, row_times, 0.0)
+        unseen = bounded & (first[labels, columns] == num_workloads)
+        first[labels[unseen], columns[unseen]] = workload
 
-    # Per-label hit masks and zero-masked times: the scalar shares Counter
-    # only adds positive times, and adding the +0.0 the mask leaves behind
-    # never changes a non-negative float accumulator, so summing the masked
-    # rows sequentially is bit-identical to the conditional adds.
-    hit = (times > 0.0)[np.newaxis] & (
-        index[np.newaxis] == np.arange(num_labels)[:, np.newaxis, np.newaxis])
-    masked = np.where(hit, times[np.newaxis], 0.0)      # (L, W, N)
-
-    # Sequential per-workload accumulation via ufunc.accumulate — unlike
-    # np.sum's pairwise reduction, accumulate adds strictly left to right,
-    # so the last prefix equals the scalar running sums bit for bit.
-    total = np.add.accumulate(times, axis=0)[-1]
-    dram_bytes = np.add.accumulate(dram_rows, axis=0)[-1]
-    l2_bytes = np.add.accumulate(l2_rows, axis=0)[-1]
-    share = np.add.accumulate(masked, axis=1)[:, -1, :]
-
-    # The workload index at which each label first bounds each point — the
-    # scalar shares dict inserts labels in first-occurrence order (zero-time
-    # workloads skipped), which the stable argsort below reproduces.
-    first_seen = np.where(hit.any(axis=1), hit.argmax(axis=1), num_workloads)
-
-    flops_f = float(flops)
+    # Labels in first-bounded order (the scalar shares dict's insertion
+    # order; zero-time workloads skipped), never-bounding labels as -1.
+    order = np.argsort(first.T, axis=1, kind="stable")
+    bounding = np.take_along_axis(first.T, order, axis=1) < num_workloads
     with np.errstate(divide="ignore", invalid="ignore"):
-        throughput = np.where(total > 0.0, flops_f / total / 1e12, 0.0)
-
-    # Pull everything into plain Python containers once (C-speed) so the
-    # per-point dict assembly below stays cheap.
-    order = np.argsort(first_seen, axis=0, kind="stable").T.tolist()
-    first_list = first_seen.T.tolist()
-    share_list = share.T.tolist()
-    total_list = total.tolist()
-    throughput_list = throughput.tolist()
-    dram_list = (dram_bytes / 1e9).tolist()
-    l2_list = (l2_bytes / 1e9).tolist()
-
-    results: List[Dict[str, object]] = []
-    results_append = results.append
-    labels = _CANDIDATE_LABELS
-    for (point_total, throughput, dram_gb, l2_gb, cost, point_order, firsts,
-         shares) in zip(total_list, throughput_list, dram_list, l2_list,
-                        cost_list, order, first_list, share_list):
-        bottlenecks: Dict[str, float] = {}
-        if point_total > 0:
-            for label in point_order:
-                if firsts[label] >= num_workloads:
-                    break
-                bottlenecks[labels[label]] = shares[label] / point_total
-        results_append({
-            "time_s": point_total,
-            "throughput_tflops": throughput,
-            "dram_gb": dram_gb,
-            "l2_gb": l2_gb,
-            "resource_cost": cost,
-            "layers": num_layers,
-            "gemms": num_workloads,
-            "bottlenecks": bottlenecks,
-        })
-    return results
+        throughput = np.where(total > 0.0, float(flops) / total / 1e12, 0.0)
+        share_of_time = np.where(total > 0.0, shares / total, 0.0)
+    return MetricTable(
+        time_s=total,
+        throughput_tflops=throughput,
+        dram_gb=dram_bytes / 1e9,
+        l2_gb=l2_bytes / 1e9,
+        resource_cost=costs,
+        layers=np.full(count, num_layers, dtype=np.int64),
+        gemms=np.full(count, num_workloads, dtype=np.int64),
+        bottleneck_shares=np.ascontiguousarray(share_of_time.T),
+        bottleneck_order=np.where(bounding, order, -1).astype(np.int8))
 
 
 def evaluate_points(base_gpu: GpuSpec, points: Sequence[DesignPoint], *,
                     unique: bool = True,
-                    layer_stride: int = 1) -> List[Dict[str, object]]:
-    """Metrics dicts of many design points, one per point, in input order.
+                    layer_stride: int = 1) -> MetricTable:
+    """Metrics of many design points, one row per point, in input order.
 
-    Groups the points by workload signature; groups that range over the
-    *same* design list (the common case for a grid sweep, whose workload
-    axes multiply the design axes) are fused into one stacked
-    (sum-of-workloads x designs) grid so the whole sweep runs in a couple of
-    NumPy passes.  Each dict holds ``time_s``, ``throughput_tflops``,
-    ``dram_gb``, ``l2_gb``, ``resource_cost``, ``layers``, ``gemms`` and the
-    Fig. 16c-style ``bottlenecks`` time shares (labels in first-bounded
-    order, zero-time workloads skipped).
+    ``points`` is a :class:`~repro.dse.space.PointTable` (or design points,
+    tabled first).  Rows are grouped by workload signature; groups that
+    range over the *same* design list (the common case for a grid sweep,
+    whose workload axes multiply the design axes) are fused into one
+    stacked (sum-of-workloads x designs) grid, so the whole sweep runs in a
+    couple of NumPy passes.
     """
-    results: List[Optional[Dict[str, object]]] = [None] * len(points)
-    groups: Dict[Tuple[str, int, str, int], List[int]] = {}
-    for i, point in enumerate(points):
-        groups.setdefault(signature_of(point), []).append(i)
-
-    # Partition signature groups by their (ordered) design list.
+    table = PointTable.from_points(points)
     generation = registry_generation()
-    fused: Dict[Tuple, List[Tuple[List[int], Tuple]]] = {}
-    for indices in groups.values():
-        first = points[indices[0]]
-        plan = _workload_plan(base_gpu, first.network, first.batch,
-                              first.dtype_bytes, first.passes, unique,
-                              layer_stride, generation)
-        options = tuple(points[i].option for i in indices)
-        fused.setdefault(options, []).append((indices, plan))
+    by_signature = np.argsort(table.signature_index, kind="stable")
+    counts = np.bincount(table.signature_index,
+                         minlength=len(table.signatures))
+    # Partition signature groups by their (ordered) design list.
+    fused: Dict[bytes, Tuple[np.ndarray, List[Tuple[np.ndarray, Tuple]]]] = {}
+    for (network, batch, passes, dtype_bytes), rows in zip(
+            table.signatures,
+            np.split(by_signature, np.cumsum(counts)[:-1])):
+        if not len(rows):
+            continue
+        plan = _workload_plan(base_gpu, network, batch, dtype_bytes, passes,
+                              unique, layer_stride, generation)
+        design = table.design[rows]
+        fused.setdefault(design.tobytes(), (design, []))[1].append(
+            (rows, plan))
 
-    for options, entries in fused.items():
-        gpus = BatchedGpuSpec.from_options(base_gpu, options)
-        cost_list = _design_costs(gpus).tolist()
+    grids = []
+    for design, entries in fused.values():
+        gpus = BatchedGpuSpec.from_options(base_gpu, design)
         stacks = {hw: _concat_stacks([plan[3][hw] for _, plan in entries])
                   for hw in CTA_TILE_FAMILIES}
-        est = estimate_grid(gpus, stacks=stacks)
-        offset = 0
-        for indices, plan in entries:
-            num_workloads = plan[1]
-            slab = slice(offset, offset + num_workloads)
-            offset += num_workloads
-            metrics = _assemble_group(
-                plan, est.times[slab], est.bottleneck_index[slab],
-                est.dram_bytes[slab], est.l2_bytes[slab], cost_list)
-            for i, point_metrics in zip(indices, metrics):
-                results[i] = point_metrics
-    return results
+        grids.append((entries, _design_costs(gpus),
+                      estimate_grid(gpus, stacks=stacks)))
+
+    with obs_spans.trace_deep("dse.assemble", points=len(table)):
+        order: List[np.ndarray] = []
+        pieces: List[MetricTable] = []
+        for entries, costs, est in grids:
+            offset = 0
+            for rows, plan in entries:
+                slab = slice(offset, offset + plan[1])
+                offset += plan[1]
+                order.append(rows)
+                pieces.append(_assemble_group(
+                    plan, est.times[slab], est.bottleneck_index[slab],
+                    est.dram_bytes[slab], est.l2_bytes[slab], costs))
+        metrics = MetricTable.concat(pieces)
+        if not pieces:
+            return metrics
+        rows = np.concatenate(order)
+        inverse = np.empty_like(rows)
+        inverse[rows] = np.arange(len(rows))
+        return metrics.take(inverse)
 
 
-__all__ = ["evaluate_points", "_workload_layers", "design_cost"]
+__all__ = ["MetricTable", "evaluate_points", "_workload_layers",
+           "design_cost"]

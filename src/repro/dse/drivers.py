@@ -1,6 +1,9 @@
 """Search drivers: which design points of a space get (fully) evaluated.
 
-Three strategies cover the sweep shapes the scaling study needs:
+A driver plans *row indices* into the space's
+:class:`~repro.dse.space.PointTable` (its deterministic enumeration order);
+no design point object is built to plan a sweep.  Three strategies cover the
+sweep shapes the scaling study needs:
 
 * :class:`ExhaustiveDriver` — every point, in the space's deterministic
   enumeration order (the reimplemented Fig. 16 uses this on the 9-column
@@ -23,12 +26,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .space import DesignPoint, SearchSpace
+import numpy as np
 
-#: scores a batch of points cheaply; lower is better (the runner adapts
-#: direction, memoizes repeat points, and fans the batch out over the
+from .space import SearchSpace
+
+#: scores a batch of rows cheaply; lower is better (the runner adapts
+#: direction, memoizes repeat rows, and fans the batch out over the
 #: session's process pool).
-ProxyScorer = Callable[[Sequence[DesignPoint]], List[float]]
+ProxyScorer = Callable[[Sequence[int]], List[float]]
 
 
 @dataclass(frozen=True)
@@ -37,11 +42,8 @@ class ExhaustiveDriver:
 
     limit: Optional[int] = None
 
-    def plan(self, space: SearchSpace) -> List[DesignPoint]:
-        points = list(space.points())
-        if self.limit is not None:
-            points = points[: self.limit]
-        return points
+    def plan(self, space: SearchSpace) -> np.ndarray:
+        return np.arange(len(space))[: self.limit]
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,9 @@ class RandomDriver:
     """Seeded uniform sampling without replacement.
 
     Determinism contract (regression-tested): ``plan`` depends only on the
-    seed and the space's deterministic point order — never on wall clock,
-    hashing randomization or the parallelism of the later evaluation.
+    seed and the space's size — never on wall clock, hashing randomization
+    or the parallelism of the later evaluation.  Sampling row indices picks
+    exactly the points that sampling the point list would.
     """
 
     budget: int
@@ -60,12 +63,12 @@ class RandomDriver:
         if self.budget <= 0:
             raise ValueError("random driver budget must be positive")
 
-    def plan(self, space: SearchSpace) -> List[DesignPoint]:
-        points = list(space.points())
-        if self.budget >= len(points):
-            return points
+    def plan(self, space: SearchSpace) -> np.ndarray:
+        size = len(space)
+        if self.budget >= size:
+            return np.arange(size)
         rng = random.Random(self.seed)
-        return rng.sample(points, self.budget)
+        return np.array(rng.sample(range(size), self.budget), dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -95,27 +98,27 @@ class SuccessiveHalvingDriver:
     def adaptive(self) -> bool:
         return True
 
-    def plan(self, space: SearchSpace) -> List[DesignPoint]:
+    def plan(self, space: SearchSpace) -> np.ndarray:
         """The rung-0 candidate pool (deterministic, seeded)."""
         pool_size = self.budget * self.eta ** self.rungs
         return RandomDriver(budget=pool_size, seed=self.seed).plan(space)
 
-    def refine(self, points: Sequence[DesignPoint],
-               score_points: ProxyScorer) -> List[DesignPoint]:
+    def refine(self, rows: Sequence[int],
+               score_rows: ProxyScorer) -> np.ndarray:
         """Shrink the pool to ``budget`` survivors by proxy score (lower wins).
 
-        ``score_points`` scores a whole rung in one call, so the runner can
-        dispatch it over a process pool and answer repeat points from a memo.
-        Sorting is stable on the enumeration order, so ties are broken
+        ``score_rows`` scores a whole rung of rows in one call, so the runner
+        can dispatch it over a process pool and answer repeat rows from a
+        memo.  Sorting is stable on the plan order, so ties are broken
         deterministically.
         """
-        def keep_best(survivors: List[DesignPoint], keep: int) -> List[DesignPoint]:
-            scored = list(zip(score_points(survivors), range(len(survivors))))
+        def keep_best(survivors: List[int], keep: int) -> List[int]:
+            scored = list(zip(score_rows(survivors), range(len(survivors))))
             scored.sort(key=lambda pair: (pair[0], pair[1]))
             kept_indices = sorted(index for _, index in scored[:keep])
             return [survivors[index] for index in kept_indices]
 
-        survivors = list(points)
+        survivors = [int(row) for row in rows]
         rung = 0
         while len(survivors) > self.budget and rung < self.rungs:
             keep = max(self.budget,
@@ -124,7 +127,7 @@ class SuccessiveHalvingDriver:
             rung += 1
         if len(survivors) > self.budget:
             survivors = keep_best(survivors, self.budget)
-        return survivors
+        return np.array(survivors, dtype=np.intp)
 
 
 #: any of the three driver classes above.

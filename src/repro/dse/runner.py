@@ -6,8 +6,10 @@ resumable :class:`~repro.dse.store.ResultStore`, fans the rest out over the
 session's shared process pool, and finishes with the Pareto frontier over the
 requested objectives.
 
-Every point is evaluated on its design option over the baseline GPU through
-the batched array-of-points path (:mod:`repro.dse.batch`); the
+Every point is evaluated on its design over the baseline GPU through the
+batched array-of-points path (:mod:`repro.dse.batch`); the sweep stays
+columnar (design matrix, metric columns, bulk keys, columnar store chunks)
+and :class:`PointResult` objects are built only for the rows read.  The
 Fig. 16 scaling study is this pipeline over the nine paper columns, pinned
 bit for bit by ``tests/golden_fig16.json``.
 Frontier points can optionally be *confirmed* against the trace-driven
@@ -20,16 +22,20 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .. import faults
 from ..analysis.frontier import (DEFAULT_OBJECTIVE_NAMES, Objective,
                                  pareto_frontier, resolve_objectives)
+from ..core.batched import design_matrix
 from ..core.model import DeltaModel
 from ..core.workload import expand_passes
+from ..gpu.design_options import DesignOption
 from ..gpu.devices import TITAN_XP
 from ..gpu.spec import GpuSpec
 from ..networks.registry import registry_generation
@@ -37,13 +43,13 @@ from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
 from ..resilience import TaskFailure
 from ..sim.engine import SimulatorConfig
-from .batch import _workload_layers, evaluate_points
+from .batch import MetricTable, _workload_layers, evaluate_points
 from .drivers import ExhaustiveDriver, SuccessiveHalvingDriver
-from .space import GPU_AXIS_KEYS, DesignPoint, SearchSpace, signature_of
-from .store import FAILURE_FIELD, ResultStore, is_failure_record
+from .space import DesignPoint, PointTable, SearchSpace, _row_bytes
+from .store import ResultStore
 
 #: bump when the evaluation's metric semantics change (invalidates stores).
-EVALUATION_SCHEMA = 2
+EVALUATION_SCHEMA = 3
 
 #: design points per batched pool task; bounds the work lost when one point
 #: in a chunk crashes the worker (the chunk is then retried point by point).
@@ -51,6 +57,9 @@ BATCH_CHUNK = 1024
 
 #: successive halving's cheap proxy evaluates every this-many-th layer.
 PROXY_LAYER_STRIDE = 4
+
+#: the identity design (speedup = 1): unit multipliers, the 128 CTA tile.
+_IDENTITY_DESIGN = design_matrix([DesignOption(name="baseline")])[0]
 
 
 # ----------------------------------------------------------------------
@@ -89,10 +98,6 @@ def _gpu_fingerprint(gpu: GpuSpec) -> Dict[str, object]:
     return payload
 
 
-#: the nine design fields of a point's option, in one C-level call.
-_design_values = operator.attrgetter(*GPU_AXIS_KEYS, "cta_tile_hw")
-
-
 def store_key(base_gpu: GpuSpec, point: DesignPoint, unique: bool) -> str:
     """Content key of one evaluation: baseline GPU x design point x workload."""
     return store_keys(base_gpu, [point], unique)[0]
@@ -102,51 +107,54 @@ def store_keys(base_gpu: GpuSpec, points: Sequence[DesignPoint],
                unique: bool) -> List[str]:
     """Content keys of many evaluations, one per point, in input order.
 
+    ``points`` is a :class:`~repro.dse.space.PointTable` (or design points).
     Hashes one sha1 per workload signature over ``[EVALUATION_SCHEMA, gpu
     fingerprint, signature, workload fingerprint]`` (as JSON), then extends
-    a copy of that hash with the ``repr`` of each point's nine design values.
-    Option names are not hashed, so equal designs share a key.
+    a copy of that hash with the point's design-matrix row (nine
+    little-endian float64s).  Option names are not hashed, so equal designs
+    share a key.
     """
-    gpu = _gpu_fingerprint(base_gpu)
-    seeds: Dict[Tuple[str, int, str, int], "hashlib._Hash"] = {}
-    # grid enumeration shares one option object across the workload axes,
-    # so the design bytes are cached per option object.
-    designs: Dict[int, bytes] = {}
-    keys: List[str] = []
-    for point in points:
-        signature = signature_of(point)
-        seed = seeds.get(signature)
-        if seed is None:
-            payload = [EVALUATION_SCHEMA, gpu, list(signature),
-                       workload_fingerprint(point, unique)]
-            seed = seeds[signature] = hashlib.sha1(
-                json.dumps(payload, sort_keys=True).encode("utf-8"))
-        option = point.option
-        design = designs.get(id(option))
-        if design is None:
-            design = designs[id(option)] = repr(
-                _design_values(option)).encode("utf-8")
-        digest = seed.copy()
-        digest.update(design)
-        keys.append(digest.hexdigest())
-    return keys
+    table = PointTable.from_points(points)
+    with obs_spans.trace_deep("dse.keys", points=len(table)):
+        gpu = _gpu_fingerprint(base_gpu)
+        generation = registry_generation()
+        seeds = [hashlib.sha1(json.dumps(
+            [EVALUATION_SCHEMA, gpu, list(signature),
+             _workload_fingerprint(signature[0], signature[1], signature[3],
+                                   signature[2], unique, generation)],
+            sort_keys=True).encode("utf-8")) for signature in table.signatures]
+        keys: List[str] = []
+        append = keys.append
+        for seed, row in zip(table.signature_index.tolist(),
+                             _row_bytes(table.design)):
+            digest = seeds[seed].copy()
+            digest.update(row)
+            append(digest.hexdigest())
+        return keys
 
 
-def _evaluate_batch_task(task) -> List[Dict[str, object]]:
+def _fault_site(table: PointTable, row: int) -> str:
+    """The per-point fault-site text, ``name/network/bBATCH``."""
+    network, batch = table.signatures[table.signature_index[row]][:2]
+    return f"{table.name(row)}/{network}/b{batch}"
+
+
+def _evaluate_batch_task(task) -> MetricTable:
     """Process-pool worker: evaluate one chunk of points as a batch.
 
-    ``task`` is ``(base_gpu, points, unique, layer_stride)``; a stride above
-    1 is successive halving's layer-subsampled proxy, whose fault sites carry
-    a ``proxy:`` prefix.  Fires the per-point fault sites first, then
+    ``task`` is ``(base_gpu, points, unique, layer_stride)`` with ``points``
+    a :class:`~repro.dse.space.PointTable` slice; a stride above 1 is
+    successive halving's layer-subsampled proxy, whose fault sites carry a
+    ``proxy:`` prefix.  Fires the per-point fault sites first, then
     evaluates the whole chunk through the array-of-points path.
     """
     base_gpu, points, unique, layer_stride = task
+    table = PointTable.from_points(points)
     if faults.active():
         prefix = "proxy:" if layer_stride > 1 else ""
-        for point in points:
-            faults.fire("dse", f"{prefix}{point.name}/{point.network}"
-                               f"/b{point.batch}")
-    return evaluate_points(base_gpu, points, unique=unique,
+        for row in range(len(table)):
+            faults.fire("dse", prefix + _fault_site(table, row))
+    return evaluate_points(base_gpu, table, unique=unique,
                            layer_stride=layer_stride)
 
 
@@ -165,6 +173,64 @@ class PointResult:
     cached: bool = False
     #: simulator confirmation record (see :func:`confirm_frontier`).
     confirmation: Optional[Dict[str, float]] = None
+
+
+class PointResults(Sequence):
+    """The evaluated points of a sweep as columns: a lazy
+    ``Sequence[PointResult]``.
+
+    ``points`` and ``metrics`` are parallel tables, ``cached`` a bool
+    column.  When the sweep hashed store keys, ``keys`` is ``(key_list,
+    key_index)`` and row ``i``'s key is ``key_list[key_index[i]]``;
+    otherwise :func:`store_keys` hashes just the rows read.  :meth:`take`
+    builds many results with one bulk call.
+    """
+
+    def __init__(self, base_gpu: GpuSpec, unique: bool, points: PointTable,
+                 metrics: MetricTable, cached: np.ndarray,
+                 keys: Optional[Tuple[List[str], np.ndarray]] = None,
+                 confirmations: Optional[Dict[int, Dict[str, float]]] = None
+                 ) -> None:
+        self.base_gpu = base_gpu
+        self.unique = unique
+        self.points = points
+        self.metrics = metrics
+        self.cached = cached
+        self.keys = keys
+        self.confirmations = confirmations or {}
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def take(self, rows: Sequence[int]) -> List[PointResult]:
+        """The results of ``rows`` (row indices, in the order given)."""
+        rows = [range(len(self))[row] for row in rows]
+        points = self.points.take(rows)
+        if self.keys is None:
+            keys = store_keys(self.base_gpu, points, self.unique)
+        else:
+            key_list, key_index = self.keys
+            keys = [key_list[i] for i in key_index[rows].tolist()]
+        return [PointResult(point=point, key=key, metrics=metrics,
+                            cached=cached,
+                            confirmation=self.confirmations.get(row))
+                for row, point, key, metrics, cached in zip(
+                    rows, points, keys, self.metrics.take(rows),
+                    self.cached[rows].tolist())]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(range(len(self))[index])
+        return self.take([index])[0]
+
+    def __iter__(self) -> Iterator[PointResult]:
+        return iter(self.take(range(len(self))))
+
+    def with_confirmations(self, confirmations: Dict[int, Dict[str, float]]
+                           ) -> "PointResults":
+        return PointResults(self.base_gpu, self.unique, self.points,
+                            self.metrics, self.cached, self.keys,
+                            {**self.confirmations, **confirmations})
 
 
 @dataclass(frozen=True)
@@ -222,7 +288,7 @@ class Exploration:
 
     base_gpu: GpuSpec
     objectives: Tuple[Objective, ...]
-    results: Tuple[PointResult, ...]
+    results: PointResults
     #: identity-design reference per workload signature (speedup = 1.0).
     baselines: Dict[Tuple[str, int, str, int], PointResult] = field(
         default_factory=dict)
@@ -243,18 +309,21 @@ class Exploration:
         return float(baseline.metrics["time_s"]) / total
 
     def frontier_results(self) -> List[PointResult]:
-        return [self.results[index] for index in self.frontier]
+        return self.results.take(self.frontier)
+
+    def ranked_frontier(self) -> List[Tuple[int, PointResult]]:
+        """``(index, result)`` of the frontier, best first objective first
+        (ties keep frontier order)."""
+        primary = self.objectives[0]
+        return sorted(
+            zip(self.frontier, self.frontier_results()),
+            key=lambda pair: -primary.oriented(
+                float(pair[1].metrics[primary.metric])))
 
     def frontier_rows(self) -> List[Dict[str, object]]:
         """Frontier points as flat table rows, ranked by the first objective."""
-        primary = self.objectives[0]
-        ranked = sorted(
-            self.frontier,
-            key=lambda index: -primary.oriented(
-                float(self.results[index].metrics[primary.metric])))
         rows = []
-        for rank, index in enumerate(ranked, start=1):
-            result = self.results[index]
+        for rank, (_, result) in enumerate(self.ranked_frontier(), start=1):
             metrics = result.metrics
             shares = metrics.get("bottlenecks", {})
             dominant = max(shares, key=shares.get) if shares else "n/a"
@@ -287,8 +356,13 @@ class Exploration:
 # The orchestrator
 # ----------------------------------------------------------------------
 
-def _evaluate_batch_local(base_gpu: GpuSpec, points: Sequence[DesignPoint],
-                          unique: bool) -> List[object]:
+#: a batch evaluation's outcome: the metrics of every row that did not fail
+#: (in row order) and row -> failure for those that did.
+Outcomes = Tuple[MetricTable, Dict[int, TaskFailure]]
+
+
+def _evaluate_batch_local(base_gpu: GpuSpec, table: PointTable,
+                          unique: bool) -> Outcomes:
     """In-process batched evaluation with per-point failure isolation.
 
     Fault sites fire per point before the batch call so an injected error
@@ -296,46 +370,39 @@ def _evaluate_batch_local(base_gpu: GpuSpec, points: Sequence[DesignPoint],
     chunk is re-run one point at a time so one bad point cannot take down
     its neighbours.
     """
-    outcomes: List[object] = [None] * len(points)
+    failures: Dict[int, TaskFailure] = {}
+    good = list(range(len(table)))
     if faults.active():
-        good: List[int] = []
-        for i, point in enumerate(points):
+        for row in good:
             try:
-                faults.fire("dse",
-                            f"{point.name}/{point.network}/b{point.batch}")
-                good.append(i)
+                faults.fire("dse", _fault_site(table, row))
             except Exception as exc:
-                outcomes[i] = TaskFailure.from_exception(exc)
-    else:
-        good = list(range(len(points)))
-    if good:
-        try:
-            fresh: List[object] = evaluate_points(
-                base_gpu, [points[i] for i in good], unique=unique)
-        except Exception:
-            fresh = []
-            for i in good:
-                try:
-                    fresh.extend(evaluate_points(base_gpu, [points[i]],
-                                                 unique=unique))
-                except Exception as exc:
-                    fresh.append(TaskFailure.from_exception(exc))
-        for i, outcome in zip(good, fresh):
-            outcomes[i] = outcome
-    return outcomes
+                failures[row] = TaskFailure.from_exception(exc)
+        good = [row for row in good if row not in failures]
+    try:
+        return (evaluate_points(base_gpu, table.take(good), unique=unique),
+                failures)
+    except Exception:
+        pieces = []
+        for row in good:
+            try:
+                pieces.append(evaluate_points(base_gpu, table.take([row]),
+                                              unique=unique))
+            except Exception as exc:
+                failures[row] = TaskFailure.from_exception(exc)
+        return MetricTable.concat(pieces), failures
 
 
-def _chunk_tasks(base_gpu: GpuSpec, points: Sequence[DesignPoint],
-                 unique: bool, layer_stride: int) -> List[Tuple]:
+def _chunk_tasks(base_gpu: GpuSpec, table: PointTable, unique: bool,
+                 layer_stride: int) -> List[Tuple]:
     """``BATCH_CHUNK``-point :func:`_evaluate_batch_task` tasks."""
-    return [(base_gpu, tuple(points[start:start + BATCH_CHUNK]), unique,
+    return [(base_gpu, table[start:start + BATCH_CHUNK], unique,
              layer_stride)
-            for start in range(0, len(points), BATCH_CHUNK)]
+            for start in range(0, len(table), BATCH_CHUNK)]
 
 
-def _map_evaluations_batched(session, base_gpu: GpuSpec,
-                             points: Sequence[DesignPoint],
-                             unique: bool) -> List[object]:
+def _map_evaluations_batched(session, base_gpu: GpuSpec, table: PointTable,
+                             unique: bool) -> Outcomes:
     """Batched evaluation fan-out with chunk-level crash isolation.
 
     Chunks go through the session pool as single tasks; a chunk that fails
@@ -343,27 +410,31 @@ def _map_evaluations_batched(session, base_gpu: GpuSpec,
     only the genuinely bad point surfaces as a failure.
     """
     if session is None:
-        return _evaluate_batch_local(base_gpu, points, unique)
-    chunk_tasks = _chunk_tasks(base_gpu, points, unique, 1)
+        return _evaluate_batch_local(base_gpu, table, unique)
+    chunk_tasks = _chunk_tasks(base_gpu, table, unique, 1)
     chunk_outcomes = session.map_tasks(_evaluate_batch_task, chunk_tasks,
                                        return_failures=True, isolate=True)
-    outcomes: List[object] = []
-    for (_, chunk, _, _), outcome in zip(chunk_tasks, chunk_outcomes):
-        if isinstance(outcome, TaskFailure):
-            tasks = [(base_gpu, (point,), unique, 1) for point in chunk]
-            outcomes.extend(
-                single if isinstance(single, TaskFailure) else single[0]
-                for single in session.map_tasks(
-                    _evaluate_batch_task, tasks, return_failures=True,
-                    isolate=True))
-        else:
-            outcomes.extend(outcome)
-    return outcomes
+    pieces: List[MetricTable] = []
+    failures: Dict[int, TaskFailure] = {}
+    for start, (_, chunk, _, _), outcome in zip(
+            range(0, len(table), BATCH_CHUNK), chunk_tasks, chunk_outcomes):
+        if not isinstance(outcome, TaskFailure):
+            pieces.append(outcome)
+            continue
+        tasks = [(base_gpu, chunk[row:row + 1], unique, 1)
+                 for row in range(len(chunk))]
+        for row, single in enumerate(session.map_tasks(
+                _evaluate_batch_task, tasks, return_failures=True,
+                isolate=True)):
+            if isinstance(single, TaskFailure):
+                failures[start + row] = single
+            else:
+                pieces.append(single)
+    return MetricTable.concat(pieces), failures
 
 
-def _score_proxy_batched(session, base_gpu: GpuSpec,
-                         points: Sequence[DesignPoint],
-                         unique: bool) -> List[Dict[str, object]]:
+def _score_proxy_batched(session, base_gpu: GpuSpec, table: PointTable,
+                         unique: bool) -> MetricTable:
     """Batched proxy scoring for successive halving rungs.
 
     Proxy failures propagate: the proxy only ranks candidates, so there is
@@ -371,12 +442,19 @@ def _score_proxy_batched(session, base_gpu: GpuSpec,
     """
     if session is None:
         return _evaluate_batch_task(
-            (base_gpu, points, unique, PROXY_LAYER_STRIDE))
-    chunk_results = session.map_tasks(
+            (base_gpu, table, unique, PROXY_LAYER_STRIDE))
+    return MetricTable.concat(session.map_tasks(
         _evaluate_batch_task,
-        _chunk_tasks(base_gpu, points, unique, PROXY_LAYER_STRIDE),
-        isolate=True)
-    return [metrics for chunk in chunk_results for metrics in chunk]
+        _chunk_tasks(base_gpu, table, unique, PROXY_LAYER_STRIDE),
+        isolate=True))
+
+
+def _baseline_table(planned: PointTable) -> PointTable:
+    """One identity-design row per workload signature of ``planned``, in
+    order of first appearance."""
+    first = np.sort(np.unique(planned.signature_index, return_index=True)[1])
+    return PointTable(np.tile(_IDENTITY_DESIGN, (len(first), 1)),
+                      planned.signature_index[first], planned.signatures)
 
 
 def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
@@ -391,8 +469,12 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
     ``store`` adds on-disk resumability.  Either (or both) may be omitted
     for a serial, stateless sweep.
 
-    Points are evaluated in whole rungs through the vectorized
-    array-of-points path (:mod:`repro.dse.batch`).
+    The sweep stays columnar from plan to frontier: the driver plans row
+    indices into the space's :class:`~repro.dse.space.PointTable`, every
+    distinct point is evaluated once in whole rungs through the vectorized
+    array-of-points path (:mod:`repro.dse.batch`), content keys are hashed
+    in bulk only when a memo or store is attached, and the frontier reads
+    the metric columns.  Result objects are built for the rows read.
 
     Failures are isolated per point: an evaluation that still fails after the
     retry budget becomes a :class:`PointFailure` (recorded in the store when
@@ -407,121 +489,136 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
     stats = ExplorationStats()
 
     with obs_spans.trace("dse.plan", driver=type(driver).__name__):
-        points = driver.plan(space)
-    stats.planned = len(points)
+        rows = driver.plan(space)
+        table = space.table()
+    stats.planned = len(rows)
     if isinstance(driver, SuccessiveHalvingDriver):
         primary = resolved[0]
-        proxy_memo: Dict[str, Dict[str, object]] = {}
+        proxy_scores: Dict[int, float] = {}
 
-        def score_points(candidates: Sequence[DesignPoint]) -> List[float]:
-            """Proxy scores for one rung: memoized (survivors re-scored by a
-            later rung cost nothing) and fanned out over the session pool."""
-            missing = [point for point in candidates
-                       if point.point_hash() not in proxy_memo]
+        def score_rows(candidates: Sequence[int]) -> List[float]:
+            """Proxy scores for one rung: memoized by row (survivors
+            re-scored by a later rung cost nothing) and fanned out over the
+            session pool."""
+            missing = [row for row in candidates if row not in proxy_scores]
             with obs_spans.trace("dse.rung", candidates=len(candidates),
                                  fresh=len(missing)):
                 if missing:
-                    fresh = _score_proxy_batched(session, base_gpu,
-                                                 missing, unique)
+                    fresh = _score_proxy_batched(
+                        session, base_gpu, table.take(missing), unique)
                     stats.proxy_evaluations += len(missing)
-                    for point, metrics in zip(missing, fresh):
-                        proxy_memo[point.point_hash()] = metrics
-                # lower is better for the refine() sort.
-                return [-primary.oriented(float(
-                    proxy_memo[point.point_hash()][primary.metric]))
-                    for point in candidates]
+                    # lower is better for the refine() sort.
+                    for row, value in zip(missing, getattr(
+                            fresh, primary.metric).tolist()):
+                        proxy_scores[row] = -primary.oriented(value)
+                return [proxy_scores[row] for row in candidates]
 
-        points = driver.refine(points, score_points)
+        rows = driver.refine(rows, score_rows)
 
-    baseline_points: Dict[Tuple[str, int, str, int], DesignPoint] = {}
-    if include_baseline:
-        for point in points:
-            signature = signature_of(point)
-            if signature not in baseline_points:
-                baseline_points[signature] = point.baseline_point()
+    planned = table.take(rows)
+    everything = (PointTable.concat([planned, _baseline_table(planned)])
+                  if include_baseline else planned)
+    # every distinct point once, in order of first appearance.
+    first, distinct_of = everything.content_index()
+    keys = (store_keys(base_gpu, everything.take(first), unique)
+            if session is not None or store is not None else None)
 
-    all_points = list(points) + list(baseline_points.values())
-    keys = store_keys(base_gpu, all_points, unique)
+    def keys_of(points: np.ndarray) -> List[str]:
+        return [keys[i] for i in points.tolist()]
 
-    # key -> record, None while the key's evaluation is pending.
-    records: Dict[str, Optional[Dict[str, object]]] = {}
-    cached_keys = set()
-    pending: List[Tuple[str, DesignPoint]] = []
-    # plain-int counters in the loop; folded into the registry-backed
-    # stats once at the end (a counter write per point is measurable).
-    memo_hits = store_hits = skipped_failures = 0
-    for key, point in zip(keys, all_points):
-        if key in records:
-            continue
-        record = session.dse_lookup(key) if session is not None else None
-        if record is not None:
-            memo_hits += 1
-        elif store is not None:
-            record = store.get(key)
-            if record is not None:
-                store_hits += 1
-                if session is not None:
-                    session.dse_record(key, record)
-        records[key] = record
-        if record is None:
-            pending.append((key, point))
+    # (distinct points, their metrics) from the memo, the store and the
+    # evaluation; failure payloads and cache provenance per distinct point.
+    answered: List[Tuple[np.ndarray, MetricTable]] = []
+    failures: Dict[int, Dict[str, object]] = {}
+    cached = np.zeros(len(first), dtype=bool)
+    pending = np.arange(len(first))
+    lookups = ([("memo", session.dse_lookup)] if session is not None else []
+               ) + ([("store", store.get_many)] if store is not None else [])
+    for source, lookup in lookups:
+        if not len(pending):
+            break
+        found, hit_table, failed = lookup(keys_of(pending))
+        hits = pending[found]
+        failed_points = pending[np.fromiter(failed, dtype=np.intp,
+                                            count=len(failed))]
+        answered.append((hits, hit_table))
+        failures.update(zip(failed_points.tolist(), failed.values()))
+        cached[hits] = cached[failed_points] = True
+        if source == "memo":
+            stats.memo_hits += len(hits) + len(failed_points)
         else:
-            cached_keys.add(key)
-            skipped_failures += is_failure_record(record)
-    stats.memo_hits += memo_hits
-    stats.store_hits += store_hits
-    stats.skipped_failures += skipped_failures
+            stats.store_hits += len(hits) + len(failed_points)
+            if session is not None and (len(hits) or len(failed_points)):
+                session.dse_record(keys_of(hits), hit_table,
+                                   dict(zip(keys_of(failed_points),
+                                            failed.values())))
+        pending = pending[~cached[pending]]
+    stats.skipped_failures += len(failures)
 
-    if pending:
+    if len(pending):
         with obs_spans.trace("dse.evaluate", points=len(pending),
                              memo_hits=stats.memo_hits,
                              store_hits=stats.store_hits):
-            fresh = _map_evaluations_batched(
-                session, base_gpu, [point for _, point in pending], unique)
-        evaluated = failed = 0
-        for (key, _), outcome in zip(pending, fresh):
-            if isinstance(outcome, TaskFailure):
-                outcome = {FAILURE_FIELD: outcome.as_record()}
-                failed += 1
-            else:
-                evaluated += 1
-            records[key] = outcome
+            fresh, errors = _map_evaluations_batched(
+                session, base_gpu, everything.take(first[pending]), unique)
+        failed_points = pending[np.fromiter(errors, dtype=np.intp,
+                                            count=len(errors))]
+        evaluated = pending[np.isin(pending, failed_points, invert=True)]
+        answered.append((evaluated, fresh))
+        records = [error.as_record() for error in errors.values()]
+        failures.update(zip(failed_points.tolist(), records))
+        stats.evaluated += len(evaluated)
+        stats.failed += len(failed_points)
+        if keys is not None:
+            failed_keys = dict(zip(keys_of(failed_points), records))
             if session is not None:
-                session.dse_record(key, outcome)
-        stats.evaluated += evaluated
-        stats.failed += failed
-        if store is not None:
-            store.put_many((key, records[key]) for key, _ in pending)
+                session.dse_record(keys_of(evaluated), fresh, failed_keys)
+            if store is not None:
+                store.put_many(keys_of(evaluated), fresh, failed_keys)
     if session is not None:
         session.stats.dse_points += stats.evaluated
 
-    results_list: List[PointResult] = []
-    failures_list: List[PointFailure] = []
-    baselines: Dict[Tuple[str, int, str, int], PointResult] = {}
-    for index, (key, point) in enumerate(zip(keys, all_points)):
-        record = records[key]
-        cached = key in cached_keys
-        if is_failure_record(record):
-            failures_list.append(PointFailure(
-                point=point, key=key,
-                failure=TaskFailure.from_record(record[FAILURE_FIELD]),
-                cached=cached))
-            continue
-        result = PointResult(point=point, key=key, metrics=record,
-                             cached=cached)
-        if index < len(points):
-            results_list.append(result)
-        else:
-            baselines[signature_of(point)] = result
-    results = tuple(results_list)
+    # the metrics row of every distinct point that has metrics.
+    metrics = MetricTable.concat([part for _, part in answered])
+    metrics_row = np.full(len(first), -1, dtype=np.intp)
+    if answered:
+        metrics_row[np.concatenate([hits for hits, _ in answered])] = \
+            np.arange(len(metrics))
+
+    def results_of(rows: np.ndarray) -> PointResults:
+        distinct = distinct_of[rows]
+        return PointResults(base_gpu, unique, everything.take(rows),
+                            metrics.take(metrics_row[distinct]),
+                            cached[distinct],
+                            None if keys is None else (keys, distinct))
+
+    ok = metrics_row[distinct_of] >= 0
+    results = results_of(np.flatnonzero(ok[:len(planned)]))
+    baseline_rows = np.flatnonzero(ok[len(planned):]) + len(planned)
+    baselines = {
+        everything.signatures[everything.signature_index[row]]: result
+        for row, result in zip(baseline_rows.tolist(),
+                               results_of(baseline_rows))}
+    failed_rows = np.flatnonzero(~ok)
+    failure_list: Tuple[PointFailure, ...] = ()
+    if len(failed_rows):
+        distinct = distinct_of[failed_rows].tolist()
+        failure_list = tuple(
+            PointFailure(point=point, key=key,
+                         failure=TaskFailure.from_record(failures[index]),
+                         cached=bool(cached[index]))
+            for point, key, index in zip(
+                everything.take(failed_rows),
+                store_keys(base_gpu, everything.take(failed_rows), unique)
+                if keys is None else [keys[i] for i in distinct],
+                distinct))
     with obs_spans.trace("dse.frontier", results=len(results)):
-        frontier = tuple(pareto_frontier(
-            [result.metrics for result in results],
-            resolved)) if results else ()
+        frontier = tuple(pareto_frontier(results.metrics, resolved)
+                         ) if len(results) else ()
     return Exploration(base_gpu=base_gpu, objectives=tuple(resolved),
                        results=results, baselines=baselines,
                        frontier=frontier, stats=stats,
-                       failures=tuple(failures_list))
+                       failures=failure_list)
 
 
 # ----------------------------------------------------------------------
@@ -540,14 +637,8 @@ def confirm_frontier(exploration: Exploration, session, *, top: int = 3,
     """
     if top <= 0 or not exploration.frontier:
         return exploration
-    primary = exploration.objectives[0]
-    ranked = sorted(
-        exploration.frontier,
-        key=lambda index: -primary.oriented(
-            float(exploration.results[index].metrics[primary.metric])))
     confirmed: Dict[int, Dict[str, float]] = {}
-    for index in ranked[:top]:
-        result = exploration.results[index]
+    for index, result in exploration.ranked_frontier()[:top]:
         point = result.point
         layers = _workload_layers(point.network, point.batch,
                                   point.dtype_bytes, True,
@@ -567,8 +658,5 @@ def confirm_frontier(exploration: Exploration, session, *, top: int = 3,
             "sim_model_ratio": (sim.time_seconds / est.time_seconds
                                 if est.time_seconds > 0 else float("inf")),
         }
-    results = tuple(
-        dataclasses.replace(result, confirmation=confirmed.get(index))
-        if index in confirmed else result
-        for index, result in enumerate(exploration.results))
-    return dataclasses.replace(exploration, results=results)
+    return dataclasses.replace(
+        exploration, results=exploration.results.with_confirmations(confirmed))

@@ -13,12 +13,13 @@ description of a set of design points:
 * :func:`union` — concatenation of spaces with stable order and content
   dedupe.
 
-Spaces are frozen value objects; :meth:`SearchSpace.points` enumerates their
-design points in a deterministic order, which is what makes seeded random
-search reproducible and the result store's content keys stable.  Every point
-is lowered onto concrete hardware through the existing
-:meth:`DesignOption.apply` path, so a DSE point and a hand-built Fig. 16
-column can never drift apart.
+Spaces are frozen value objects.  :meth:`SearchSpace.table` enumerates
+their design points in a deterministic order as a :class:`PointTable` — a
+``(D, 9)`` design matrix plus a workload-signature index — which is what
+makes seeded random search reproducible and the result store's content keys
+stable.  The DSE pipeline reads only those arrays; :class:`DesignPoint`
+objects are built for the rows a caller reads (:meth:`SearchSpace.points`
+builds all of them).
 """
 
 from __future__ import annotations
@@ -28,10 +29,14 @@ import itertools
 import json
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import (Dict, Iterable, Iterator, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
+                    Union)
 
+import numpy as np
+
+from ..core.batched import design_matrix
 from ..core.workload import check_batch, normalize_passes
 from ..gpu.design_options import DesignOption
 from ..gpu.spec import FP32_BYTES
@@ -148,137 +153,192 @@ class DesignPoint:
                            passes=self.passes, dtype_bytes=self.dtype_bytes)
 
 
-#: DesignOption field defaults, for the fast grid-enumeration path below.
-_OPTION_DEFAULTS: Dict[str, float] = {key: 1.0 for key in GPU_AXIS_KEYS}
+#: design-matrix column of every design axis key (see
+#: :data:`repro.core.batched.DESIGN_FIELDS`).
+DESIGN_AXIS_KEYS: Tuple[str, ...] = GPU_AXIS_KEYS + ("cta_tile",)
+
+#: one workload: (network, batch, passes, dtype_bytes).
+Signature = Tuple[str, int, str, int]
 
 
-def _grid_points(axes: Sequence[Axis], base: DesignPoint
-                 ) -> Tuple[DesignPoint, ...]:
-    """Fast cartesian enumeration, equivalent to ``_point_from_values``.
+def design_name(values: Sequence[float]) -> str:
+    """The name of one design-matrix row: its non-unit multipliers and a
+    non-128 CTA tile (``"num_sm=2,cta_tile=256"``), or ``"baseline"``."""
+    parts = [f"{key}={value:g}" for key, value in zip(GPU_AXIS_KEYS, values)
+             if value != 1.0]
+    tile = int(values[-1])
+    if tile != 128:
+        parts.append(f"cta_tile={tile}")
+    return ",".join(parts) if parts else "baseline"
 
-    Axis normalization (``Axis.__post_init__``) already guarantees every
-    value is validated and canonical — GPU multipliers are positive floats,
-    networks lowercase, passes normalized — so the per-point re-validation
-    of the dataclass constructors is redundant; points are assembled
-    directly (name fragments precomputed per axis value), which is what
-    keeps enumerating a multi-thousand-point grid off a sweep's hot path.
+
+def _canonical(signatures: Sequence[Signature], index: np.ndarray
+               ) -> Tuple[Tuple[Signature, ...], np.ndarray]:
+    """Drop repeated signatures, remapping ``index`` onto the first copy."""
+    positions: Dict[Signature, int] = {}
+    remap = np.array([positions.setdefault(signature, len(positions))
+                      for signature in signatures], dtype=np.intp)
+    return tuple(positions), remap[index] if len(remap) else index
+
+
+class PointTable(Sequence):
+    """Design points as arrays: a ``Sequence[DesignPoint]`` built on demand.
+
+    ``design`` is the ``(D, 9)`` float64 design matrix (the eight resource
+    multipliers, then the CTA tile; :data:`repro.core.batched.DESIGN_FIELDS`),
+    ``signature_index`` the ``(D,)`` index of each row's workload into the
+    distinct ``signatures``, and ``names`` the option names, or ``None`` when
+    every name is derived from its design row (:func:`design_name`).
+    Indexing or iterating builds :class:`DesignPoint` objects; the DSE
+    pipeline itself reads only the arrays.
     """
-    keys = [ax.key for ax in axes]
-    # (field key, combo index, {value: "key=value" fragment or None}).
-    gpu_axes = [
-        (key, keys.index(key),
-         {value: (f"{key}={value:g}" if value != 1.0 else None)
-          for value in axes[keys.index(key)].values})
-        for key in GPU_AXIS_KEYS if key in keys]
-    cta_index = keys.index("cta_tile") if "cta_tile" in keys else None
-    base_cta = base.option.cta_tile_hw
-    option_indices = [index for _, index, _ in gpu_axes]
-    if cta_index is not None:
-        option_indices.append(cta_index)
-    workload = {key: (keys.index(key) if key in keys else None)
-                for key in WORKLOAD_AXIS_KEYS}
-    base_workload = {key: getattr(base, key) for key in WORKLOAD_AXIS_KEYS}
 
-    cta_fragments = ({value: (f"cta_tile={value}" if value != 128 else None)
-                      for value in axes[cta_index].values}
-                     if cta_index is not None else None)
+    def __init__(self, design: np.ndarray, signature_index: np.ndarray,
+                 signatures: Tuple[Signature, ...],
+                 names: Optional[Tuple[str, ...]] = None) -> None:
+        self.design = design
+        self.signature_index = signature_index
+        self.signatures = signatures
+        self.names = names
 
-    if all(index is None for index in workload.values()):
-        # Design-only grid (the common sweep shape): every combo is a
-        # distinct option, so the option cache below would never hit, and
-        # the workload fields are one constant dict — build each point with
-        # a single dict merge and a wholesale __dict__ assignment.
-        points = []
-        for combo in itertools.product(*(ax.values for ax in axes)):
-            fields = dict(_OPTION_DEFAULTS)
-            parts = []
-            for key, index, fragments in gpu_axes:
-                value = combo[index]
-                fields[key] = value
-                fragment = fragments[value]
-                if fragment is not None:
-                    parts.append(fragment)
-            if cta_fragments is not None:
-                cta = combo[cta_index]
-                fragment = cta_fragments[cta]
-                if fragment is not None:
-                    parts.append(fragment)
-            else:
-                cta = base_cta
-            fields["name"] = ",".join(parts) if parts else "baseline"
-            fields["cta_tile_hw"] = cta
-            option = object.__new__(DesignOption)
-            object.__setattr__(option, "__dict__", fields)
-            point = object.__new__(DesignPoint)
-            object.__setattr__(point, "__dict__",
-                               {"option": option, **base_workload})
-            points.append(point)
-        return tuple(points)
+    @classmethod
+    def from_points(cls, points: Sequence[DesignPoint]) -> "PointTable":
+        """The table of explicit design points (names kept)."""
+        if isinstance(points, PointTable):
+            return points
+        points = tuple(points)
+        positions: Dict[Signature, int] = {}
+        index = np.fromiter(
+            (positions.setdefault(signature_of(point), len(positions))
+             for point in points), dtype=np.intp, count=len(points))
+        return cls(design_matrix([point.option for point in points]), index,
+                   tuple(positions), tuple(point.name for point in points))
 
-    # One option object per distinct design, shared across workload combos —
-    # downstream consumers (key templating, batched evaluation) memoize per
-    # option object, so sharing turns those caches into near-pure hits.
-    option_cache: Dict[Tuple, DesignOption] = {}
-    points = []
-    for combo in itertools.product(*(ax.values for ax in axes)):
-        option_key = tuple(combo[index] for index in option_indices)
-        option = option_cache.get(option_key)
-        if option is None:
-            fields = dict(_OPTION_DEFAULTS)
-            parts = []
-            for key, index, fragments in gpu_axes:
-                value = combo[index]
-                fields[key] = value
-                fragment = fragments[value]
-                if fragment is not None:
-                    parts.append(fragment)
-            cta = combo[cta_index] if cta_index is not None else base_cta
-            if cta != 128:
-                parts.append(f"cta_tile={cta}")
-            fields["name"] = ",".join(parts) if parts else "baseline"
-            fields["cta_tile_hw"] = cta
-            option = object.__new__(DesignOption)
-            option.__dict__.update(fields)
-            option_cache[option_key] = option
-        point = object.__new__(DesignPoint)
-        point.__dict__["option"] = option
-        for key, index in workload.items():
-            point.__dict__[key] = (combo[index] if index is not None
-                                   else base_workload[key])
-        points.append(point)
-    return tuple(points)
+    @classmethod
+    def concat(cls, tables: Sequence["PointTable"]) -> "PointTable":
+        """Rows of ``tables`` one after another (signatures merged)."""
+        if not tables:
+            return cls(np.empty((0, len(DESIGN_AXIS_KEYS))),
+                       np.empty(0, dtype=np.intp), ())
+        signatures = tuple(itertools.chain.from_iterable(
+            table.signatures for table in tables))
+        offsets = np.cumsum([0] + [len(table.signatures)
+                                   for table in tables[:-1]])
+        index = np.concatenate(
+            [table.signature_index + offset
+             for table, offset in zip(tables, offsets)]).astype(np.intp)
+        names = None
+        if any(table.names is not None for table in tables):
+            names = tuple(table.name(i) for table in tables
+                          for i in range(len(table)))
+        signatures, index = _canonical(signatures, index)
+        return cls(np.concatenate([table.design for table in tables]),
+                   index, signatures, names)
+
+    def __len__(self) -> int:
+        return len(self.signature_index)
+
+    def name(self, index: int) -> str:
+        if self.names is not None:
+            return self.names[index]
+        return design_name(self.design[index].tolist())
+
+    def take(self, rows: Sequence[int]) -> "PointTable":
+        """The table of ``rows`` (row indices, in the order given)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        names = (None if self.names is None
+                 else tuple(self.names[i] for i in rows.tolist()))
+        return PointTable(self.design[rows], self.signature_index[rows],
+                          self.signatures, names)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        return next(iter(self.take([index])))
+
+    def __iter__(self) -> Iterator[DesignPoint]:
+        # one option object per distinct (name, design), shared across
+        # workloads.
+        options: Dict[object, DesignOption] = {}
+        names = self.names
+        for row, (design, signature) in enumerate(zip(
+                _row_bytes(self.design), self.signature_index.tolist())):
+            key = design if names is None else (names[row], design)
+            option = options.get(key)
+            if option is None:
+                values = self.design[row].tolist()
+                option = options[key] = DesignOption(
+                    design_name(values) if names is None else names[row],
+                    *values[:-1], cta_tile_hw=int(values[-1]))
+            yield DesignPoint(option, *self.signatures[signature])
+
+    def content_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(first, inverse)``: the first row of every distinct design
+        point (equal design and workload, names ignored), in row order, and
+        each row's position in ``first``."""
+        positions: Dict[bytes, int] = {}
+        inverse = np.fromiter(
+            (positions.setdefault(row, len(positions)) for row in _row_bytes(
+                np.column_stack([self.design, self.signature_index]))),
+            dtype=np.intp, count=len(self))
+        return np.unique(inverse, return_index=True)[1], inverse
 
 
-def _point_from_values(values: Mapping[str, object], base: DesignPoint) -> DesignPoint:
-    """Build a design point from per-axis values over ``base``'s defaults."""
-    gpu_kwargs = {key: float(values[key]) for key in GPU_AXIS_KEYS if key in values}
-    cta_tile = int(values.get("cta_tile", base.option.cta_tile_hw))
-    design_parts = [f"{key}={value:g}" for key, value in gpu_kwargs.items()
-                    if value != 1.0]
-    if cta_tile != 128:
-        design_parts.append(f"cta_tile={cta_tile}")
-    name = ",".join(design_parts) if design_parts else "baseline"
-    option = DesignOption(name=name, cta_tile_hw=cta_tile, **gpu_kwargs)
-    return DesignPoint(
-        option=option,
-        network=str(values.get("network", base.network)),
-        batch=int(values.get("batch", base.batch)),
-        passes=str(values.get("passes", base.passes)),
-        dtype_bytes=int(values.get("dtype_bytes", base.dtype_bytes)),
-    )
+def _row_bytes(matrix: np.ndarray) -> List[bytes]:
+    """Each row of a 2-D array as little-endian float64 bytes."""
+    matrix = np.ascontiguousarray(matrix, dtype="<f8")
+    return matrix.view(np.dtype((np.void, matrix.itemsize
+                                 * matrix.shape[1]))).ravel().tolist()
+
+
+def _axes_table(axes: Sequence[Axis], base: DesignPoint,
+                index: np.ndarray) -> PointTable:
+    """The table whose row ``r`` takes value ``index[k, r]`` of axis ``k``
+    (unswept fields keep ``base``'s workload, unit multipliers and its
+    CTA tile)."""
+    design = np.ones((index.shape[1], len(DESIGN_AXIS_KEYS)))
+    design[:, -1] = base.option.cta_tile_hw
+    workload = []
+    for ax, values in zip(axes, index):
+        if ax.key in DESIGN_AXIS_KEYS:
+            design[:, DESIGN_AXIS_KEYS.index(ax.key)] = np.asarray(
+                ax.values, dtype=np.float64)[values]
+        else:
+            workload.append((ax, values))
+    if not workload:
+        return PointTable(design, np.zeros(index.shape[1], dtype=np.intp),
+                          (signature_of(base),))
+    shape = [len(ax) for ax, _ in workload]
+    codes, signature_index = np.unique(
+        np.ravel_multi_index([values for _, values in workload], shape),
+        return_inverse=True)
+    base_fields = dict(zip(WORKLOAD_AXIS_KEYS, signature_of(base)))
+    signatures = []
+    for combo in zip(*np.unravel_index(codes, shape)):
+        fields = dict(base_fields)
+        for (ax, _), value in zip(workload, combo):
+            fields[ax.key] = ax.values[int(value)]
+        signatures.append(tuple(fields[key] for key in WORKLOAD_AXIS_KEYS))
+    signatures, signature_index = _canonical(signatures,
+                                             signature_index.ravel())
+    return PointTable(design, signature_index, signatures)
 
 
 class SearchSpace:
     """Base class of the composable space algebra (grid / zip / union)."""
 
-    def points(self) -> Tuple[DesignPoint, ...]:
+    def table(self) -> PointTable:
+        """The space's design points as arrays, in enumeration order."""
         raise NotImplementedError
 
+    def points(self) -> Tuple[DesignPoint, ...]:
+        return tuple(self.table())
+
     def __len__(self) -> int:
-        return len(self.points())
+        return len(self.table())
 
     def __iter__(self) -> Iterator[DesignPoint]:
-        return iter(self.points())
+        return iter(self.table())
 
     def __or__(self, other: "SearchSpace") -> "SearchSpace":
         return union(self, other)
@@ -290,8 +350,14 @@ class ExplicitSpace(SearchSpace):
 
     explicit: Tuple[DesignPoint, ...]
 
+    def table(self) -> PointTable:
+        return PointTable.from_points(self.explicit)
+
     def points(self) -> Tuple[DesignPoint, ...]:
         return self.explicit
+
+    def __len__(self) -> int:
+        return len(self.explicit)
 
 
 @dataclass(frozen=True)
@@ -305,8 +371,13 @@ class GridSpace(SearchSpace):
     def __post_init__(self) -> None:
         _check_axes(self.axes)
 
+    def table(self) -> PointTable:
+        shape = tuple(len(ax) for ax in self.axes)
+        return _axes_table(self.axes, self.base,
+                           np.indices(shape).reshape(len(shape), -1))
+
     def points(self) -> Tuple[DesignPoint, ...]:
-        return _grid_points(self.axes, self.base)
+        return tuple(self.table())
 
     def __len__(self) -> int:
         size = 1
@@ -331,11 +402,9 @@ class ZipSpace(SearchSpace):
                 f"zip axes must have equal lengths, got "
                 f"{ {ax.key: len(ax) for ax in self.axes} }")
 
-    def points(self) -> Tuple[DesignPoint, ...]:
-        keys = [ax.key for ax in self.axes]
-        return tuple(
-            _point_from_values(dict(zip(keys, combo)), self.base)
-            for combo in zip(*(ax.values for ax in self.axes)))
+    def table(self) -> PointTable:
+        return _axes_table(self.axes, self.base, np.broadcast_to(
+            np.arange(len(self)), (len(self.axes), len(self))))
 
     def __len__(self) -> int:
         return len(self.axes[0]) if self.axes else 0
@@ -347,16 +416,9 @@ class UnionSpace(SearchSpace):
 
     spaces: Tuple[SearchSpace, ...]
 
-    def points(self) -> Tuple[DesignPoint, ...]:
-        seen = set()
-        merged = []
-        for space in self.spaces:
-            for point in space.points():
-                key = point.point_hash()
-                if key not in seen:
-                    seen.add(key)
-                    merged.append(point)
-        return tuple(merged)
+    def table(self) -> PointTable:
+        merged = PointTable.concat([space.table() for space in self.spaces])
+        return merged.take(merged.content_index()[0])
 
 
 def _check_axes(axes: Sequence[Axis]) -> None:

@@ -14,7 +14,8 @@ pins that contract:
   fp16 and fp32 — through ``evaluate_points`` vs the scalar oracle
   ``evaluate_point`` (tests/model_reference.py);
 * ``pareto_frontier`` equals the scalar domination loop at every size;
-* the fast grid enumeration equals the ``_point_from_values`` reference;
+* the array grid enumeration equals the one-combination-at-a-time
+  ``_point_from_values`` reference;
 * the scalar edge-case fixes that rode along (fp16 L1 streaming clamp,
   sliding-window L2 clamps, zero-time bottleneck shares) stay pinned.
 """
@@ -32,14 +33,14 @@ from hypothesis import strategies as st
 from repro.analysis.frontier import (OBJECTIVES, _pareto_frontier_vectorized,
                                      pareto_frontier, resolve_objectives)
 from repro.core.batched import (BatchedGpuSpec, CANDIDATE_ORDER,
-                                estimate_grid, traffic_by_family)
+                                design_matrix, estimate_grid,
+                                traffic_by_family)
 from repro.core.bottleneck import Bottleneck
 from repro.core.l1 import _streaming_mli
 from repro.core.l2 import sliding_tile_unique_elements
 from repro.core.workload import Im2colPattern, lower_forward, lower_pass
 from repro.dse.batch import evaluate_points
-from repro.dse.space import (DesignPoint, GridSpace, _point_from_values,
-                             grid)
+from repro.dse.space import GPU_AXIS_KEYS, DesignPoint, GridSpace, grid
 from repro.gpu.design_options import DesignOption
 from repro.gpu.devices import TITAN_XP, get_device
 from repro.networks.registry import get_network
@@ -69,7 +70,8 @@ def _family_columns(gpu, workloads):
     return {
         hw: estimate_grid(
             BatchedGpuSpec.from_options(
-                gpu, [DesignOption(name="baseline", cta_tile_hw=hw)]),
+                gpu, design_matrix([DesignOption(name="baseline",
+                                                 cta_tile_hw=hw)])),
             traffic_grid)
         for hw in (128, 256)
     }
@@ -250,8 +252,28 @@ def test_pareto_frontier_dispatch_consistent_across_sizes():
 
 
 # ----------------------------------------------------------------------
-# Fast grid enumeration == _point_from_values reference
+# Array grid enumeration == _point_from_values reference
 # ----------------------------------------------------------------------
+
+def _point_from_values(values, base):
+    """One design point from per-axis values over ``base``'s defaults."""
+    gpu_kwargs = {key: float(values[key]) for key in GPU_AXIS_KEYS
+                  if key in values}
+    cta_tile = int(values.get("cta_tile", base.option.cta_tile_hw))
+    design_parts = [f"{key}={value:g}" for key, value in gpu_kwargs.items()
+                    if value != 1.0]
+    if cta_tile != 128:
+        design_parts.append(f"cta_tile={cta_tile}")
+    name = ",".join(design_parts) if design_parts else "baseline"
+    option = DesignOption(name=name, cta_tile_hw=cta_tile, **gpu_kwargs)
+    return DesignPoint(
+        option=option,
+        network=str(values.get("network", base.network)),
+        batch=int(values.get("batch", base.batch)),
+        passes=str(values.get("passes", base.passes)),
+        dtype_bytes=int(values.get("dtype_bytes", base.dtype_bytes)),
+    )
+
 
 def _reference_points(space):
     keys = [ax.key for ax in space.axes]
@@ -273,7 +295,7 @@ def test_grid_points_workload_axes_path_matches_reference():
                   "passes": ("forward", "training"), "dtype_bytes": (2, 4)})
     points = space.points()
     assert points == _reference_points(space)
-    # the slow path shares one option object across workload combos.
+    # one option object per design, shared across workload combos.
     assert len({id(p.option) for p in points}) == 4
 
 

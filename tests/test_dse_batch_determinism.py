@@ -3,7 +3,7 @@
 ``explore`` evaluates points through the batched array-of-points path and
 appends them to the store as one chunk line.  The store it leaves behind
 must be *byte-identical* to one rebuilt one point at a time from the scalar
-oracles — ``(store_key, evaluate_point)`` pairs handed to
+oracles — ``store_key`` keys and ``evaluate_point`` records handed to
 :meth:`ResultStore.put_many` — for every driver, including the
 successive-halving driver whose proxy scoring is batched too.  A divergence
 here (a value, a key, the dedupe order or a dict's key order) would silently
@@ -15,8 +15,9 @@ import json
 import pytest
 
 from repro.analysis.frontier import DEFAULT_OBJECTIVE_NAMES, resolve_objectives
-from repro.dse import (ExhaustiveDriver, RandomDriver, ResultStore,
-                       SuccessiveHalvingDriver, explore, grid, store_key)
+from repro.dse import (ExhaustiveDriver, MetricTable, RandomDriver,
+                       ResultStore, SuccessiveHalvingDriver, explore, grid,
+                       store_key)
 from repro.gpu.devices import TITAN_XP
 
 from model_reference import evaluate_point
@@ -49,27 +50,29 @@ def _oracle_store(driver, path):
     Returns the number of records written.
     """
     primary = resolve_objectives(DEFAULT_OBJECTIVE_NAMES)[0]
-    points = driver.plan(SPACE)
+    space_points = SPACE.points()
+    rows = driver.plan(SPACE)
     if isinstance(driver, SuccessiveHalvingDriver):
         def score(candidates):
             return [-primary.oriented(float(evaluate_point(
-                TITAN_XP, point, layer_stride=4)[primary.metric]))
-                for point in candidates]
-        points = driver.refine(points, score)
+                TITAN_XP, space_points[row], layer_stride=4)[primary.metric]))
+                for row in candidates]
+        rows = driver.refine(rows, score)
+    points = [space_points[row] for row in rows]
     baselines = {}
     for point in points:
         baselines.setdefault(point.workload_signature(),
                              point.baseline_point())
+    keys = []
     records = []
-    seen = set()
-    for point in list(points) + list(baselines.values()):
+    for point in points + list(baselines.values()):
         key = store_key(TITAN_XP, point, unique=True)
-        if key in seen:
+        if key in keys:
             continue
-        seen.add(key)
-        records.append((key, evaluate_point(TITAN_XP, point)))
+        keys.append(key)
+        records.append(evaluate_point(TITAN_XP, point))
     store = ResultStore(path)
-    store.put_many(records)
+    store.put_many(keys, MetricTable.from_records(records))
     store.close()
     return len(records)
 

@@ -123,9 +123,9 @@ class TestExplore:
             (TITAN_XP, (point,), True, runner.PROXY_LAYER_STRIDE))
         assert fired == [("dse", "wide/alexnet/b16"),
                          ("dse", "proxy:wide/alexnet/b16")]
-        assert full == [evaluate_point(TITAN_XP, point, unique=True)]
-        assert proxy == [evaluate_point(TITAN_XP, point, unique=True,
-                                        layer_stride=4)]
+        assert list(full) == [evaluate_point(TITAN_XP, point, unique=True)]
+        assert list(proxy) == [evaluate_point(TITAN_XP, point, unique=True,
+                                              layer_stride=4)]
 
     def test_exhaustive_explore_shape(self, small_space):
         result = explore(small_space)
@@ -152,6 +152,23 @@ class TestExplore:
         result = explore(small_space, include_baseline=False)
         assert result.baselines == {}
         assert all("speedup" not in row for row in result.frontier_rows())
+
+    def test_repeated_points_are_evaluated_once(self):
+        """Rows with equal design and workload (here a repeated axis value
+        and the implicit identity baseline) share one evaluation, yet every
+        planned row keeps its own result."""
+        space = grid({"num_sm": (1, 2, 2), "mac_bw": (1, 4)},
+                     network="alexnet", batch=16)
+        result = explore(space)
+        assert result.stats.planned == len(result.results) == 6
+        assert result.stats.evaluated == 4
+        names = [r.point.name for r in result.results]
+        assert names == ["baseline", "mac_bw=4", "num_sm=2",
+                         "num_sm=2,mac_bw=4", "num_sm=2", "num_sm=2,mac_bw=4"]
+        assert result.results[2].metrics == result.results[4].metrics
+        assert result.results[2].key == result.results[4].key
+        assert result.results[0].metrics == next(
+            iter(result.baselines.values())).metrics
 
     def test_session_memo_dedupes_across_explores(self, small_space):
         with Session() as session:

@@ -3,12 +3,16 @@ and the interrupted-sweep -> rerun -> zero re-evaluations contract."""
 
 import dataclasses
 import json
+import os
+import struct
 
 import pytest
 
+from repro import faults
 from repro.dse import (
     ExhaustiveDriver,
     GPU_AXIS_KEYS,
+    MetricTable,
     ResultStore,
     StaleStoreError,
     StoreLockedError,
@@ -35,6 +39,19 @@ WORKLOAD_CHANGES = [("network", "vgg16"), ("batch", 32),
 BASE_POINT = DesignPoint(option=DesignOption("a"), network="alexnet", batch=16)
 
 
+def _record(time_s, layers=1, bottlenecks=None):
+    """A metrics record (every metrics key, in dict order)."""
+    return {"time_s": time_s, "throughput_tflops": 2.0, "dram_gb": 0.5,
+            "l2_gb": 0.75, "resource_cost": 1.0, "layers": layers,
+            "gemms": layers,
+            "bottlenecks": ({"MAC_BW": 1.0} if bottlenecks is None
+                            else bottlenecks)}
+
+
+def _table(*times):
+    return MetricTable.from_records([_record(time_s) for time_s in times])
+
+
 @pytest.fixture()
 def space():
     return grid({"num_sm": (1, 2), "mac_bw": (1, 2), "dram_bw": (1, 1.5)},
@@ -44,8 +61,8 @@ def space():
 class TestResultStore:
     def test_put_get_roundtrip(self, tmp_path):
         store = ResultStore(str(tmp_path / "sweep.jsonl"))
-        store.put("k1", {"time_s": 0.1234567890123456789, "layers": 5})
-        assert store.get("k1") == {"time_s": 0.1234567890123456789, "layers": 5}
+        store.put("k1", _record(0.1234567890123456789, layers=5))
+        assert store.get("k1") == _record(0.1234567890123456789, layers=5)
         assert "k1" in store
         assert len(store) == 1
         store.close()
@@ -54,8 +71,7 @@ class TestResultStore:
         path = str(tmp_path / "sweep.jsonl")
         value = 0.1 + 0.2  # a float with an awkward shortest repr
         with ResultStore(path) as store:
-            store.put("k", {"time_s": value,
-                            "bottlenecks": {"DRAM_BW": 1.0 / 3.0}})
+            store.put("k", _record(value, bottlenecks={"DRAM_BW": 1.0 / 3.0}))
         reloaded = ResultStore(path)
         record = reloaded.get("k")
         assert record["time_s"] == value
@@ -63,16 +79,16 @@ class TestResultStore:
 
     def test_in_memory_store_without_path(self):
         store = ResultStore()
-        store.put("k", {"x": 1})
-        assert store.get("k") == {"x": 1}
+        store.put("k", _record(1.0))
+        assert store.get("k") == _record(1.0)
         assert store.path is None
 
     def test_duplicate_put_is_ignored(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
         with ResultStore(path) as store:
-            store.put("k", {"x": 1})
-            store.put("k", {"x": 2})
-        assert ResultStore(path).get("k") == {"x": 1}
+            store.put("k", _record(1.0))
+            store.put("k", _record(2.0))
+        assert ResultStore(path).get("k") == _record(1.0)
         with open(path) as handle:
             assert len(handle.readlines()) == 1
 
@@ -81,22 +97,22 @@ class TestResultStore:
         load every complete record and keep accepting new ones."""
         path = tmp_path / "sweep.jsonl"
         with ResultStore(str(path)) as store:
-            store.put("k1", {"x": 1})
-            store.put("k2", {"x": 2})
+            store.put("k1", _record(1.0))
+            store.put("k2", _record(2.0))
         text = path.read_text()
         path.write_text(text + '{"key": "k3", "metr')  # torn write
         reloaded = ResultStore(str(path))
         assert len(reloaded) == 2
         assert reloaded.corrupt_lines == 1
-        reloaded.put("k3", {"x": 3})
+        reloaded.put("k3", _record(3.0))
         reloaded.close()
         final = ResultStore(str(path))
-        assert final.get("k3") == {"x": 3}
+        assert final.get("k3") == _record(3.0)
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "nested" / "dir" / "sweep.jsonl"
         with ResultStore(str(path)) as store:
-            store.put("k", {"x": 1})
+            store.put("k", _record(1.0))
         assert path.exists()
 
 
@@ -108,9 +124,9 @@ class TestDurability:
         accepting appends that later load cleanly."""
         path = tmp_path / "sweep.jsonl"
         with ResultStore(str(path)) as store:
-            store.put("k1", {"x": 1})
-            store.put("k2", {"x": 2})
-            store.put("k3", {"x": 3})
+            store.put("k1", _record(1.0))
+            store.put("k2", _record(2.0))
+            store.put("k3", _record(3.0))
         blob = path.read_bytes()
         prefix_len = blob.index(b'"k3"')  # cut somewhere inside record 3
         prefix_len = blob.rfind(b"\n", 0, prefix_len) + 1
@@ -118,16 +134,16 @@ class TestDurability:
         for offset in range(prefix_len, len(blob)):
             path.write_bytes(blob[:offset])
             reloaded = ResultStore(str(path))
-            assert reloaded.get("k1") == {"x": 1}
-            assert reloaded.get("k2") == {"x": 2}
+            assert reloaded.get("k1") == _record(1.0)
+            assert reloaded.get("k2") == _record(2.0)
             assert reloaded.corrupt_lines <= 1
             assert ("k3" in reloaded) == (reloaded.corrupt_lines == 0
                                           and offset > prefix_len)
-            reloaded.put("k4", {"x": 4})
+            reloaded.put("k4", _record(4.0))
             reloaded.close()
             recovered = ResultStore(str(path))
-            assert recovered.get("k4") == {"x": 4}
-            assert recovered.get("k1") == {"x": 1}
+            assert recovered.get("k4") == _record(4.0)
+            assert recovered.get("k1") == _record(1.0)
             # the torn debris (if any) stays quarantined on its own line
             # and keeps counting as exactly one corrupt line forever.
             assert recovered.corrupt_lines == reloaded.corrupt_lines
@@ -135,14 +151,14 @@ class TestDurability:
     def test_second_concurrent_writer_is_rejected(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
         first = ResultStore(path)
-        first.put("k1", {"x": 1})  # first append takes the writer lock
+        first.put("k1", _record(1.0))  # first append takes the writer lock
         second = ResultStore(path)
-        assert second.get("k1") == {"x": 1}  # reading is fine
+        assert second.get("k1") == _record(1.0)  # reading is fine
         with pytest.raises(StoreLockedError, match="locked by another"):
-            second.put("k2", {"x": 2})
+            second.put("k2", _record(2.0))
         first.close()
         third = ResultStore(path)
-        third.put("k3", {"x": 3})  # lock released with the handle
+        third.put("k3", _record(3.0))  # lock released with the handle
         third.close()
 
     def test_failure_records_round_trip(self, tmp_path):
@@ -150,7 +166,7 @@ class TestDurability:
         failure = TaskFailure(kind="crash", error_type="BrokenProcessPool",
                               message="worker died", attempts=3)
         with ResultStore(path) as store:
-            store.put("ok", {"x": 1})
+            store.put("ok", _record(1.0))
             store.put_failure("bad", failure.as_record())
         reloaded = ResultStore(path)
         assert not is_failure_record(reloaded.get("ok"))
@@ -160,14 +176,15 @@ class TestDurability:
         assert set(reloaded.failures()) == {"bad"}
         with open(path) as handle:
             lines = [json.loads(line) for line in handle]
-        assert lines[1] == {"keys": ["bad"],
-                            "records": [{"failure": failure.as_record()}]}
+        assert lines[1] == {"keys": [],
+                            "columns": MetricTable.from_records(()).encode(),
+                            "failures": {"bad": failure.as_record()}}
 
     def test_torn_trailing_chunk_line_counts_as_corrupt(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         with ResultStore(str(path)) as store:
-            store.put_many([("k1", {"x": 1}), ("k2", {"x": 2})])
-            store.put_many([("k3", {"x": 3}), ("k4", {"x": 4})])
+            store.put_many(["k1", "k2"], _table(1.0, 2.0))
+            store.put_many(["k3", "k4"], _table(3.0, 4.0))
         blob = path.read_bytes()
         path.write_bytes(blob[:blob.rindex(b'"k4"')])
         reloaded = ResultStore(str(path))
@@ -320,3 +337,93 @@ class TestResumableSweep:
         for a, b in zip(fresh.results, resumed.results):
             assert b.cached
             assert json.dumps(b.metrics) == json.dumps(a.metrics)
+
+
+class TestColumnarChunks:
+    """The schema-3 chunk line: keys, base64 metric columns and failures."""
+
+    def test_schema_two_chunk_line_fails_closed(self, tmp_path):
+        path = tmp_path / "schema2.jsonl"
+        original = '{"keys": ["abc"], "records": [{"time_s": 1.0}]}\n'
+        path.write_text(original)
+        with pytest.raises(StaleStoreError) as excinfo:
+            ResultStore(str(path))
+        assert str(path) in str(excinfo.value)
+        assert path.read_text() == original
+
+    def test_torn_final_chunk_is_corrupt_and_next_append_starts_fresh(
+            self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        with ResultStore(str(path)) as store:
+            store.put_many(["k1", "k2"], _table(1.0, 2.0))
+            store.put_many(["k3", "k4"], _table(3.0, 4.0))
+        blob = path.read_bytes()
+        last_line = blob.rindex(b"\n", 0, len(blob) - 1) + 1
+        path.write_bytes(blob[:last_line + (len(blob) - last_line) // 2])
+        with ResultStore(str(path)) as torn:
+            assert torn.corrupt_lines == 1
+            assert sorted(torn.keys()) == ["k1", "k2"]
+            torn.put_many(["k5"], _table(5.0))
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        assert json.loads(lines[-2])["keys"] == ["k5"]
+        reloaded = ResultStore(str(path))
+        assert reloaded.corrupt_lines == 1
+        assert sorted(reloaded.keys()) == ["k1", "k2", "k5"]
+        assert reloaded.get("k5") == _record(5.0)
+
+    def test_failure_records_are_skipped_on_resume(self, tmp_path, space):
+        path = str(tmp_path / "sweep.jsonl")
+        with faults.injected(
+                faults.flaky(site="dse", match="num_sm=2,mac_bw=2,dram_bw=1.5",
+                             failures=1),
+                state_dir=str(tmp_path / "state")):
+            with ResultStore(path) as store:
+                first = explore(space, store=store)
+        assert first.stats.failed == 1
+        with open(path, encoding="utf-8") as handle:
+            (line,) = [json.loads(text) for text in handle]
+        assert len(line["keys"]) == len(space) - 1
+        assert list(line["failures"]) == [first.failures[0].key]
+        size = os.path.getsize(path)
+
+        with ResultStore(path) as store:
+            resumed = explore(space, store=store)
+        assert resumed.stats.evaluated == 0
+        assert resumed.stats.skipped_failures == 1
+        assert resumed.stats.store_hits == len(space)
+        assert [f.key for f in resumed.failures] == [
+            f.key for f in first.failures]
+        assert resumed.failures[0].cached
+        assert os.path.getsize(path) == size
+
+    def test_float_columns_round_trip_bit_exactly(self, tmp_path):
+        subnormal = 5e-324
+        tiny = 2.2250738585072014e-308 / 3
+        records = [
+            {"time_s": -0.0, "throughput_tflops": subnormal,
+             "dram_gb": tiny, "l2_gb": 0.1 + 0.2, "resource_cost": -tiny,
+             "layers": 3, "gemms": 9,
+             "bottlenecks": {"L2_BW": subnormal, "MAC_BW": -0.0,
+                             "DRAM_LAT": 1.0 / 3.0}},
+            {"time_s": 1.7976931348623157e308, "throughput_tflops": 0.0,
+             "dram_gb": -subnormal, "l2_gb": 1e-310, "resource_cost": 1.0,
+             "layers": 1, "gemms": 1, "bottlenecks": {}},
+        ]
+        path = str(tmp_path / "sweep.jsonl")
+        with ResultStore(path) as store:
+            store.put_many(["a", "b"], MetricTable.from_records(records))
+        reloaded = ResultStore(path)
+
+        def bits(record):
+            return [struct.pack("<d", value) for value in
+                    [record[name] for name in ("time_s", "throughput_tflops",
+                                               "dram_gb", "l2_gb",
+                                               "resource_cost")]
+                    + list(record["bottlenecks"].values())]
+
+        for key, record in zip("ab", records):
+            loaded = reloaded.get(key)
+            assert json.dumps(loaded) == json.dumps(record)
+            assert list(loaded["bottlenecks"]) == list(record["bottlenecks"])
+            assert bits(loaded) == bits(record)
