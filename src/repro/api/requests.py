@@ -166,11 +166,17 @@ class DseRequest:
     def __post_init__(self) -> None:
         from ..analysis.frontier import resolve_objectives
         from ..dse.drivers import driver_names
-        from ..dse.space import SearchSpace
+        from ..dse.space import MAX_SPACE_POINTS, SearchSpace
         if not isinstance(self.space, SearchSpace):
             raise TypeError(
                 f"space must be a repro.dse.SearchSpace, "
                 f"got {type(self.space).__name__}")
+        # bounded before anything is enumerated.
+        bound = self.space.size_bound()
+        if bound > MAX_SPACE_POINTS:
+            raise ValueError(
+                f"search space has up to {bound} design points, more than "
+                f"the bound of {MAX_SPACE_POINTS}")
         object.__setattr__(self, "gpu", self.gpu.strip().lower())
         driver = self.driver.strip().lower()
         if driver not in driver_names():

@@ -3,12 +3,17 @@
 :func:`evaluate_points` turns a :class:`~repro.dse.space.PointTable` into a
 :class:`MetricTable` of metric columns: it groups the rows by workload
 signature, lowers each workload's layers once, and evaluates the whole group
-through :mod:`repro.core.batched` in a handful of NumPy passes.  Per-point
-sums accumulate left to right in layer order (layers outer, passes inner),
-so the metrics equal a one-point-at-a-time walk over the same estimates bit
-for bit — the fig16 pin and the scalar test oracle
-(``tests/model_reference.py``) hold, and a resumed sweep's records equal a
-fresh one's.  Metrics dicts are built only for the rows a caller reads.
+through :mod:`repro.core.batched` in a handful of NumPy passes.  Workload
+rows that are bitwise equal (a forward signature repeats rows of its
+training signature, lowered passes coincide) are evaluated once, and the
+grid runs one cache-sized design slab at a time (:data:`GRID_SLAB_CELLS`);
+every cell reads only its own workload row and design column, so neither
+changes a value.  Per-point sums accumulate left to right in layer order
+(layers outer, passes inner), so the metrics equal a one-point-at-a-time
+walk over the same estimates bit for bit — the fig16 pin and the scalar
+test oracle (``tests/model_reference.py``) hold, and a resumed sweep's
+records equal a fresh one's.  Metrics dicts are built only for the rows a
+caller reads.
 
 Workload layers and plans are memoized per process, keyed by the network
 registry's generation (:func:`~repro.networks.registry.registry_generation`)
@@ -28,8 +33,8 @@ import numpy as np
 from ..analysis.frontier import (_CHIP_COST_WEIGHTS, _PER_SM_COST_WEIGHTS,
                                  design_cost)
 from ..core.batched import (CANDIDATE_ORDER, CTA_TILE_FAMILIES,
-                            BatchedGpuSpec, WorkloadStack, build_stacks,
-                            estimate_grid, traffic_by_family)
+                            BatchedEstimates, BatchedGpuSpec, WorkloadStack,
+                            build_stacks, estimate_grid, traffic_by_family)
 from ..core.workload import expand_passes, lower_passes
 from ..gpu.spec import FP32_BYTES, GpuSpec
 from ..networks.registry import get_network, registry_generation
@@ -106,14 +111,51 @@ def _design_costs(gpus: BatchedGpuSpec) -> np.ndarray:
     return gpus.num_sm_mult * (1.0 + per_sm_sum) + chip
 
 
-def _concat_stacks(stack_list: Sequence[WorkloadStack]) -> WorkloadStack:
-    """Concatenate per-group workload stacks along the workload axis."""
-    if len(stack_list) == 1:
-        return stack_list[0]
-    return WorkloadStack(**{
-        f.name: np.concatenate([getattr(stack, f.name)
-                                for stack in stack_list], axis=0)
+#: cells (distinct workload rows x designs) of one evaluation slab: each
+#: float64 temporary of the Eq. 11-18 grid is then ~1 MiB and stays in a
+#: core's L2 instead of streaming a whole-grid array through memory ~85
+#: times.
+GRID_SLAB_CELLS = 1 << 17
+
+
+@lru_cache(maxsize=64)
+def _fused_plan(base_gpu: GpuSpec, signatures: Tuple[Tuple, ...],
+                unique: bool, layer_stride: int, generation: int
+                ) -> Tuple[Dict[int, WorkloadStack],
+                           Tuple[Tuple[Tuple, Tuple[int, ...]], ...]]:
+    """The distinct workload rows of several signatures' plans.
+
+    Concatenates the signatures' stacks along the workload axis and keys
+    each row by the exact bytes of all its fields in every tile family, so
+    only bitwise-equal rows merge.  Returns one stack per family of the
+    distinct rows (in key order) and, per signature, its plan (see
+    :func:`_workload_plan`) with its workloads' rows in those stacks, in
+    evaluation order.  Memoized like the plans: a chunked sweep fuses the
+    same signatures call after call.
+    """
+    plans = [_workload_plan(base_gpu, network, batch, dtype_bytes, passes,
+                            unique, layer_stride, generation)
+             for network, batch, passes, dtype_bytes in signatures]
+    stacks = {hw: WorkloadStack(**{
+        f.name: np.concatenate([getattr(plan[3][hw], f.name)
+                                for plan in plans], axis=0)
         for f in dataclasses.fields(WorkloadStack)})
+        for hw in CTA_TILE_FAMILIES}
+    bounds = np.cumsum([0] + [plan[1] for plan in plans]).tolist()
+    raw = np.concatenate([
+        np.ascontiguousarray(getattr(stacks[hw], f.name)).reshape(
+            bounds[-1], -1).view(np.uint8)
+        for hw in CTA_TILE_FAMILIES for f in dataclasses.fields(WorkloadStack)
+    ], axis=1)
+    _, first, inverse = np.unique(
+        raw.view(np.dtype((np.void, raw.shape[1]))).ravel(),
+        return_index=True, return_inverse=True)
+    rows = inverse.ravel().tolist()
+    return ({hw: WorkloadStack(**{f.name: getattr(stack, f.name)[first]
+                                  for f in dataclasses.fields(stack)})
+             for hw, stack in stacks.items()},
+            tuple((plan, tuple(rows[start:stop]))
+                  for plan, start, stop in zip(plans, bounds, bounds[1:])))
 
 
 #: keys of a metrics dict, in dict order.
@@ -245,33 +287,35 @@ class MetricTable(Sequence):
                    "bottlenecks": bottlenecks}
 
 
-def _assemble_group(plan: Tuple[int, int, int, Dict],
-                    times: np.ndarray, index: np.ndarray,
-                    dram_rows: np.ndarray, l2_rows: np.ndarray,
-                    costs: np.ndarray) -> MetricTable:
-    """Metric columns of one workload-signature group from its (W, N) slab.
+def _assemble_group(plan: Tuple[int, int, int, Dict], rows: Sequence[int],
+                    est: BatchedEstimates, costs: np.ndarray) -> MetricTable:
+    """Metric columns of one workload-signature group on one design slab.
 
-    Every sum adds the workload rows in place, left to right in evaluation
-    order, so each column equals the scalar running sums bit for bit.
+    ``rows`` maps the signature's workloads, in evaluation order, to their
+    rows of ``est``.  Every sum adds the workload rows in place, left to
+    right in that order, so each column equals the scalar running sums bit
+    for bit.
     """
     num_layers, num_workloads, flops, _ = plan
+    times, index = est.times, est.bottleneck_index
+    dram_rows, l2_rows = est.dram_bytes, est.l2_bytes
     count = times.shape[1]
     columns = np.arange(count)
-    total = np.array(times[0], dtype=np.float64)
-    dram_bytes = np.array(dram_rows[0], dtype=np.float64)
-    l2_bytes = np.array(l2_rows[0], dtype=np.float64)
+    total = np.array(times[rows[0]], dtype=np.float64)
+    dram_bytes = np.array(dram_rows[rows[0]], dtype=np.float64)
+    l2_bytes = np.array(l2_rows[rows[0]], dtype=np.float64)
     # Per label: the time it bounds and the workload where it first does.
     # The scalar shares add only positive times, and the +0.0 added for the
     # other rows never changes a non-negative accumulator.
     shares = np.zeros((len(_CANDIDATE_LABELS), count))
     first = np.full(shares.shape, num_workloads)
-    for workload in range(num_workloads):
-        row_times = times[workload]
+    for workload, row in enumerate(rows):
+        row_times = times[row]
         if workload:
             total += row_times
-            dram_bytes += dram_rows[workload]
-            l2_bytes += l2_rows[workload]
-        labels = index[workload]
+            dram_bytes += dram_rows[row]
+            l2_bytes += l2_rows[row]
+        labels = index[row]
         bounded = row_times > 0.0
         shares[labels, columns] += np.where(bounded, row_times, 0.0)
         unseen = bounded & (first[labels, columns] == num_workloads)
@@ -305,8 +349,8 @@ def evaluate_points(base_gpu: GpuSpec, points: Sequence[DesignPoint], *,
     tabled first).  Rows are grouped by workload signature; groups that
     range over the *same* design list (the common case for a grid sweep,
     whose workload axes multiply the design axes) are fused into one
-    stacked (sum-of-workloads x designs) grid, so the whole sweep runs in a
-    couple of NumPy passes.
+    stacked grid over their distinct workload rows, evaluated and assembled
+    one design slab of at most :data:`GRID_SLAB_CELLS` cells at a time.
     """
     table = PointTable.from_points(points)
     generation = registry_generation()
@@ -314,45 +358,45 @@ def evaluate_points(base_gpu: GpuSpec, points: Sequence[DesignPoint], *,
     counts = np.bincount(table.signature_index,
                          minlength=len(table.signatures))
     # Partition signature groups by their (ordered) design list.
-    fused: Dict[bytes, Tuple[np.ndarray, List[Tuple[np.ndarray, Tuple]]]] = {}
-    for (network, batch, passes, dtype_bytes), rows in zip(
+    fused: Dict[bytes, Tuple[np.ndarray, List[np.ndarray], List[Tuple]]] = {}
+    for signature, rows in zip(
             table.signatures,
             np.split(by_signature, np.cumsum(counts)[:-1])):
         if not len(rows):
             continue
-        plan = _workload_plan(base_gpu, network, batch, dtype_bytes, passes,
-                              unique, layer_stride, generation)
         design = table.design[rows]
-        fused.setdefault(design.tobytes(), (design, []))[1].append(
-            (rows, plan))
+        group = fused.setdefault(design.tobytes(), (design, [], []))
+        group[1].append(rows)
+        group[2].append(signature)
 
-    grids = []
-    for design, entries in fused.values():
-        gpus = BatchedGpuSpec.from_options(base_gpu, design)
-        stacks = {hw: _concat_stacks([plan[3][hw] for _, plan in entries])
-                  for hw in CTA_TILE_FAMILIES}
-        grids.append((entries, _design_costs(gpus),
-                      estimate_grid(gpus, stacks=stacks)))
-
-    with obs_spans.trace_deep("dse.assemble", points=len(table)):
-        order: List[np.ndarray] = []
-        pieces: List[MetricTable] = []
-        for entries, costs, est in grids:
-            offset = 0
-            for rows, plan in entries:
-                slab = slice(offset, offset + plan[1])
-                offset += plan[1]
-                order.append(rows)
-                pieces.append(_assemble_group(
-                    plan, est.times[slab], est.bottleneck_index[slab],
-                    est.dram_bytes[slab], est.l2_bytes[slab], costs))
-        metrics = MetricTable.concat(pieces)
-        if not pieces:
-            return metrics
-        rows = np.concatenate(order)
-        inverse = np.empty_like(rows)
-        inverse[rows] = np.arange(len(rows))
-        return metrics.take(inverse)
+    order: List[np.ndarray] = []
+    pieces: List[MetricTable] = []
+    for design, group_rows, signatures in fused.values():
+        stacks, groups = _fused_plan(base_gpu, tuple(signatures), unique,
+                                     layer_stride, generation)
+        distinct = len(stacks[CTA_TILE_FAMILIES[0]].flops)
+        step = max(1, GRID_SLAB_CELLS // distinct)
+        for start in range(0, len(design), step):
+            slab = design[start:start + step]
+            with obs_spans.trace_deep("dse.grid", rows=distinct,
+                                      designs=len(slab),
+                                      cells=distinct * len(slab)):
+                gpus = BatchedGpuSpec.from_options(base_gpu, slab)
+                costs = _design_costs(gpus)
+                est = estimate_grid(gpus, stacks=stacks)
+            with obs_spans.trace_deep("dse.assemble",
+                                      points=len(groups) * len(slab)):
+                for rows, (plan, workload_rows) in zip(group_rows, groups):
+                    order.append(rows[start:start + step])
+                    pieces.append(_assemble_group(plan, workload_rows, est,
+                                                  costs))
+    metrics = MetricTable.concat(pieces)
+    if not pieces:
+        return metrics
+    rows = np.concatenate(order)
+    inverse = np.empty_like(rows)
+    inverse[rows] = np.arange(len(rows))
+    return metrics.take(inverse)
 
 
 __all__ = ["MetricTable", "evaluate_points", "_workload_layers",

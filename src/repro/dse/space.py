@@ -337,6 +337,11 @@ class SearchSpace:
     def __len__(self) -> int:
         return len(self.table())
 
+    def size_bound(self) -> int:
+        """An upper bound on ``len(self)``; grid, zip, explicit and union
+        spaces compute it without enumerating a point."""
+        return len(self)
+
     def __iter__(self) -> Iterator[DesignPoint]:
         return iter(self.table())
 
@@ -420,6 +425,10 @@ class UnionSpace(SearchSpace):
         merged = PointTable.concat([space.table() for space in self.spaces])
         return merged.take(merged.content_index()[0])
 
+    def size_bound(self) -> int:
+        # the parts' sum: content dedupe is known only after enumeration.
+        return sum(space.size_bound() for space in self.spaces)
+
 
 def _check_axes(axes: Sequence[Axis]) -> None:
     if not axes:
@@ -428,6 +437,11 @@ def _check_axes(axes: Sequence[Axis]) -> None:
     duplicates = sorted({key for key in keys if keys.count(key) > 1})
     if duplicates:
         raise ValueError(f"duplicate axes: {duplicates}")
+
+
+#: the most design points a DSE request may plan: the enumeration and the
+#: metric columns of a sweep take memory in proportion to its points.
+MAX_SPACE_POINTS = 2 ** 20
 
 
 AxesLike = Union[Mapping[str, Iterable[object]], Sequence[Axis]]

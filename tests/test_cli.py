@@ -5,6 +5,10 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.dse import batch
+from repro.dse.space import GPU_AXIS_KEYS, MAX_SPACE_POINTS
+from repro.gpu.devices import TITAN_XP
+from repro.networks.registry import registry_generation
 
 
 class TestParser:
@@ -263,6 +267,39 @@ class TestDseCommand:
             main(["dse", "--networks", "alexnet", "--batches", "16",
                   "--axis", "num_sm=1,2", "--objectives", "speed",
                   "--strict"])
+
+    def test_dse_trace_shows_grid_and_assemble_spans(self, capsys,
+                                                     tmp_path):
+        path = tmp_path / "trace.json"
+        assert main(["dse", "--networks", "alexnet", "--batches", "16",
+                     "--axis", "num_sm=1,2", "--axis", "mac_bw=1,4",
+                     "--pass", "training", "--format", "json",
+                     "--trace", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"][
+            "points evaluated"] == 4
+        spans = [event for event in json.loads(path.read_text())[
+            "traceEvents"] if event["ph"] == "X"]
+        grids = [span["args"] for span in spans if span["name"] == "dse.grid"]
+        assembles = [span for span in spans if span["name"] == "dse.assemble"]
+        assert grids and len(assembles) == len(grids)
+        stacks, _ = batch._fused_plan(
+            TITAN_XP, (("alexnet", 16, "training", 4),), True, 1,
+            registry_generation())
+        rows = len(stacks[128].flops)
+        assert sum(grid["designs"] for grid in grids) == 4
+        assert sum(grid["cells"] for grid in grids) == 4 * rows
+        assert all(grid["cells"] == grid["rows"] * grid["designs"]
+                   for grid in grids)
+
+    def test_dse_over_the_space_bound_is_an_error_report(self, capsys):
+        axes = []
+        for key in GPU_AXIS_KEYS:
+            axes += ["--axis", f"{key}=" + ",".join(map(str, range(1, 13)))]
+        assert main(["dse", *axes, "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["meta"]["error_type"] == "ValueError"
+        assert (f"{12 ** 8} design points, more than the bound of "
+                f"{MAX_SPACE_POINTS}") in payload["meta"]["error_message"]
 
     def test_dse_rejects_malformed_axis(self, capsys):
         assert main(["dse", "--networks", "alexnet",

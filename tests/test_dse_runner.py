@@ -15,7 +15,9 @@ from repro.dse import (
     grid,
     runner,
     space_from_options,
+    union,
 )
+from repro.dse.space import GPU_AXIS_KEYS, MAX_SPACE_POINTS, GridSpace
 from repro.experiments.fig16_scaling import run as run_fig16
 from repro.gpu import PAPER_DESIGN_OPTIONS, TITAN_XP, DesignOption
 
@@ -230,6 +232,24 @@ class TestDseRequest:
             DseRequest(space=small_space, driver="random")
         with pytest.raises(ValueError, match="unknown objective"):
             DseRequest(space=small_space, objectives=("speed",))
+
+    def test_space_size_is_bounded_before_enumeration(self, monkeypatch):
+        def enumerate_nothing(self):
+            raise AssertionError("an over-bound space was enumerated")
+
+        monkeypatch.setattr(GridSpace, "table", enumerate_nothing)
+        # each part is under the bound; the union's parts sum past it.
+        half = {"num_sm": range(1, 1025), "mac_bw": range(1, 514)}
+        parts = (grid(half), grid({**half, "dram_bw": (2,)}))
+        assert all(part.size_bound() <= MAX_SPACE_POINTS for part in parts)
+        DseRequest(space=parts[0])
+        with pytest.raises(ValueError, match=(
+                rf"up to {2 * 1024 * 513} design points, more than the "
+                rf"bound of {MAX_SPACE_POINTS}")):
+            DseRequest(space=union(*parts))
+        with pytest.raises(ValueError, match=f"up to {12 ** 8} design"):
+            DseRequest(space=grid({key: range(1, 13)
+                                   for key in GPU_AXIS_KEYS}))
 
     def test_session_run_produces_dse_report(self, small_space, tmp_path):
         store = str(tmp_path / "sweep.jsonl")

@@ -7,6 +7,7 @@ import pytest
 from repro.api import Session
 from repro.api.report import Report
 from repro.cli import main
+from repro.dse.space import GPU_AXIS_KEYS, MAX_SPACE_POINTS, GridSpace
 from repro.server import create_app
 from server_utils import json_request, request
 
@@ -208,6 +209,21 @@ class TestStructuredErrors:
         assert payload["kind"] == "error"
         assert payload["meta"]["error_type"] == "BadRequest"
         assert "at most 2147483647" in payload["meta"]["error_message"]
+
+    def test_dse_space_over_the_bound_is_400_before_enumeration(
+            self, app, monkeypatch):
+        def enumerate_nothing(self):
+            raise AssertionError("an over-bound space was enumerated")
+
+        monkeypatch.setattr(GridSpace, "table", enumerate_nothing)
+        # 12 values on each of the 8 GPU axes: 635 bytes ask for 12^8 points.
+        body = {"axes": {key: [1 + 0.25 * i for i in range(12)]
+                         for key in GPU_AXIS_KEYS}}
+        status, payload = json_request(app, "POST", "/v1/dse", body=body)
+        assert status == 400
+        assert payload["meta"]["error_type"] == "BadRequest"
+        assert (f"{12 ** 8} design points, more than the bound of "
+                f"{MAX_SPACE_POINTS}") in payload["meta"]["error_message"]
 
     def test_error_body_shape_matches_cli_error_report(self, app, capsys):
         exit_code = main(["estimate", "--network", "made-up-net",
