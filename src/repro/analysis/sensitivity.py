@@ -16,7 +16,7 @@ from ..core.layer import ConvLayerConfig
 from ..core.model import DeltaModel
 from ..core.tiling import build_grid
 from ..gpu.spec import GpuSpec
-from ..sim.engine import ConvLayerSimulator, SimulatorConfig
+from ..sim.engine import SimulatorConfig
 from .validation import MEMORY_LEVELS
 
 
@@ -99,27 +99,23 @@ def run_sweep(parameter: str, gpu: GpuSpec,
               session=None) -> SensitivitySweep:
     """Sweep one parameter and compare model vs simulated traffic.
 
-    With a :class:`repro.api.Session`, measurements route through the
-    session (its in-memory memo and optional disk cache apply); without
-    one a plain simulator runs inline.
+    Measurements route through ``session`` (default: the active
+    :class:`repro.api.Session`), so its memo, disk cache, timeout and
+    retries apply.
     """
+    from ..api.session import current_session
+    session = session if session is not None else current_session()
     if values is None:
         values = DEFAULT_SWEEPS[parameter]
     base = base or reference_layer()
     model = DeltaModel(gpu)
     sim_config = simulator_config or SimulatorConfig(max_ctas=60)
-    if session is not None:
-        def measure(layer: ConvLayerConfig):
-            return session.simulate(gpu, layer, sim_config)
-    else:
-        simulator = ConvLayerSimulator(gpu, sim_config)
-        measure = simulator.run
 
     points: List[SweepPoint] = []
     for value in values:
         layer = _vary(base, parameter, value)
         estimate = model.traffic(layer)
-        measured = measure(layer)
+        measured = session.simulate(gpu, layer, sim_config)
         ratios = {}
         model_bytes = {}
         measured_bytes = {}

@@ -13,9 +13,12 @@ far slower than the analytical model, so validation runs use a reduced
 mini-batch and a bounded number of simulated CTAs; the defaults are chosen so
 the whole paper suite completes in minutes (see :class:`ValidationConfig`).
 
-Two throughput knobs help repeated figure runs:
+Every simulation runs on the task engine of :class:`repro.api.Session`
+(``Session.map_tasks``), so worker crashes, task errors and stragglers get
+its retries and timeout.  Two throughput settings help repeated figure runs;
+each falls back to the active session's value when unset:
 
-* ``jobs`` fans the per-layer simulations out over a process pool
+* ``jobs`` fans the per-layer simulations out over worker processes
   (``--jobs`` on the CLI), and
 * ``sim_cache_dir`` persists per-layer simulator results on disk keyed by
   (gpu, layer, simulator config), so re-running a figure skips simulation
@@ -29,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +41,7 @@ from ..core.layer import LayerConfig
 from ..core.model import DeltaModel
 from ..core.performance import ExecutionEstimate
 from ..core.tiling import build_grid
-from ..core.workload import PassKind, lower_pass
+from ..core.workload import PassKind, check_count, lower_pass
 from ..gpu.spec import GpuSpec
 from ..networks.registry import paper_benchmark_suite
 from ..obs import metrics as obs_metrics
@@ -71,26 +73,14 @@ class ValidationConfig:
     networks: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
+        for name in ("jobs", "max_ctas", "layers_per_network"):
+            check_count(getattr(self, name), name)
         if self.networks is not None:
             normalized = tuple(name.strip().lower() for name in self.networks)
             object.__setattr__(self, "networks", normalized)
 
     def simulator_config(self) -> SimulatorConfig:
         return SimulatorConfig(max_ctas=self.max_ctas)
-
-    @property
-    def effective_jobs(self) -> int:
-        if self.jobs is not None:
-            return self.jobs
-        from ..api.session import current_session
-        return current_session().jobs
-
-    @property
-    def effective_sim_cache_dir(self) -> Optional[str]:
-        if self.sim_cache_dir is not None:
-            return self.sim_cache_dir
-        from ..api.session import current_session
-        return current_session().sim_cache_dir
 
 
 #: a configuration that runs every unique layer of the paper suite.
@@ -288,28 +278,12 @@ def simulate_layer(gpu: GpuSpec, layer: LayerConfig,
 def _simulate_task(task: Tuple) -> SimResult:
     """Module-level worker so process pools can pickle it.
 
-    ``task`` is ``(gpu, layer, config, cache_dir)`` with an optional trailing
-    ``pass_kind`` (defaults to the forward pass).
+    ``task`` is ``(gpu, layer, config, cache_dir, pass_kind)``.
     """
-    gpu, layer, config, cache_dir = task[:4]
-    pass_kind = task[4] if len(task) > 4 else "forward"
+    gpu, layer, config, cache_dir, pass_kind = task
     faults.fire("sim", f"{gpu.name}/{layer.name}/{pass_kind}")
     return simulate_layer(gpu, layer, config, cache_dir=cache_dir,
                           pass_kind=pass_kind)
-
-
-def simulate_population(gpu: GpuSpec,
-                        layers: Sequence[LayerConfig],
-                        config: SimulatorConfig,
-                        jobs: int = 1,
-                        cache_dir: Optional[str] = None) -> List[SimResult]:
-    """Simulate many layers, optionally across a process pool."""
-    tasks = [(gpu, layer, config, cache_dir) for layer in layers]
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_simulate_task(task) for task in tasks]
-    workers = min(jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_simulate_task, tasks))
 
 
 def _record(network: str, layer: LayerConfig, gpu: GpuSpec,
@@ -327,18 +301,6 @@ def _record(network: str, layer: LayerConfig, gpu: GpuSpec,
         measured_time=sim_result.time_seconds,
         bottleneck=estimate.bottleneck,
     )
-
-
-def validate_layer(network: str, layer: LayerConfig, gpu: GpuSpec,
-                   simulator_config: Optional[SimulatorConfig] = None,
-                   model: Optional[DeltaModel] = None,
-                   sim_result: Optional[SimResult] = None) -> LayerValidation:
-    """Run model and simulator for one layer and collect the comparison."""
-    model = model or DeltaModel(gpu)
-    if sim_result is None:
-        simulator = ConvLayerSimulator(gpu, simulator_config or SimulatorConfig())
-        sim_result = simulator.run(layer)
-    return _record(network, layer, gpu, model.estimate(layer), sim_result)
 
 
 def validation_records(gpu: GpuSpec,
@@ -361,15 +323,26 @@ def validate_gpu(gpu: GpuSpec,
                  ) -> ValidationReport:
     """Validate DeLTA against the simulator for one GPU.
 
-    The per-layer simulations — by far the dominant cost — run across
-    ``config.effective_jobs`` worker processes and consult the optional
-    on-disk result cache; the cheap analytical model runs inline.
+    Every population entry is simulated, with no memo and no structural
+    dedupe, through :meth:`Session.map_tasks` on a fresh session: it takes
+    ``config.jobs`` (else the active session's jobs) and the active
+    session's timeout and retry policy, and the tasks consult
+    ``config.sim_cache_dir`` (else the active session's cache directory).
+    The cheap analytical model runs inline.
     """
+    from ..api.session import Session, current_session
+    active = current_session()
     population = list(layers) if layers is not None else select_layers(config)
-    sim_results = simulate_population(
-        gpu, [layer for _, layer in population], config.simulator_config(),
-        jobs=config.effective_jobs,
-        cache_dir=config.effective_sim_cache_dir)
+    sim_config = config.simulator_config()
+    cache_dir = (config.sim_cache_dir if config.sim_cache_dir is not None
+                 else active.sim_cache_dir)
+    tasks = [(gpu, layer, sim_config, cache_dir, "forward")
+             for _, layer in population]
+    # the pool lives for this call only: start no more workers than tasks.
+    jobs = min(config.jobs or active.jobs, max(1, len(tasks)))
+    with Session(jobs=jobs, timeout=active.timeout, retries=active.retries,
+                 retry_backoff=active.retry_backoff) as session:
+        sim_results = session.map_tasks(_simulate_task, tasks)
     return ValidationReport(
         gpu=gpu, records=validation_records(gpu, population, sim_results))
 

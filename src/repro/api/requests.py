@@ -4,7 +4,9 @@ Requests are frozen value objects: they carry *what* to compute
 (network/GPU/batch/scale), never *how*.  Jobs, caching, timeouts and retries
 are set only on the :class:`repro.api.Session` that runs them; no request
 overrides them.  Every mini-batch is checked by
-:func:`repro.core.workload.check_batch` (``1 <= batch <= 2**31 - 1``).
+:func:`repro.core.workload.check_batch` (``1 <= batch <= 2**31 - 1``), and
+every ``max_ctas``/``layers_per_network`` cap by
+:func:`repro.core.workload.check_count` (positive, or None for "all").
 (:class:`ExperimentRequest` is not hashable once ``options`` is set, since
 options hold arbitrary keyword arguments.)
 """
@@ -14,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.workload import (PassKind, check_batch, expand_passes,
-                             normalize_passes)
+from ..core.workload import (PassKind, check_batch, check_count,
+                             expand_passes, normalize_passes)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..dse.space import SearchSpace
@@ -104,6 +106,8 @@ class ValidateRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "networks", _name_tuple(self.networks))
         check_batch(self.batch)
+        check_count(self.max_ctas, "max_ctas")
+        check_count(self.layers_per_network, "layers_per_network")
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,8 @@ class ExperimentRequest:
         object.__setattr__(self, "options", dict(self.options))
         if self.batch is not None:
             check_batch(self.batch)
+        check_count(self.max_ctas, "max_ctas")
+        check_count(self.layers_per_network, "layers_per_network")
 
 
 @dataclass(frozen=True)

@@ -102,12 +102,6 @@ def _describe_unit(unit) -> str:
     return f"{gpu.name}/{layer.name}/{pass_kind}"
 
 
-# the validation harness's pool worker does exactly what we need: run one
-# (gpu, layer, config, cache_dir[, pass_kind]) task through the
-# disk-cache-aware path.
-_run_unit = _simulate_task
-
-
 class SessionStats(obs_metrics.StatsView):
     """Counters describing what a session actually executed.
 
@@ -557,7 +551,7 @@ class Session:
                  for gpu, layer, config, pass_kind in fresh]
         with obs_spans.trace("simulate", units=len(tasks),
                              memo_hits=len(units) - len(tasks)):
-            results = self._run_tasks(_run_unit, tasks, jobs=jobs)
+            results = self._run_tasks(_simulate_task, tasks, jobs=jobs)
         failures: Dict[Tuple, TaskFailure] = {}
         with self._lock:
             for key, result in zip(fresh_keys, results):

@@ -375,9 +375,8 @@ def traffic_by_family(base_gpu: GpuSpec, workload: GemmWorkload
 class BatchedEstimates:
     """Time, bottleneck and traffic of W workloads on N designs.
 
-    ``times``/``bottleneck_index``/traffic arrays are (W, N): one row per
-    workload in evaluation order, one column per design of the
-    :class:`BatchedGpuSpec`.
+    Every array is (W, N): one row per workload in evaluation order, one
+    column per design of the :class:`BatchedGpuSpec`.
     """
 
     #: execution time (seconds) of the most-loaded SM.
@@ -389,13 +388,6 @@ class BatchedEstimates:
     #: design.
     dram_bytes: np.ndarray
     l2_bytes: np.ndarray
-    #: MAC work per workload (design-independent), shape (W,).
-    flops: np.ndarray
-
-    def bottlenecks(self, workload_row: int = 0) -> list:
-        """Per-design bottleneck labels of one workload row."""
-        return [CANDIDATE_ORDER[i]
-                for i in self.bottleneck_index[workload_row].tolist()]
 
 
 def _take(gpus: BatchedGpuSpec, idx: np.ndarray) -> BatchedGpuSpec:
@@ -405,67 +397,36 @@ def _take(gpus: BatchedGpuSpec, idx: np.ndarray) -> BatchedGpuSpec:
         for f in fields(BatchedGpuSpec) if f.name != "base"})
 
 
-def estimate_grid(gpus: BatchedGpuSpec,
-                  traffic_grid: Sequence[Dict[int, TrafficEstimate]] = None,
-                  *, stacks: Dict[int, WorkloadStack] = None
-                  ) -> BatchedEstimates:
+def estimate_grid(gpus: BatchedGpuSpec, *,
+                  stacks: Dict[int, WorkloadStack]) -> BatchedEstimates:
     """Evaluate W workloads x N designs in one vectorized pass.
 
-    ``traffic_grid`` holds, per workload, the scalar traffic estimates keyed
-    by CTA-tile family (see :func:`traffic_by_family`); pass prebuilt
-    ``stacks`` instead to amortize the packing across batches.
+    ``stacks`` holds one :class:`WorkloadStack` per CTA-tile family (see
+    :func:`build_stacks`).  Each family present in the batch is evaluated on
+    its own design columns only; the grid math is elementwise over designs,
+    so this yields bitwise the same values as computing every family
+    everywhere and selecting afterwards, at a fraction of the array work.
     """
-    if stacks is None:
-        if traffic_grid is None:
-            raise ValueError("need traffic_grid or stacks")
-        stacks = build_stacks(traffic_grid)
-    cta256 = gpus.cta256
-    num_256 = int(np.count_nonzero(cta256))
-    # Evaluate each design column under its own family only; the grid math
-    # is elementwise over designs, so computing a family on a column subset
-    # yields bitwise the same values as computing it everywhere and
-    # selecting afterwards — at half the array work for mixed batches.
-    if num_256 == 0:
-        times, index = _performance_grid(gpus, stacks[128])[:2]
-        dram, l2 = stacks[128].dram_bytes, stacks[128].l2_bytes
-        shape = times.shape
-        return BatchedEstimates(
-            times=times, bottleneck_index=index,
-            dram_bytes=np.broadcast_to(dram, shape),
-            l2_bytes=np.broadcast_to(l2, shape),
-            flops=stacks[128].flops)
-    if num_256 == len(gpus):
-        times, index = _performance_grid(gpus, stacks[256])[:2]
-        shape = times.shape
-        return BatchedEstimates(
-            times=times, bottleneck_index=index,
-            dram_bytes=np.broadcast_to(stacks[256].dram_bytes, shape),
-            l2_bytes=np.broadcast_to(stacks[256].l2_bytes, shape),
-            flops=stacks[128].flops)
-    idx_128 = np.nonzero(~cta256)[0]
-    idx_256 = np.nonzero(cta256)[0]
-    # [:2] frees the occupancy arrays at once, so the first family's are not
-    # held through the second family's evaluation (peak memory).
-    times_128, index_128 = _performance_grid(_take(gpus, idx_128),
-                                             stacks[128])[:2]
-    times_256, index_256 = _performance_grid(_take(gpus, idx_256),
-                                             stacks[256])[:2]
-    shape = (times_128.shape[0], len(gpus))
-    times = np.empty(shape, dtype=times_128.dtype)
-    times[:, idx_128] = times_128
-    times[:, idx_256] = times_256
-    index = np.empty(shape, dtype=index_128.dtype)
-    index[:, idx_128] = index_128
-    index[:, idx_256] = index_256
-    dram = np.empty(shape, dtype=np.promote_types(
-        stacks[128].dram_bytes.dtype, stacks[256].dram_bytes.dtype))
-    dram[:, idx_128] = stacks[128].dram_bytes
-    dram[:, idx_256] = stacks[256].dram_bytes
-    l2 = np.empty(shape, dtype=np.promote_types(
-        stacks[128].l2_bytes.dtype, stacks[256].l2_bytes.dtype))
-    l2[:, idx_128] = stacks[128].l2_bytes
-    l2[:, idx_256] = stacks[256].l2_bytes
-    return BatchedEstimates(
-        times=times, bottleneck_index=index,
-        dram_bytes=dram, l2_bytes=l2, flops=stacks[128].flops)
-
+    # The outputs are allocated only after every family's grid has run:
+    # allocating them first made evaluate_points ~30% slower on the
+    # 41472-point perfbench grid (2-vCPU x86 host), as the grid's
+    # temporaries then stopped reusing freed memory.
+    parts = []
+    for hw in CTA_TILE_FAMILIES:
+        idx = np.nonzero(gpus.cta256 == (hw == 256))[0]
+        if idx.size:
+            # [:2] drops the occupancy arrays at once (peak memory).
+            parts.append((idx, stacks[hw],
+                          *_performance_grid(_take(gpus, idx), stacks[hw])[:2]))
+    shape = (stacks[CTA_TILE_FAMILIES[0]].num_ctas.shape[0], len(gpus))
+    times = np.empty(shape, dtype=np.float64)
+    index = np.empty(shape, dtype=np.int64)
+    dram = np.empty(shape, dtype=np.float64)
+    l2 = np.empty(shape, dtype=np.float64)
+    for idx, stack, family_times, family_index in parts:
+        times[:, idx] = family_times
+        index[:, idx] = family_index
+        dram[:, idx] = stack.dram_bytes
+        l2[:, idx] = stack.l2_bytes
+    return BatchedEstimates(times=times, bottleneck_index=index,
+                            dram_bytes=dram, l2_bytes=l2)

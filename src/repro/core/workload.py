@@ -112,6 +112,13 @@ def check_batch(value: int, what: str = "batch") -> None:
                          f"got {value!r}")
 
 
+def check_count(value: Optional[int], what: str) -> None:
+    """Validate an optional count (a cap or a worker count): None or >= 1."""
+    if value is not None and value <= 0:
+        raise ValueError(f"{what} must be a positive integer or None, "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class Im2colPattern:
     """Sliding-window reuse geometry of an im2col operand.

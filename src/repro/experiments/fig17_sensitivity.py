@@ -37,8 +37,6 @@ def run(gpu: GpuSpec = TITAN_XP,
     panel still sweeps its own values); measurements route through the
     session's memo and disk cache.
     """
-    from ..api.session import current_session
-    session = session if session is not None else current_session()
     base = reference_layer(batch) if batch is not None else None
     results = run_all_sweeps(gpu, sweeps=sweeps,
                              simulator_config=SimulatorConfig(max_ctas=max_ctas),

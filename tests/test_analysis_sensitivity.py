@@ -8,6 +8,7 @@ from repro.analysis.sensitivity import (
     run_all_sweeps,
     run_sweep,
 )
+from repro.api.session import Session, use_session
 from repro.gpu import TITAN_XP
 from repro.sim.engine import SimulatorConfig
 
@@ -67,3 +68,11 @@ class TestSweeps:
                                  simulator_config=FAST_SIM)
         assert set(results) == set(DEFAULT_SWEEPS)
         assert all(len(sweep.points) == 1 for sweep in results.values())
+
+    def test_sweep_without_session_measures_on_current_session(self):
+        with use_session(Session()) as session:
+            sweep = run_sweep("out_channels", TITAN_XP, values=[32, 64],
+                              base=reference_layer(batch=4),
+                              simulator_config=FAST_SIM)
+        assert len(sweep.points) == 2
+        assert session.stats.sim_tasks == 2

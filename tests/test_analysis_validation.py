@@ -5,18 +5,20 @@ import os
 
 import pytest
 
+from repro import faults
 from repro.analysis.validation import (
     MEMORY_LEVELS,
     ValidationConfig,
     select_layers,
     simulate_layer,
     validate_gpu,
-    validate_layer,
 )
+from repro.api.session import Session, use_session
 from repro.core.bottleneck import Bottleneck
 from repro.core.layer import ConvLayerConfig
 from repro.gpu import TITAN_XP
-from repro.sim.engine import SimulatorConfig
+from repro.sim.engine import (ConvLayerSimulator, SimResult, SimTraffic,
+                              SimulatorConfig)
 
 
 TINY_CONFIG = ValidationConfig(batch=4, max_ctas=40, layers_per_network=1)
@@ -41,12 +43,19 @@ class TestLayerSelection:
         assert all(layer.batch == 4 for _, layer in selected)
 
 
+def _validate_one(network, layer):
+    """The record of one layer validated at a 30-CTA simulation cap."""
+    report = validate_gpu(TITAN_XP, ValidationConfig(max_ctas=30),
+                          layers=[(network, layer)])
+    (record,) = report.records
+    return record
+
+
 class TestValidateLayer:
     def test_record_fields_consistent(self):
         layer = ConvLayerConfig.square("v", 2, in_channels=16, in_size=14,
                                        out_channels=32, filter_size=3, padding=1)
-        record = validate_layer("Toy", layer, TITAN_XP,
-                                simulator_config=SimulatorConfig(max_ctas=30))
+        record = _validate_one("Toy", layer)
         assert record.network == "Toy"
         assert set(record.model_traffic) == set(MEMORY_LEVELS)
         assert record.model_time > 0 and record.measured_time > 0
@@ -59,8 +68,7 @@ class TestValidateLayer:
     def test_ratios_are_finite_and_reasonable(self):
         layer = ConvLayerConfig.square("v", 2, in_channels=16, in_size=14,
                                        out_channels=32, filter_size=3, padding=1)
-        record = validate_layer("Toy", layer, TITAN_XP,
-                                simulator_config=SimulatorConfig(max_ctas=30))
+        record = _validate_one("Toy", layer)
         for level in MEMORY_LEVELS:
             assert 0.1 < record.traffic_ratio(level) < 10.0
         assert 0.1 < record.time_ratio < 10.0
@@ -115,13 +123,89 @@ class TestParallelValidation:
         with pytest.raises(ValueError):
             configure_default_session(jobs=0)
 
-    def test_effective_jobs_defaults_to_serial(self):
-        assert ValidationConfig().effective_jobs >= 1
+    def test_config_jobs_wins_over_session_jobs(self, sim_runs):
+        """Only in-process simulations reach the patched ``run``: jobs=1
+        runs here even under a jobs=2 session, which otherwise fans out."""
+        layers = select_layers(TINY_CONFIG)[:2]
+        with use_session(Session(jobs=2)):
+            validate_gpu(TITAN_XP, replace_jobs(TINY_CONFIG, 1),
+                         layers=layers)
+            assert len(sim_runs) == 2
+            validate_gpu(TITAN_XP, TINY_CONFIG, layers=layers)
+            assert len(sim_runs) == 2
+
+    @pytest.mark.parametrize("field", ["jobs", "max_ctas",
+                                       "layers_per_network"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ValidationConfig(**{field: value})
 
 
 def replace_jobs(config: ValidationConfig, jobs: int) -> ValidationConfig:
     from dataclasses import replace
     return replace(config, jobs=jobs)
+
+
+#: the sim-validate benchmark's population: TITAN Xp, batch 16, 120 CTAs,
+#: three unique layers of each of the four paper networks.
+BENCH_CONFIG = ValidationConfig(batch=16, max_ctas=120, layers_per_network=3,
+                                jobs=1)
+
+
+@pytest.fixture
+def sim_runs(monkeypatch):
+    """Names of the layers ``ConvLayerSimulator.run`` sees in this process;
+    each run returns a fixed stand-in result instead of simulating."""
+    calls = []
+
+    def run(self, source):
+        calls.append(source.layer.name)
+        traffic = SimTraffic(l1_bytes=4096.0, l2_bytes=2048.0,
+                             dram_bytes=1024.0, dram_ifmap_bytes=512.0,
+                             dram_filter_bytes=512.0, l1_requests=32)
+        return SimResult(layer=source, gpu=self.gpu, grid=None,
+                         traffic=traffic, time_seconds=1e-3,
+                         simulated_ctas=1, scale_factor=1.0)
+
+    monkeypatch.setattr(ConvLayerSimulator, "run", run)
+    return calls
+
+
+class TestSimulationEngine:
+    """validate_gpu simulates on the Session's task engine."""
+
+    def test_every_population_entry_is_simulated(self, sim_runs):
+        # 12 entries but 10 distinct structures: the GoogLeNet stem and
+        # 3x3-reduce convs equal ResNet152 conv1 and conv2_1_a.
+        population = select_layers(BENCH_CONFIG)
+        assert len(population) == 12
+        assert len({layer.structural_key() for _, layer in population}) == 10
+        report = validate_gpu(TITAN_XP, BENCH_CONFIG)
+        assert len(sim_runs) == 12
+        assert [r.layer.name for r in report.records] == sim_runs
+
+    def test_consecutive_calls_both_simulate(self, sim_runs):
+        layers = select_layers(TINY_CONFIG)
+        validate_gpu(TITAN_XP, TINY_CONFIG, layers=layers)
+        validate_gpu(TITAN_XP, TINY_CONFIG, layers=layers)
+        assert len(sim_runs) == 2 * len(layers)
+
+    def test_flaky_simulation_is_retried(self, tmp_path):
+        layer = TestSimulationDiskCache.LAYER
+        with use_session(Session(retries=1)), \
+                faults.injected(faults.flaky(site="sim", failures=1),
+                                state_dir=str(tmp_path)):
+            report = validate_gpu(TITAN_XP, TINY_CONFIG,
+                                  layers=[("X", layer)])
+        assert len(report.records) == 1
+        assert report.records[0].measured_time > 0
+
+    def test_session_cache_dir_applies_when_config_has_none(self, tmp_path):
+        layer = TestSimulationDiskCache.LAYER
+        with use_session(Session(sim_cache_dir=str(tmp_path))):
+            validate_gpu(TITAN_XP, TINY_CONFIG, layers=[("X", layer)])
+        assert len(os.listdir(tmp_path)) == 1
 
 
 class TestSimulationDiskCache:

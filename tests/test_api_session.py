@@ -50,19 +50,18 @@ class TestContextLocalSession:
         session = Session(jobs=2)
         with use_session(session):
             assert current_session() is session
-            assert ValidationConfig().effective_jobs == 2
+            assert current_session().jobs == 2
         assert current_session() is not session
-        assert ValidationConfig().effective_jobs == 1
+        assert current_session().jobs == 1
 
     def test_configure_default_session(self):
         configure_default_session(jobs=5, precision=4,
                                   sim_cache_dir="/tmp/default-cache")
         assert default_session().jobs == 5
         assert default_session().precision == 4
-        # validation configs without explicit policy follow the default.
-        assert ValidationConfig().effective_jobs == 5
-        assert (ValidationConfig().effective_sim_cache_dir
-                == "/tmp/default-cache")
+        # with no session in use, the active policy is the default's.
+        assert current_session().jobs == 5
+        assert current_session().sim_cache_dir == "/tmp/default-cache"
         # the autouse fixture restores the policy afterwards
 
     def test_reset_default_session_makes_a_fresh_one(self):

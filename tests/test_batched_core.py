@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from repro.analysis.frontier import (OBJECTIVES, _pareto_frontier_vectorized,
                                      pareto_frontier, resolve_objectives)
 from repro.core.batched import (BatchedGpuSpec, CANDIDATE_ORDER,
-                                design_matrix, estimate_grid,
+                                build_stacks, design_matrix, estimate_grid,
                                 traffic_by_family)
 from repro.core.bottleneck import Bottleneck
 from repro.core.l1 import _streaming_mli
@@ -66,13 +66,14 @@ GOLDEN_CASES = [(gpu, net)
 def _family_columns(gpu, workloads):
     """Batched estimates of ``workloads`` on the baseline design, one
     single-design batch per CTA-tile family."""
-    traffic_grid = [traffic_by_family(gpu, workload) for workload in workloads]
+    stacks = build_stacks([traffic_by_family(gpu, workload)
+                           for workload in workloads])
     return {
         hw: estimate_grid(
             BatchedGpuSpec.from_options(
                 gpu, design_matrix([DesignOption(name="baseline",
                                                  cta_tile_hw=hw)])),
-            traffic_grid)
+            stacks=stacks)
         for hw in (128, 256)
     }
 

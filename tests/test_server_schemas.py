@@ -151,6 +151,17 @@ class TestValidate:
         with pytest.raises(BadRequest, match="unknown network"):
             parse("validate", {"networks": ["alexnet", "squeezenet"]})
 
+    @pytest.mark.parametrize("field", ["max_ctas", "layers_per_network"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_counts_rejected(self, field, value):
+        with pytest.raises(BadRequest, match=rf"validate: {field} must be"):
+            parse("validate", {field: value})
+
+    def test_null_counts_mean_all(self):
+        request = parse("validate", {"max_ctas": None,
+                                     "layers_per_network": None}).request
+        assert request.max_ctas is None and request.layers_per_network is None
+
 
 class TestExperiment:
     def test_required_experiment_id(self):
@@ -165,6 +176,12 @@ class TestExperiment:
         parsed = parse("experiment", {"experiment": "tab01", "batch": 8})
         assert isinstance(parsed.request, ExperimentRequest)
         assert parsed.request.experiment == "tab01"
+
+    @pytest.mark.parametrize("field", ["max_ctas", "layers_per_network"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_counts_rejected(self, field, value):
+        with pytest.raises(BadRequest, match=rf"experiment: {field} must be"):
+            parse("experiment", {"experiment": "fig13", field: value})
 
 
 class TestDse:
