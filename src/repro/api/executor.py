@@ -26,7 +26,6 @@ from ..analysis.validation import (MEMORY_LEVELS, QUICK_VALIDATION,
                                    ValidationConfig, select_layers)
 from ..core.model import DeltaModel
 from ..core.training import estimate_training_step
-from ..core.workload import lower_passes
 from ..experiments.registry import ExperimentSpec, get_experiment_spec
 from ..gpu.devices import get_device
 from ..networks.registry import get_network
@@ -134,22 +133,18 @@ def _base_meta(session: "Session", request: Request) -> Dict[str, object]:
 
 def _estimate_rows(model: DeltaModel, layers,
                    pass_kinds=("forward",)) -> List[Dict[str, object]]:
-    single_forward = tuple(pass_kinds) == ("forward",)
-    rows = []
-    for estimate in model.estimate_many(lower_passes(layers, pass_kinds)):
-        row: Dict[str, object] = {"layer": estimate.layer.name}
-        if not single_forward:
-            row["pass"] = estimate.pass_kind
-        row.update({
-            "time_ms": estimate.time_seconds * 1e3,
-            "bottleneck": estimate.bottleneck.value,
-            "TFLOP/s": estimate.throughput_tflops,
-            "L1_GB": estimate.traffic.l1_bytes / 1e9,
-            "L2_GB": estimate.traffic.l2_bytes / 1e9,
-            "DRAM_GB": estimate.traffic.dram_bytes / 1e9,
-        })
-        rows.append(row)
-    return rows
+    """Report rows of every (layer, pass); no ``pass`` column when the
+    passes are forward only."""
+    if not layers:
+        return []
+    step = estimate_training_step(model, layers, passes=pass_kinds)
+    return step.rows(with_pass=tuple(pass_kinds) != ("forward",))
+
+
+def _dominant_bottleneck(bottlenecks) -> str:
+    """The most frequent bottleneck (ties: the first seen), or ``n/a``."""
+    counts = Counter(bottlenecks)
+    return counts.most_common(1)[0][0] if counts else "n/a"
 
 
 def _run_estimate(session: "Session", request: EstimateRequest) -> Report:
@@ -167,21 +162,18 @@ def _run_estimate(session: "Session", request: EstimateRequest) -> Report:
                                           passes=pass_kinds,
                                           name=network.name)
             rows = step.rows()
-            bottlenecks = Counter(row["bottleneck"] for row in rows)
             summary = step.summary()
-            summary["dominant bottleneck"] = (bottlenecks.most_common(1)[0][0]
-                                              if bottlenecks else "n/a")
+            summary["dominant bottleneck"] = _dominant_bottleneck(
+                row["bottleneck"] for row in rows)
             title = (f"{network.name} training step on {gpu.name} "
                      f"(batch {request.batch})")
         else:
             rows = _estimate_rows(model, layers, pass_kinds)
-            total_ms = sum(row["time_ms"] for row in rows)
-            bottlenecks = Counter(row["bottleneck"] for row in rows)
             summary = {
-                "total conv time (ms)": total_ms,
+                "total conv time (ms)": sum(row["time_ms"] for row in rows),
                 "layers": len(rows),
-                "dominant bottleneck": (bottlenecks.most_common(1)[0][0]
-                                        if bottlenecks else "n/a"),
+                "dominant bottleneck": _dominant_bottleneck(
+                    row["bottleneck"] for row in rows),
             }
             title = f"{network.name} on {gpu.name} (batch {request.batch})"
             if request.passes != "forward":
@@ -219,9 +211,9 @@ def _run_sweep(session: "Session", request: SweepRequest) -> Report:
                         f"sweep at batch {batch}"
                         + (" in the paper subset" if request.paper_subset
                            else ""))
-                layer_rows = _estimate_rows(model, layers, pass_kinds)
-                total_ms = sum(row["time_ms"] for row in layer_rows)
-                bottlenecks = Counter(row["bottleneck"] for row in layer_rows)
+                step = estimate_training_step(model, layers,
+                                              passes=pass_kinds)
+                total_ms = sum(step.column("time_ms"))
                 row: Dict[str, object] = {
                     "network": network.name,
                     "gpu": gpu.name,
@@ -232,8 +224,9 @@ def _run_sweep(session: "Session", request: SweepRequest) -> Report:
                 row.update({
                     "layers": len(layers),
                     "total_time_ms": total_ms,
-                    "dram_gb": sum(r["DRAM_GB"] for r in layer_rows),
-                    "dominant_bottleneck": bottlenecks.most_common(1)[0][0],
+                    "dram_gb": sum(step.column("DRAM_GB")),
+                    "dominant_bottleneck": _dominant_bottleneck(
+                        step.column("bottleneck")),
                 })
                 rows.append(row)
                 series.setdefault(

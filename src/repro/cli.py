@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="TCP port (0 = OS-assigned)")
     serve_parser.add_argument("--max-memo", type=int, default=1024,
                               metavar="N",
-                              help="completed reports memoized server-wide "
+                              help="encoded replies memoized server-wide "
                                    "(0 disables the request memo)")
     add_simulation_flags(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)

@@ -17,17 +17,21 @@ The per-SM CTA count uses the most-loaded SM (``ceil(NumCTA / NumSM)``)
 because that SM determines the layer's completion time.
 
 The equations are evaluated in one place, the structure-of-arrays
-:func:`repro.core.batched._performance_grid`.  :func:`estimate_workloads`
-runs a list of workloads through it on one GPU and returns one
-:class:`ExecutionEstimate` per workload.
+:func:`repro.core.batched._performance_grid`.  :func:`estimate_distinct`
+runs a list of distinct workloads through it on one GPU and returns one
+:class:`ExecutionEstimate` per workload; :func:`estimate_workloads` dedupes
+an arbitrary workload list by structural key first and fans the estimates
+back out, one per input row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import (Callable, Dict, Hashable, Iterable, List, Sequence, Tuple,
+                    Union)
 
 from ..gpu.spec import GpuSpec
+from ..obs import spans as obs_spans
 from .batched import (CANDIDATE_ORDER, WorkloadStack, _performance_grid,
                       single_design)
 from .bottleneck import Bottleneck
@@ -82,6 +86,55 @@ class ExecutionEstimate:
         return min(1.0, self.workload.flops / (self.time_seconds * peak))
 
 
+def key_slots(keys: Iterable[Hashable]) -> Tuple[List[int], List[int]]:
+    """Dedupe ``keys`` in first-occurrence order.
+
+    Returns the positions of each distinct key's first occurrence and, per
+    key, the slot (index into those positions) of its distinct key.
+    """
+    slot_of: Dict[Hashable, int] = {}
+    firsts: List[int] = []
+    slots: List[int] = []
+    for position, key in enumerate(keys):
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(firsts)
+            firsts.append(position)
+        slots.append(slot)
+    return firsts, slots
+
+
+def estimate_distinct(gpu: GpuSpec,
+                      traffic_of: Callable[[GemmWorkload], TrafficEstimate],
+                      workloads: Sequence[GemmWorkload], pairs: int
+                      ) -> List[ExecutionEstimate]:
+    """Estimate each workload on ``gpu``, one estimate per workload.
+
+    Callers pass workloads of distinct structural keys (see
+    :func:`key_slots`).  One ``traffic_of`` call per workload, then one
+    :func:`~repro.core.batched._performance_grid` call over all of them on
+    ``gpu``'s one-design batch.  ``pairs`` is the number of (layer, pass)
+    rows the workloads stand for; it is recorded, with the distinct count
+    ``keys``, on the deep ``model.traffic`` and ``model.grid`` spans.
+    """
+    if not workloads:
+        return []
+    keys = len(workloads)
+    with obs_spans.trace_deep("model.traffic", pairs=pairs, keys=keys):
+        traffics = [traffic_of(workload) for workload in workloads]
+    with obs_spans.trace_deep("model.grid", pairs=pairs, keys=keys):
+        times, index, active, ctas_per_sm = (
+            column[:, 0].tolist() for column in _performance_grid(
+                single_design(gpu), WorkloadStack.from_traffic(traffics)))
+    return [ExecutionEstimate(workload=workload, gpu=gpu, traffic=traffic,
+                              time_seconds=times[slot],
+                              bottleneck=CANDIDATE_ORDER[index[slot]],
+                              active_ctas=active[slot],
+                              ctas_per_sm=ctas_per_sm[slot])
+            for slot, (workload, traffic)
+            in enumerate(zip(workloads, traffics))]
+
+
 def estimate_workloads(gpu: GpuSpec,
                        traffic_of: Callable[[GemmWorkload], TrafficEstimate],
                        sources: Iterable[Union[LayerConfig, GemmWorkload]]
@@ -89,32 +142,17 @@ def estimate_workloads(gpu: GpuSpec,
     """Estimate every source on ``gpu``, one estimate per source, in order.
 
     Layers are evaluated as their forward pass.  Workloads with equal
-    ``structural_key()`` (a network's repeated blocks) get one
-    ``traffic_of`` call between them, and all distinct workloads are
-    evaluated in one :func:`~repro.core.batched._performance_grid` call on
-    ``gpu``'s one-design batch.  Each estimate keeps its own workload, so
-    names and pass kinds stay per row.
+    ``structural_key()`` (a network's repeated blocks) are estimated once,
+    by :func:`estimate_distinct`, and share that estimate's traffic.  Each
+    estimate keeps its own workload, so names and pass kinds stay per row.
     """
     workloads = [as_workload(source) for source in sources]
-    slot_of: Dict[Tuple, int] = {}
-    slots: List[int] = []
-    traffics: List[TrafficEstimate] = []
-    for workload in workloads:
-        key = workload.structural_key()
-        slot = slot_of.get(key)
-        if slot is None:
-            slot = slot_of[key] = len(traffics)
-            traffics.append(traffic_of(workload))
-        slots.append(slot)
-    if not traffics:
-        return []
-    times, index, active, ctas_per_sm = (
-        column[:, 0].tolist() for column in _performance_grid(
-            single_design(gpu), WorkloadStack.from_traffic(traffics)))
-    return [ExecutionEstimate(workload=workload, gpu=gpu,
-                              traffic=traffics[slot],
-                              time_seconds=times[slot],
-                              bottleneck=CANDIDATE_ORDER[index[slot]],
-                              active_ctas=active[slot],
-                              ctas_per_sm=ctas_per_sm[slot])
-            for workload, slot in zip(workloads, slots)]
+    firsts, slots = key_slots([workload.structural_key()
+                               for workload in workloads])
+    estimates = estimate_distinct(
+        gpu, traffic_of, [workloads[first] for first in firsts],
+        pairs=len(workloads))
+    return [estimate if estimate.workload is workload
+            else replace(estimate, workload=workload)
+            for workload, estimate
+            in zip(workloads, map(estimates.__getitem__, slots))]

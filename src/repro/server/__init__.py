@@ -6,7 +6,7 @@ HTTP server (:func:`run_app`, ``repro serve``) or by any third-party ASGI
 server.  Request bodies deserialize into the existing typed request
 dataclasses; responses are ``Report`` JSON bit-identical to the CLI's
 ``--format json`` output.  Identical concurrent requests coalesce onto a
-single execution, completed reports are memoized server-wide, and long
+single execution, encoded replies are memoized server-wide, and long
 sweeps/DSE runs become pollable jobs with NDJSON progress streams.
 """
 

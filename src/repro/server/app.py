@@ -28,10 +28,13 @@ Routes
 
 A synchronous POST responds with ``Report.to_json(indent=2)`` plus a
 trailing newline — byte-identical to ``repro <cmd> --format json`` for the
-same request.  With ``"job": true`` in the body the POST returns ``202`` and
-a job id instead.  Every failure — malformed body, unknown id, failed
-execution — is a structured ``kind="error"`` report body with a 4xx/5xx
-status, never a bare traceback page.
+same request.  The reply is encoded once, on the worker thread that executed
+the request (see :func:`encode_reply`), and the request memo keeps those
+bytes: a memo hit writes them again without re-encoding, and the event loop
+never runs the JSON encoder for a report.  With ``"job": true`` in the body
+the POST returns ``202`` and a job id instead.  Every failure — malformed
+body, unknown id, failed execution — is a structured ``kind="error"`` report
+body with a 4xx/5xx status, never a bare traceback page.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import asyncio
 import json
 import time
 from http import HTTPStatus
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .. import faults
 from ..api.progress import observe_progress
@@ -52,7 +55,7 @@ from ..networks.registry import available_networks, paper_subset_networks
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
 from ..resilience import SessionClosedError
-from .coalesce import CoalescingCache
+from .coalesce import CoalescingCache, Reply
 from .jobs import Job, JobManager
 from .schemas import ROUTES, BadRequest, ParsedRequest, parse_body
 
@@ -197,9 +200,7 @@ class ReproApp:
                     BadRequest(f"job {job.job_id} is still running; poll "
                                f"/v1/jobs/{job.job_id} or stream its events"))
                 return
-            status = (HTTPStatus.OK if job.status == "done"
-                      else _error_status(job.report))
-            await _send_report(send, status, job.report)
+            await _send_reply(send, encode_reply(job.report))
             return
         await _stream_events(send, job)
 
@@ -222,13 +223,14 @@ class ReproApp:
             # same shape (and bytes) as the CLI's isolated error report.
             return Report.from_error(exc, request=parsed.request)
 
+    def _answer(self, parsed: ParsedRequest) -> Reply:
+        """Execute and encode one request, on a worker thread."""
+        return encode_reply(self._execute(parsed))
+
     async def _respond_sync(self, parsed: ParsedRequest, send) -> None:
-        report = await self.cache.run(
-            parsed.key,
-            lambda: asyncio.to_thread(self._execute, parsed))
-        status = (HTTPStatus.OK if report.kind != "error"
-                  else _error_status(report))
-        await _send_report(send, status, report)
+        reply = await self.cache.run(
+            parsed.key, lambda: asyncio.to_thread(self._answer, parsed))
+        await _send_reply(send, reply)
 
     async def _respond_job(self, route: str, parsed: ParsedRequest,
                            send) -> None:
@@ -246,8 +248,18 @@ class ReproApp:
                     # a traced job always executes for real: a memoized or
                     # coalesced answer would have no spans to attach.
                     return await asyncio.to_thread(work)
-                return await self.cache.run(
-                    parsed.key, lambda: asyncio.to_thread(work))
+                executed: List[Report] = []
+
+                def answer() -> Reply:
+                    report = work()
+                    executed.append(report)
+                    return encode_reply(report)
+                reply = await self.cache.run(
+                    parsed.key, lambda: asyncio.to_thread(answer))
+                # answered by the memo or by a coalesced execution: rebuild
+                # the report from its encoded (lossless) JSON.
+                return (executed[0] if executed
+                        else Report.from_json(reply.body.decode("utf-8")))
             return execute
 
         job, coalesced = self.jobs.submit(route, parsed.key, make_executor())
@@ -347,6 +359,19 @@ def _error_status(report: Report) -> HTTPStatus:
     return HTTPStatus.INTERNAL_SERVER_ERROR
 
 
+def _report_body(report: Report) -> bytes:
+    """The report body: ``to_json(indent=2)`` + newline, as the CLI prints."""
+    return (report.to_json(indent=2) + "\n").encode("utf-8")
+
+
+def encode_reply(report: Report) -> Reply:
+    """A report's answer: its body, 200 or its error status, and its kind."""
+    status = (HTTPStatus.OK if report.kind != "error"
+              else _error_status(report))
+    return Reply(status=int(status), kind=report.kind,
+                 body=_report_body(report))
+
+
 # ----------------------------------------------------------------------
 # ASGI send/receive helpers
 # ----------------------------------------------------------------------
@@ -362,7 +387,7 @@ async def _read_body(receive) -> bytes:
             return b"".join(chunks)
 
 
-async def _send_bytes(send, status: HTTPStatus, body: bytes,
+async def _send_bytes(send, status: int, body: bytes,
                       content_type: str) -> None:
     await send({
         "type": "http.response.start",
@@ -382,14 +407,13 @@ async def _send_json(send, status: HTTPStatus, payload: Dict[str, object]
     await _send_bytes(send, status, body, "application/json")
 
 
-async def _send_report(send, status: HTTPStatus, report: Report) -> None:
-    """The report body: ``to_json(indent=2)`` + newline, as the CLI prints."""
-    body = (report.to_json(indent=2) + "\n").encode("utf-8")
-    await _send_bytes(send, status, body, "application/json")
+async def _send_reply(send, reply: Reply) -> None:
+    await _send_bytes(send, reply.status, reply.body, "application/json")
 
 
 async def _send_error(send, status: HTTPStatus, exc: Exception) -> None:
-    await _send_report(send, status, Report.from_error(exc))
+    await _send_bytes(send, status, _report_body(Report.from_error(exc)),
+                      "application/json")
 
 
 async def _stream_events(send, job: Job) -> None:

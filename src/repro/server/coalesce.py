@@ -5,19 +5,22 @@ dedupes *work units* (per-layer simulations, DSE point evaluations) across
 requests through its ``structural_key``-based memo, in front of the on-disk
 sim cache.  This module adds the request-level layer above it:
 
-* a bounded LRU **memo** of completed reports keyed by the request's content
-  key (see :func:`repro.server.schemas.parse_body`) — a repeated identical
-  request costs one dictionary lookup, zero model evaluations; and
+* a bounded LRU **memo** of completed answers keyed by the request's
+  content key (see :func:`repro.server.schemas.parse_body`).  The server
+  memoizes each answer as a :class:`Reply` — the encoded body bytes, the
+  HTTP status and the report kind, not the :class:`~repro.api.Report` — so
+  a repeated identical request costs one dictionary lookup and one write
+  of cached bytes: zero model evaluations and zero JSON encoding; and
 * **coalescing** of concurrent identical requests: the first arrival starts
   the (thread-offloaded) execution, every later arrival awaits the same
   in-flight future, and when the execution finishes — or fails — all waiters
-  observe the same report.  N concurrent identical requests therefore
+  observe the same answer.  N concurrent identical requests therefore
   execute exactly once, which the fault-injection suite pins with a
   ``times=1`` ticket at the ``"serve"`` seam.
 
-Error-kind reports propagate to every coalesced waiter but are *not*
-memoized: a transient failure (worker crash, timeout) must not poison the
-cache for later retries.
+The cache itself only reads an answer's ``kind``: error-kind answers
+propagate to every coalesced waiter but are *not* memoized, so a transient
+failure (worker crash, timeout) cannot poison the cache for later retries.
 """
 
 from __future__ import annotations
@@ -27,8 +30,19 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, Optional
 
-from ..api.report import Report
 from ..obs.metrics import StatsView
+
+
+@dataclass(frozen=True)
+class Reply:
+    """One encoded answer: what the server's memo keeps per request key."""
+
+    #: HTTP status of the answer.
+    status: int
+    #: the report's kind; ``"error"`` answers are never memoized.
+    kind: str
+    #: the response body, ``Report.to_json(indent=2)`` plus a newline.
+    body: bytes
 
 
 class CoalesceStats(StatsView):
@@ -41,7 +55,7 @@ class CoalesceStats(StatsView):
     _AREA = "coalesce"
     _FIELDS = {
         "memo_hits":
-            "requests answered from the completed-report memo",
+            "requests answered from the completed-answer memo",
         "coalesced":
             "requests that piggybacked on an identical in-flight execution",
         "executed":
@@ -53,36 +67,38 @@ class CoalesceStats(StatsView):
 
 @dataclass
 class CoalescingCache:
-    """Keyed report memo + single-flight execution for identical requests.
+    """Keyed answer memo + single-flight execution for identical requests.
 
     Single-event-loop use only (the service runs one loop); the blocking
-    work itself happens in worker threads via the awaitable the caller
-    passes in, so the loop stays responsive while requests execute.
+    work itself — executing the request and encoding its reply — happens in
+    worker threads via the awaitable the caller passes in, so the loop
+    stays responsive while requests execute.  Answers are any object with a
+    ``kind`` (the server passes :class:`Reply`).
     """
 
-    #: completed reports kept (LRU); 0 disables memoization entirely.
+    #: completed answers kept (LRU); 0 disables memoization entirely.
     max_entries: int = 1024
     stats: CoalesceStats = field(default_factory=CoalesceStats)
-    _memo: "OrderedDict[str, Report]" = field(default_factory=OrderedDict)
-    _inflight: Dict[str, "asyncio.Future[Report]"] = field(
+    _memo: "OrderedDict[str, Reply]" = field(default_factory=OrderedDict)
+    _inflight: Dict[str, "asyncio.Future[Reply]"] = field(
         default_factory=dict)
 
-    def lookup(self, key: str) -> Optional[Report]:
-        """The memoized report for ``key``, refreshing its LRU position."""
-        report = self._memo.get(key)
-        if report is not None:
+    def lookup(self, key: str) -> Optional[Reply]:
+        """The memoized answer for ``key``, refreshing its LRU position."""
+        reply = self._memo.get(key)
+        if reply is not None:
             self._memo.move_to_end(key)
             self.stats.memo_hits += 1
-        return report
+        return reply
 
     async def run(self, key: str,
-                  execute: Callable[[], Awaitable[Report]]) -> Report:
-        """Return ``key``'s report, executing at most once concurrently.
+                  execute: Callable[[], Awaitable[Reply]]) -> Reply:
+        """Return ``key``'s answer, executing at most once concurrently.
 
         ``execute`` is awaited only by the first concurrent caller; everyone
         else shares its outcome.  If the execution raises, every waiter sees
-        the exception; if it returns an error-kind report, every waiter gets
-        that report and nothing is memoized.
+        the exception; if it returns an error-kind answer, every waiter gets
+        that answer and nothing is memoized.
         """
         memoized = self.lookup(key)
         if memoized is not None:
@@ -93,12 +109,12 @@ class CoalescingCache:
             # shield: one waiter's cancellation must not cancel the shared
             # execution out from under the other waiters.
             return await asyncio.shield(inflight)
-        future: "asyncio.Future[Report]" = (
+        future: "asyncio.Future[Reply]" = (
             asyncio.get_running_loop().create_future())
         self._inflight[key] = future
         self.stats.executed += 1
         try:
-            report = await execute()
+            reply = await execute()
         except BaseException as exc:
             if not future.cancelled():
                 future.set_exception(exc)
@@ -108,24 +124,24 @@ class CoalescingCache:
             raise
         else:
             if not future.cancelled():
-                future.set_result(report)
-            if report.kind != "error":
-                self._remember(key, report)
-            return report
+                future.set_result(reply)
+            if reply.kind != "error":
+                self._remember(key, reply)
+            return reply
         finally:
             self._inflight.pop(key, None)
 
-    def _remember(self, key: str, report: Report) -> None:
+    def _remember(self, key: str, reply: Reply) -> None:
         if self.max_entries <= 0:
             return
-        self._memo[key] = report
+        self._memo[key] = reply
         self._memo.move_to_end(key)
         while len(self._memo) > self.max_entries:
             self._memo.popitem(last=False)
             self.stats.evictions += 1
 
     def clear(self) -> None:
-        """Drop every memoized report (in-flight executions are unaffected)."""
+        """Drop every memoized answer (in-flight executions are unaffected)."""
         self._memo.clear()
 
     def __len__(self) -> int:

@@ -8,26 +8,35 @@ workload once and fans the rows back out in input order.  This suite pins:
   geometries, shuffled and repeated, for every pass kind and both CTA-tile
   families, and for the fixed-miss-rate baseline;
 * rows in input order, each carrying its own layer name and pass kind;
+* the keyed training step (``estimate_training_step`` and the executor's
+  ``_estimate_rows``), which lowers and estimates each distinct (layer,
+  pass) once, against a per-row ``model.estimate(lower_pass(...))`` loop:
+  names, order and float bits of rows, summary, aggregates and records;
 * served estimate reports byte for byte: the ``content_json()`` digests of 24
-  estimate requests were recorded from the scalar-path implementation.
+  estimate requests were recorded from the scalar-path implementation, and
+  more from the per-row lowering implementation.
 """
 
 import dataclasses
 import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api.requests import EstimateRequest
+from repro.api.executor import _estimate_rows
+from repro.api.requests import EstimateRequest, SweepRequest
 from repro.api.session import Session
 from repro.core.baselines import FixedMissRateModel
 from repro.core.layer import (BatchedGemmLayerConfig, ConvLayerConfig,
                               LinearLayerConfig)
 from repro.core.model import DeltaModel
 from repro.core.traffic import TrafficModel
+from repro.core.training import estimate_training_step
 from repro.core.workload import PASS_KINDS, lower_pass
+from repro.obs import spans as obs_spans
 from repro.gpu import TESLA_P100, TESLA_V100, TITAN_XP
 
 from model_reference import PerformanceModel
@@ -171,6 +180,136 @@ def test_repeated_layers_share_one_traffic_estimate():
 
 
 # ----------------------------------------------------------------------
+# The keyed training step equals a per-row lowering loop
+# ----------------------------------------------------------------------
+
+#: every non-empty ordered tuple of distinct passes.
+PASS_TUPLES = [tuple(order) for size in range(1, len(PASS_KINDS) + 1)
+               for order in itertools.permutations(PASS_KINDS, size)]
+
+
+@st.composite
+def repeated_layers(draw):
+    """A layer list over a few distinct structures, repeated in random
+    order, every layer under its own name."""
+    distinct = draw(st.lists(
+        st.one_of(conv_layers(), linear_layers(), batched_gemm_layers()),
+        min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(min_value=0,
+                                      max_value=len(distinct) - 1),
+                          min_size=1, max_size=12))
+    return [dataclasses.replace(distinct[index], name=f"layer{row}")
+            for row, index in enumerate(picks)]
+
+
+def _per_row_loop(model, layers, passes):
+    """``(layer, pass, estimate)`` of every row, each lowered and
+    estimated on its own."""
+    return [(layer, kind, model.estimate(lower_pass(layer, kind)))
+            for layer in layers for kind in passes]
+
+
+def _reference_rows(loop, with_pass):
+    rows = []
+    for layer, kind, estimate in loop:
+        row = {"layer": layer.name}
+        if with_pass:
+            row["pass"] = kind
+        row.update({
+            "time_ms": estimate.time_seconds * 1e3,
+            "bottleneck": estimate.bottleneck.value,
+            "TFLOP/s": estimate.throughput_tflops,
+            "L1_GB": estimate.traffic.level_bytes("l1") / 1e9,
+            "L2_GB": estimate.traffic.level_bytes("l2") / 1e9,
+            "DRAM_GB": estimate.traffic.level_bytes("dram") / 1e9,
+        })
+        rows.append(row)
+    return rows
+
+
+def _bits(payload):
+    """Key order and float bits (``repr`` round-trips every float)."""
+    return json.dumps(payload)
+
+
+@FANOUT_SETTINGS
+@given(layers=repeated_layers(), passes=st.sampled_from(PASS_TUPLES),
+       gpu=GPUS)
+def test_keyed_step_matches_per_row_loop(layers, passes, gpu):
+    model = DeltaModel(gpu)
+    loop = _per_row_loop(model, layers, passes)
+    step = estimate_training_step(model, layers, passes=passes)
+
+    assert _bits(step.rows()) == _bits(_reference_rows(loop, True))
+    assert _bits(_estimate_rows(model, layers, passes)) == _bits(
+        _reference_rows(loop, passes != ("forward",)))
+
+    by_pass = {kind: 0.0 for kind in passes}
+    for _, kind, estimate in loop:
+        by_pass[kind] += estimate.time_seconds
+    total = sum(estimate.time_seconds for _, _, estimate in loop)
+    summary = {"total step time (ms)": total * 1e3}
+    summary.update({f"{kind} time (ms)": seconds * 1e3
+                    for kind, seconds in by_pass.items()})
+    summary["total DRAM (GB)"] = sum(
+        estimate.traffic.level_bytes("dram") for _, _, estimate in loop) / 1e9
+    summary["layer GEMMs"] = len(loop)
+    assert _bits(step.summary()) == _bits(summary)
+    assert step.total_time_seconds == total
+    assert step.time_by_pass == by_pass
+    assert step.total_macs == sum(estimate.workload.macs
+                                  for _, _, estimate in loop)
+    for level in ("l1", "l2", "dram"):
+        levels = {kind: 0.0 for kind in passes}
+        for _, kind, estimate in loop:
+            levels[kind] += estimate.traffic.level_bytes(level)
+        assert step.traffic_by_pass(level) == levels
+        assert step.total_traffic_bytes(level) == sum(
+            estimate.traffic.level_bytes(level) for _, _, estimate in loop)
+
+    assert len(step.records) == len(loop)
+    for record, (layer, kind, estimate) in zip(step.records, loop):
+        assert (record.layer_name, record.pass_kind) == (layer.name, kind)
+        assert record.estimate.workload.structural_key() \
+            == estimate.workload.structural_key()
+        assert (record.time_seconds, record.estimate.bottleneck,
+                record.estimate.active_ctas, record.estimate.ctas_per_sm) \
+            == (estimate.time_seconds, estimate.bottleneck,
+                estimate.active_ctas, estimate.ctas_per_sm)
+        for level in ("l1", "l2", "dram"):
+            assert record.traffic_bytes(level) \
+                == estimate.traffic.level_bytes(level)
+
+
+def test_keyed_step_estimates_each_distinct_workload_once():
+    layer = LinearLayerConfig(name="a", batch=8, in_features=512,
+                              out_features=256)
+    layers = [layer, dataclasses.replace(layer, name="b"),
+              dataclasses.replace(layer, name="c", out_features=128), layer]
+    step = estimate_training_step(DeltaModel(TITAN_XP), layers)
+    assert len(step.estimates) == 2 * len(PASS_KINDS)
+    assert len(step.index) == len(layers) * len(PASS_KINDS)
+    assert [row["layer"] for row in step.rows()] == [
+        name for name in "abca" for _ in PASS_KINDS]
+
+
+def test_deep_trace_names_the_model_phases(session):
+    request = EstimateRequest(network="resnet152", gpu="v100",
+                              passes="training", unique=False)
+    with obs_spans.collect_trace(deep=True) as trace:
+        report = session.run(request)
+    assert report.kind == "estimate"
+    spans = {span.name: span for span in trace.spans}
+    parent = spans["model.estimate"]
+    for name in ("model.lower", "model.traffic", "model.grid",
+                 "model.rows"):
+        span = spans[name]
+        assert span.parent == parent.span_id, name
+        assert span.attrs["pairs"] == len(report.rows), name
+        assert 0 < span.attrs["keys"] < span.attrs["pairs"], name
+
+
+# ----------------------------------------------------------------------
 # Served reports are byte-identical to the scalar-path implementation
 # ----------------------------------------------------------------------
 
@@ -256,3 +395,58 @@ def test_served_report_bytes_pinned(session, network, passes, gpu):
 def test_report_cases_cover_every_digest():
     assert len(REPORT_CASES) == 24
     assert {f"{n}/{p}/{g}" for n, p, g in REPORT_CASES} == set(REPORT_DIGESTS)
+
+
+#: sha256 of ``content_json()`` of requests the digests above leave out:
+#: ``unique=True`` training at an odd batch, a paper-subset request and
+#: training-pass sweeps.  Recorded from the implementation that lowered
+#: and built a row for every (layer, pass) pair.
+EXTRA_REPORT_DIGESTS = {
+    "unique/alexnet/training/titanxp/47":
+        "dc64a27db12a83703c726b48a3f809447bcedaee5061d415081a9d211a0ad40b",
+    "unique/vgg16/training/p100/47":
+        "e84a840620d7a08364a6c614d1d28e26ec36995cdd1e481e025a9419ea684de0",
+    "unique/googlenet/training/v100/47":
+        "13fcea667e85273c488a14e8b13be606974470b99a5a7ffbfb68e4e2d80378af",
+    "unique/resnet152/training/titanxp/47":
+        "73ab99a15f4e1282c79a4d619bb138de1402bc79ae6f57f3fc0fc13863405880",
+    "unique/mlp/training/p100/47":
+        "f7a4e21f58c8e296306ec0aa0b5853ef92b811fd5b06070525a4c486dd04ece4",
+    "unique/bert-base/training/v100/47":
+        "e980e2a976b8adbcaabc307692e49933c8459e6d65f24f39d5fbb4ccfa69c351",
+    "paper-subset/resnet152/training/p100/64":
+        "1f0400676969853148eafd342120f66cf2a6167d930530c95358e701b752637e",
+    "sweep/googlenet+bert-base/training/v100/31+128":
+        "53981942da8833064be3ccc3c049ec0d3903bee78df0e3007f4ff19f8294eba9",
+    "sweep/resnet152+mlp/dgrad/titanxp+v100/47+256/every-layer":
+        "0a7d5ba2cdecce37d9146ed0d22cf6470de2a650c51be181f3496b2140a2fe2b",
+}
+
+EXTRA_REPORT_REQUESTS = {
+    **{f"unique/{network}/training/{GPU_NAMES[index % len(GPU_NAMES)]}/47":
+       EstimateRequest(network=network, gpu=GPU_NAMES[index % len(GPU_NAMES)],
+                       batch=47, passes="training", unique=True)
+       for index, network in enumerate(NETWORKS)},
+    "paper-subset/resnet152/training/p100/64":
+        EstimateRequest(network="resnet152", gpu="p100", batch=64,
+                        passes="training", paper_subset=True),
+    "sweep/googlenet+bert-base/training/v100/31+128":
+        SweepRequest(networks=("googlenet", "bert-base"), gpus=("v100",),
+                     batches=(31, 128), passes="training"),
+    "sweep/resnet152+mlp/dgrad/titanxp+v100/47+256/every-layer":
+        SweepRequest(networks=("resnet152", "mlp"), gpus=("titanxp", "v100"),
+                     batches=(47, 256), passes="dgrad", unique=False,
+                     paper_subset=False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTRA_REPORT_DIGESTS))
+def test_more_served_report_bytes_pinned(session, case):
+    report = session.run(EXTRA_REPORT_REQUESTS[case])
+    assert report.kind in ("estimate", "sweep"), report.summary
+    digest = hashlib.sha256(report.content_json().encode()).hexdigest()
+    assert digest == EXTRA_REPORT_DIGESTS[case]
+
+
+def test_extra_cases_cover_every_digest():
+    assert set(EXTRA_REPORT_REQUESTS) == set(EXTRA_REPORT_DIGESTS)

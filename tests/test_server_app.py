@@ -104,6 +104,68 @@ class TestEstimateRoute:
         assert app.session.stats.requests_run == 1
 
 
+class TestEncodedReplyMemo:
+    """The memo keeps each answer's encoded bytes, encoded once."""
+
+    BODY = {"network": "resnet152", "batch": 8, "passes": "training"}
+
+    def test_hit_body_is_the_miss_body(self, app, monkeypatch):
+        executed = []
+        execute = app._execute
+
+        def recording(parsed):
+            executed.append(execute(parsed))
+            return executed[-1]
+
+        monkeypatch.setattr(app, "_execute", recording)
+        miss_status, _, miss = request(app, "POST", "/v1/estimate",
+                                       body=self.BODY)
+        hit_status, _, hit = request(app, "POST", "/v1/estimate",
+                                     body=self.BODY)
+        assert (miss_status, hit_status) == (200, 200)
+        (report,) = executed
+        assert miss == (report.to_json(indent=2) + "\n").encode("utf-8")
+        assert hit == miss
+        assert app.cache.stats.memo_hits == 1
+
+    def test_to_json_runs_once_per_distinct_request(self, app, monkeypatch):
+        kinds = []
+        to_json = Report.to_json
+
+        def counting(report, indent=None):
+            kinds.append(report.kind)
+            return to_json(report, indent=indent)
+
+        monkeypatch.setattr(Report, "to_json", counting)
+        bodies = [request(app, "POST", "/v1/estimate", body=self.BODY)[2]
+                  for _ in range(3)]
+        assert kinds == ["estimate"]
+        assert bodies[0] == bodies[1] == bodies[2]
+        request(app, "POST", "/v1/estimate",
+                body=dict(self.BODY, batch=9))
+        assert kinds == ["estimate", "estimate"]
+
+    def test_error_answers_are_not_memoized(self, app, monkeypatch):
+        run = app.session.run
+        failures = [RuntimeError("transient")]
+
+        def flaky(request_):
+            if failures:
+                raise failures.pop()
+            return run(request_)
+
+        monkeypatch.setattr(app.session, "run", flaky)
+        status, payload = json_request(app, "POST", "/v1/estimate",
+                                       body=self.BODY)
+        assert (status, payload["kind"]) == (500, "error")
+        assert len(app.cache) == 0
+        status, payload = json_request(app, "POST", "/v1/estimate",
+                                       body=self.BODY)
+        assert (status, payload["kind"]) == (200, "estimate")
+        assert app.cache.stats.executed == 2
+        assert len(app.cache) == 1
+
+
 class TestStats:
     def test_shape(self, app):
         request(app, "POST", "/v1/estimate",

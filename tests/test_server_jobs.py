@@ -3,6 +3,7 @@
 import asyncio
 import http.client
 import json
+import time
 
 import pytest
 
@@ -185,6 +186,32 @@ class TestJobRoutes:
                                         "batches": [16, 32]})
         assert status == 200
         assert job_body == sync_body  # one execution, shared via the memo
+        assert app.session.stats.requests_run == 1
+
+    def test_job_after_sync_request_is_answered_from_the_memo(self, server):
+        running, app = server
+        body = {"network": "googlenet", "batch": 16, "passes": "training"}
+        status, sync_body = _http(running, "POST", "/v1/estimate", body=body)
+        assert status == 200
+        status, raw = _http(running, "POST", "/v1/estimate",
+                            body=dict(body, job=True))
+        assert status == 202
+        job_id = json.loads(raw)["job_id"]
+        for _ in range(600):
+            status, raw = _http(running, "GET", f"/v1/jobs/{job_id}")
+            polled = json.loads(raw)
+            if polled["status"] != "running":
+                break
+            time.sleep(0.05)
+        assert polled["status"] == "done"
+        # the job's report is rebuilt from the memoized bytes: equal to the
+        # synchronous report, and it encodes back to the same body.
+        assert Report.from_dict(polled["report"]) == \
+            Report.from_json(sync_body.decode())
+        status, job_body = _http(running, "GET", f"/v1/jobs/{job_id}/report")
+        assert (status, job_body) == (200, sync_body)
+        assert app.cache.stats.executed == 1
+        assert app.cache.stats.memo_hits == 1
         assert app.session.stats.requests_run == 1
 
     def test_unknown_job_is_structured_404(self, server):
