@@ -6,7 +6,8 @@ into a flat metrics dict; this module turns those metrics into decisions:
 * :data:`OBJECTIVES` — the named objectives a sweep can optimize
   (throughput, time, DRAM bytes per step, and a resource-cost proxy);
 * :func:`pareto_frontier` — d-dimensional non-dominated filtering over any
-  combination of objectives;
+  combination of objectives (an exact sort-first skyline, see
+  :func:`_skyline`);
 * :func:`design_cost` — the area/board-cost proxy of a
   :class:`~repro.gpu.design_options.DesignOption` (baseline = 1.0);
 * :func:`scale_next_rows` — the ranked "what resource should the next design
@@ -78,16 +79,28 @@ def resolve_objectives(names: Sequence[str]) -> Tuple[Objective, ...]:
 def dominates(a: Mapping[str, float], b: Mapping[str, float],
               objectives: Sequence[Objective]) -> bool:
     """True if metrics ``a`` Pareto-dominates ``b``: no worse on every
-    objective and strictly better on at least one."""
+    objective and strictly better on at least one.
+
+    A NaN objective on either side compares false both ways, so a row with
+    a NaN never dominates and is never dominated — the rule
+    :func:`pareto_frontier` applies when it keeps NaN rows.
+    """
     strictly_better = False
     for objective in objectives:
         va = objective.oriented(float(a[objective.metric]))
         vb = objective.oriented(float(b[objective.metric]))
-        if va < vb:
+        if not va >= vb:
             return False
         if va > vb:
             strictly_better = True
     return strictly_better
+
+
+#: distinct rows the skyline loop filters per step.
+SKYLINE_BLOCK = 512
+#: archive rows with the most kills so far, tested against each block
+#: before the whole archive is.
+TOP_KILLERS = 32
 
 
 def pareto_frontier(metric_rows: Sequence[Mapping[str, float]],
@@ -99,6 +112,8 @@ def pareto_frontier(metric_rows: Sequence[Mapping[str, float]],
     :class:`~repro.dse.batch.MetricTable`), whose columns are read directly.
     Duplicated metric vectors are all kept (they dominate nothing and are
     dominated by nothing), so equal-merit designs stay visible side by side.
+    A row with a NaN objective is kept too: as in :func:`dominates`, it
+    neither dominates nor is dominated.
     """
     # np.negative flips the sign bit exactly, so the oriented columns are
     # bitwise equal to the scalar Objective.oriented values.
@@ -110,83 +125,115 @@ def pareto_frontier(metric_rows: Sequence[Mapping[str, float]],
                                  metric_rows)))
         if objective.direction == "min":
             np.negative(values[:, j], out=values[:, j])
-    return _pareto_frontier_vectorized(values)
+    return _skyline(values)
 
 
-def _pareto_frontier_vectorized(oriented) -> List[int]:
-    """NumPy domination filter, identical to the O(n^2) pairwise loop
-    (every row checked against every other with :func:`dominates`).
+def _skyline(oriented) -> List[int]:
+    """Exact sort-first skyline of an (n, d) array of larger-is-better
+    values: the rows no other row dominates, in their original order.
 
-    ``oriented`` is an (n, d) array-like of larger-is-better values.
+    Identical to the O(n^2) pairwise loop (every row checked against every
+    other with :func:`dominates`):
 
-    Incremental archive algorithm: process points in blocks, drop every
-    block point already dominated by the archive (domination is transitive,
-    so "dominated by anything seen so far" == "dominated by an archive
-    member"), then recompute the non-dominated set of archive + survivors
-    with one small O((m+b)^2) broadcast — archive members dominated by a
-    newcomer fall out here.  A row never dominates itself or its duplicates
-    (no strict improvement), so no self-exclusion is needed and duplicated
-    rows all survive — the exact semantics of the reference loop.  Typical
-    cost is O(n * frontier) instead of O(n^2).
+    * a row with a NaN is on the frontier (every compare with it is false);
+    * the other rows are grouped by value (one ``lexsort``, so -0.0 == 0.0)
+      and the distinct rows visited in descending lexicographic order.  A
+      dominator is lexicographically larger than every row it dominates,
+      so it is visited first: the archive of frontier rows only grows, two
+      distinct rows need no strictness test, and the first objective needs
+      no compare at all;
+    * each block of :data:`SKYLINE_BLOCK` distinct rows is tested against
+      the :data:`TOP_KILLERS` archive rows that have dominated the most
+      rows so far, the survivors against the whole archive, and those
+      against the earlier rows of their own block (a dominator dropped by
+      the archive is itself dominated, and so is what it dominates);
+    * every original row whose value entered the archive is returned, so
+      duplicates all stay.
 
-    Points are visited in descending order of their oriented-value sum: a
-    dominator almost always has a larger sum than its dominatee, so strong
-    points enter the archive before the points they dominate, the cheap
-    archive prefilter absorbs almost everything, and the quadratic
-    recompute rarely sees survivors.  The visit order is only a heuristic —
-    the returned set is the exact non-dominated set either way.
-
-    Strictness is one id compare per pair: rows are numbered by value
-    (one ``lexsort``), and under ``all(a >= b)`` the rows differ — so ``a``
-    strictly dominates — exactly when their ids differ.  That replaces the
-    elementwise ``>`` broadcast.  (Float sums cannot serve here: rounding
-    can make a dominator's sum equal its dominatee's.)
-
-    Domination matrices are accumulated per objective with in-place ``&=``
-    over 2-D comparisons — one contiguous column at a time — instead of one
-    (m, b, d) broadcast with an ``.all(axis=2)`` reduce; skipping the 3-D
-    temporary and the reduce pass is worth ~6x on the blocks this loop
-    actually sees.
+    Dominance matrices are (archive, targets), accumulated per objective
+    with in-place ``&=`` and reduced over the archive axis.
     """
     values = np.asarray(oriented, dtype=np.float64)
-    count, width = values.shape
-    sums = values.sum(axis=1)
-    order = np.argsort(-sums, kind="stable")
-    # number the rows by value (-0.0 == 0.0): equal ids <=> equal rows,
-    # the exact strictness test under all(a >= b).
-    by_value = np.lexsort(values.T)
-    ranked = values[by_value]
-    distinct = np.ones(count, dtype=bool)
-    distinct[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    ids = np.empty(count, dtype=np.int64)
-    ids[by_value] = np.cumsum(distinct)
-    cols = [np.ascontiguousarray(values[:, j]) for j in range(width)]
-    archive = np.empty(0, dtype=np.int64)
-    # a small first block seeds the archive cheaply (its recompute is the
-    # only one without a prefilter, and quadratic in the block size); later
-    # blocks lean on the archive prefilter, so bigger is better there.
-    start, block = 0, 64
-    while start < count:
-        cand = order[start:start + block]
-        start += block
-        block = 256
-        if archive.size:
-            cand = cand[~_dominated(cols, ids, archive, cand)]
-            if cand.size == 0:
-                continue
-        combined = np.concatenate([archive, cand])
-        archive = combined[~_dominated(cols, ids, combined, combined)]
-    return [int(i) for i in np.sort(archive)]
+    nan_row = np.isnan(values).any(axis=1)
+    width = values.shape[1]
+    order = np.flatnonzero(~nan_row)
+    order = order[np.lexsort([values[order, j]
+                              for j in reversed(range(width))])[::-1]]
+    # fresh: the first sorted row of each distinct value.
+    fresh = np.zeros(len(order), dtype=bool)
+    fresh[:1] = True
+    for j in range(width):
+        col = values[order, j]
+        fresh[1:] |= col[1:] != col[:-1]
+    # the first objective is already ordered; only the others are compared.
+    tail = [values[order[fresh], j] for j in range(1, width)]
+    kept = np.zeros(int(fresh.sum()), dtype=bool)
+    kept[:1] = True  # the lexicographic maximum has no dominator
+    if tail:
+        _archive_filter(tail, kept)
+    frontier = nan_row  # NaN rows stay on it
+    frontier[order] = kept[np.cumsum(fresh) - 1]
+    return np.flatnonzero(frontier).tolist()
 
 
-def _dominated(cols, ids, rows, targets) -> np.ndarray:
-    """Per target: is it Pareto-dominated by any of ``rows``?"""
-    first = cols[0]
-    dominated = first[rows][:, None] >= first[targets][None, :]
-    for col in cols[1:]:
-        dominated &= col[rows][:, None] >= col[targets][None, :]
-    dominated &= ids[rows][:, None] != ids[targets][None, :]
-    return dominated.any(axis=0)
+def _archive_filter(tail, kept) -> None:
+    """Mark in ``kept`` the distinct rows (descending lexicographic order,
+    first column dropped) that no earlier row dominates."""
+    count = len(kept)
+    archive = [np.empty(count) for _ in tail]
+    kills = np.zeros(count, dtype=np.int64)
+    size = 0
+    stages = []
+    for start in range(0, count, SKYLINE_BLOCK):
+        block = np.arange(start, min(start + SKYLINE_BLOCK, count))
+        cand = [col[start:start + SKYLINE_BLOCK] for col in tail]
+        for rows in stages:
+            survive = _undominated(cand, [col[rows] for col in archive],
+                                   kills, rows)
+            block = block[survive]
+            cand = [col[survive] for col in cand]
+            if not len(block):
+                break
+        if len(block) > 1:
+            # earlier[j, i]: row j comes before row i and covers it.
+            earlier = ~np.tri(len(block), dtype=bool)
+            for col in cand:
+                earlier &= col[:, None] >= col
+            survive = ~earlier.any(axis=0)
+            block = block[survive]
+            cand = [col[survive] for col in cand]
+        kept[block] = True
+        grown = size + len(block)
+        for col, new in zip(archive, cand):
+            col[size:grown] = new
+        size = grown
+        stages = [slice(0, size)]
+        if size > TOP_KILLERS:
+            stages.insert(0, _top_killers(kills, size))
+
+
+def _top_killers(kills, size) -> np.ndarray:
+    """Positions of the :data:`TOP_KILLERS` archive rows (of the first
+    ``size``) with the most kills."""
+    return np.argpartition(kills[:size],
+                           size - TOP_KILLERS)[size - TOP_KILLERS:]
+
+
+def _undominated(cand, archive, kills, rows) -> np.ndarray:
+    """Mask of the candidates no ``archive`` row covers.
+
+    Each kill is credited (``kills[rows]``) to the latest archive row that
+    covers the candidate: later archive rows are weaker on the first
+    objective, so their other objectives are the strong ones, and they
+    cover the most of what is still to come.
+    """
+    covered = archive[0][:, None] >= cand[0]
+    for col, target in zip(archive[1:], cand[1:]):
+        covered &= col[:, None] >= target
+    hit = covered.any(axis=0)
+    last = len(covered) - 1 - covered[::-1, hit].argmax(axis=0)
+    kills[rows] += np.bincount(last, minlength=len(covered))
+    return ~hit
 
 
 # ----------------------------------------------------------------------

@@ -338,9 +338,8 @@ def validate_gpu(gpu: GpuSpec,
                  else active.sim_cache_dir)
     tasks = [(gpu, layer, sim_config, cache_dir, "forward")
              for _, layer in population]
-    # the pool lives for this call only: start no more workers than tasks.
-    jobs = min(config.jobs or active.jobs, max(1, len(tasks)))
-    with Session(jobs=jobs, timeout=active.timeout, retries=active.retries,
+    with Session(jobs=config.jobs or active.jobs, timeout=active.timeout,
+                 retries=active.retries,
                  retry_backoff=active.retry_backoff) as session:
         sim_results = session.map_tasks(_simulate_task, tasks)
     return ValidationReport(

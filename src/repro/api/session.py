@@ -288,8 +288,11 @@ class Session:
                     or timeout is not None or isolate)
         if not use_pool:
             return self._run_tasks_serial(func, tasks, budget)
-        return self._run_tasks_pool(func, tasks, max(1, int(workers)),
-                                    timeout, budget)
+        # no more workers than tasks: a worker beyond that would sit idle
+        # (a later, larger call grows the shared pool).
+        return self._run_tasks_pool(
+            func, tasks, max(1, min(int(workers), len(tasks))), timeout,
+            budget)
 
     def _run_tasks_serial(self, func, tasks: List, budget: int) -> List:
         outcomes: List[Union[object, TaskFailure]] = []

@@ -32,9 +32,11 @@ same request.  The reply is encoded once, on the worker thread that executed
 the request (see :func:`encode_reply`), and the request memo keeps those
 bytes: a memo hit writes them again without re-encoding, and the event loop
 never runs the JSON encoder for a report.  With ``"job": true`` in the body
-the POST returns ``202`` and a job id instead.  Every failure — malformed
-body, unknown id, failed execution — is a structured ``kind="error"`` report
-body with a 4xx/5xx status, never a bare traceback page.
+the POST returns ``202`` and a job id instead; a finished job keeps its
+encoded reply and its encoded poll body, so polling it re-encodes nothing.
+Every failure — malformed body, unknown id, failed execution — is a
+structured ``kind="error"`` report body with a 4xx/5xx status, never a bare
+traceback page.
 """
 
 from __future__ import annotations
@@ -186,12 +188,18 @@ class ReproApp:
                               BadRequest(f"no such job at {path!r}"))
             return
         if len(parts) == 4:
-            payload = job.describe()
-            if job.finished:
+            if not job.finished:
+                await _send_json(send, HTTPStatus.OK, job.describe())
+                return
+            if job.poll_body is None:
+                # a finished job no longer changes: encode its poll once.
+                payload = job.describe()
                 payload["report"] = job.report.to_dict()
                 if job.trace is not None:
                     payload["trace"] = job.trace
-            await _send_json(send, HTTPStatus.OK, payload)
+                job.poll_body = _json_body(payload)
+            await _send_bytes(send, HTTPStatus.OK, job.poll_body,
+                              "application/json")
             return
         if parts[4] == "report":
             if not job.finished:
@@ -200,7 +208,9 @@ class ReproApp:
                     BadRequest(f"job {job.job_id} is still running; poll "
                                f"/v1/jobs/{job.job_id} or stream its events"))
                 return
-            await _send_reply(send, encode_reply(job.report))
+            if job.reply is None:
+                job.reply = encode_reply(job.report)
+            await _send_reply(send, job.reply)
             return
         await _stream_events(send, job)
 
@@ -256,6 +266,7 @@ class ReproApp:
                     return encode_reply(report)
                 reply = await self.cache.run(
                     parsed.key, lambda: asyncio.to_thread(answer))
+                job.reply = reply
                 # answered by the memo or by a coalesced execution: rebuild
                 # the report from its encoded (lossless) JSON.
                 return (executed[0] if executed
@@ -401,10 +412,13 @@ async def _send_bytes(send, status: int, body: bytes,
                 "more_body": False})
 
 
+def _json_body(payload: Dict[str, object]) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
 async def _send_json(send, status: HTTPStatus, payload: Dict[str, object]
                      ) -> None:
-    body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-    await _send_bytes(send, status, body, "application/json")
+    await _send_bytes(send, status, _json_body(payload), "application/json")
 
 
 async def _send_reply(send, reply: Reply) -> None:

@@ -27,6 +27,7 @@ from typing import (AsyncIterator, Awaitable, Callable, Dict, List, Optional,
                     Tuple)
 
 from ..api.report import Report
+from .coalesce import Reply
 
 #: finished jobs kept for polling before the oldest are dropped.
 MAX_FINISHED_JOBS = 256
@@ -41,6 +42,11 @@ class Job:
         self.key = key
         self.status = "running"  # -> "done" | "error"
         self.report: Optional[Report] = None
+        #: the report's encoded answer, kept once it is first encoded (by
+        #: the execution, or by the first ``GET /v1/jobs/{id}/report``).
+        self.reply: Optional[Reply] = None
+        #: the finished job's poll body, encoded on its first poll.
+        self.poll_body: Optional[bytes] = None
         #: chrome-trace payload captured when submitted with "trace": true.
         self.trace: Optional[Dict[str, object]] = None
         self.events: List[Dict[str, object]] = []

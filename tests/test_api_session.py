@@ -185,6 +185,17 @@ class TestBatchExecution:
             assert session.stats.pool_launches == 1
             assert session._pool_workers == 2
 
+    def test_pool_holds_no_more_workers_than_tasks(self):
+        with Session(jobs=4, timeout=30) as session:
+            assert session.map_tasks(abs, [-1]) == [1]
+            assert session._pool_workers == 1
+            assert len(session._pool._processes) == 1
+            # a later, larger fan-out grows the shared pool.
+            assert session.map_tasks(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
+            assert session._pool_workers == 4
+            assert len(session._pool._processes) == 4
+            assert session.stats.pool_launches == 2
+
     def test_experiment_report_matches_legacy_run(self):
         request = ExperimentRequest("fig13", **TINY)
         with Session() as session:

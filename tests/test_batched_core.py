@@ -13,24 +13,29 @@ pins that contract:
   linear (mlp) and batched-GEMM (bert-base) workloads, every pass kind,
   fp16 and fp32 — through ``evaluate_points`` vs the scalar oracle
   ``evaluate_point`` (tests/model_reference.py);
-* ``pareto_frontier`` equals the scalar domination loop at every size;
+* ``pareto_frontier`` equals the scalar domination loop at every size and
+  on special values (±0.0, ±inf, NaN), and the seed-0 perfbench grid's
+  frontier is pinned by digest;
 * the array grid enumeration equals the one-combination-at-a-time
   ``_point_from_values`` reference;
 * the scalar edge-case fixes that rode along (fp16 L1 streaming clamp,
   sliding-window L2 clamps, zero-time bottleneck shares) stay pinned.
 """
 
+import hashlib
 import itertools
 import json
 import math
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.frontier import (OBJECTIVES, _pareto_frontier_vectorized,
+from repro.analysis import frontier as frontier_module
+from repro.analysis.frontier import (OBJECTIVES, _skyline,
                                      pareto_frontier, resolve_objectives)
 from repro.core.batched import (BatchedGpuSpec, CANDIDATE_ORDER,
                                 build_stacks, design_matrix, estimate_grid,
@@ -40,6 +45,7 @@ from repro.core.l1 import _streaming_mli
 from repro.core.l2 import sliding_tile_unique_elements
 from repro.core.workload import Im2colPattern, lower_forward, lower_pass
 from repro.dse.batch import evaluate_points
+from repro.dse.runner import explore
 from repro.dse.space import GPU_AXIS_KEYS, DesignPoint, GridSpace, grid
 from repro.gpu.design_options import DesignOption
 from repro.gpu.devices import TITAN_XP, get_device
@@ -230,10 +236,10 @@ def _scalar_frontier(oriented):
 # row 0 dominates row 1, but 1e16 + 1 rounds to 1e16: equal float sums.
 @example(rows=[(10 ** 16, 1, 0), (10 ** 16, 0, 0)])
 def test_pareto_vectorized_matches_scalar_loop(rows):
-    # small integer grids force heavy duplication and tie-breaking, the
-    # hard cases for the sum-as-strictness trick.
+    # small integer grids force heavy duplication and ties, the hard cases
+    # for grouping rows by value and dropping the strictness test.
     oriented = [tuple(float(v) for v in row) for row in rows]
-    assert _pareto_frontier_vectorized(oriented) == _scalar_frontier(oriented)
+    assert _skyline(oriented) == _scalar_frontier(oriented)
 
 
 def test_pareto_frontier_dispatch_consistent_across_sizes():
@@ -250,6 +256,115 @@ def test_pareto_frontier_dispatch_consistent_across_sizes():
                           for obj in objectives) for row in subset]
         assert (pareto_frontier(subset, objectives)
                 == _scalar_frontier(oriented)), size
+
+
+#: values a row may carry besides small integers: signed zeros compare
+#: equal, infinities order, and a NaN compares false both ways.
+_SPECIAL_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.tuples(*[st.one_of(st.integers(-3, 3).map(float),
+                          st.sampled_from(_SPECIAL_VALUES))] * width),
+    min_size=1, max_size=60)))
+@example(rows=[(math.nan, 0.0), (1.0, 1.0)])
+@example(rows=[(0.0, -0.0), (-0.0, 0.0), (-1.0, 0.0)])
+def test_skyline_special_values_match_scalar_loop(rows):
+    assert _skyline(rows) == _scalar_frontier(rows)
+
+
+def _grid_table(width, count, span, seed, tradeoff, duplicate, special):
+    """A seeded (count, width) table of small integers in [-span, span].
+
+    ``tradeoff`` puts a share of rows on one hyperplane (mutually
+    non-dominated, so the frontier outgrows the top-kill rows),
+    ``duplicate`` resamples rows with replacement, and ``special`` is the
+    share of cells replaced by a value from ``_SPECIAL_VALUES``.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-span, span + 1, size=(count, width)).astype(float)
+    if tradeoff and width > 1:
+        values[:, -1] = (-values[:, :-1].sum(axis=1)
+                         - rng.integers(0, 4, size=count))
+    if duplicate:
+        values = values[rng.integers(0, count, size=count)]
+    cells = rng.random(values.shape) < special
+    values[cells] = rng.choice(_SPECIAL_VALUES, size=int(cells.sum()))
+    return [tuple(row) for row in values.tolist()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=st.integers(1, 4), count=st.integers(1, 1500),
+       span=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       tradeoff=st.booleans(), duplicate=st.booleans(),
+       special=st.sampled_from((0.0, 0.002, 0.02)))
+@example(width=3, count=1500, span=12, seed=0, tradeoff=True,
+         duplicate=False, special=0.002)
+def test_skyline_blocks_match_scalar_loop(width, count, span, seed, tradeoff,
+                                          duplicate, special):
+    """Tables of up to ~3 blocks of distinct rows, where the archive outgrows
+    the top-kill rows, give the scalar loop's indices exactly."""
+    rows = _grid_table(width, count, span, seed, tradeoff, duplicate, special)
+    assert _skyline(rows) == _scalar_frontier(rows)
+
+
+def test_skyline_archive_outgrows_top_killers():
+    """The explicit example above does run the regime it is there for:
+    several blocks of distinct rows and an archive past the top-kill rows."""
+    rows = _grid_table(3, 1500, 12, 0, True, False, 0.002)
+    frontier = _skyline(rows)
+    assert len(set(rows)) > 2 * frontier_module.SKYLINE_BLOCK
+    assert len({rows[i] for i in frontier}) > 2 * frontier_module.TOP_KILLERS
+    assert frontier == _scalar_frontier(rows)
+
+
+def test_top_killers_are_the_archive_rows_with_most_kills():
+    top = frontier_module.TOP_KILLERS
+    kills = np.zeros(4 * top, dtype=np.int64)
+    size = 3 * top
+    kills[:size] = np.random.default_rng(0).permutation(size)
+    kills[size:] = 10 * size  # past the archive: never a candidate
+    chosen = frontier_module._top_killers(kills, size)
+    assert sorted(chosen.tolist()) == sorted(
+        np.argsort(kills[:size])[-top:].tolist())
+
+
+def test_kill_credited_to_latest_covering_archive_row():
+    # archive rows (first objective dropped) in visit order; every one
+    # covers the candidate (0, 0), the second candidate is covered by none.
+    archive = [np.array([3.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0])]
+    cand = [np.array([0.0, 4.0]), np.array([0.0, 0.0])]
+    kills = np.zeros(3, dtype=np.int64)
+    survive = frontier_module._undominated(cand, archive, kills,
+                                           slice(0, 3))
+    assert survive.tolist() == [False, True]
+    assert kills.tolist() == [0, 0, 1]
+
+
+#: sha256 of ``json.dumps`` of the default-objective frontier indices of
+#: the seed-0 perfbench dse-sweep grid (41472 points, 362 on the
+#: frontier), recorded with the archive-recompute filter that came before
+#: the sort-first skyline.
+PERFBENCH_FRONTIER_SHA256 = (
+    "d8187db992f16e71077275da6e4d29b2093b943fddad18183bee315d28610afc")
+
+
+def test_perfbench_grid_frontier_pinned():
+    space = grid({
+        "num_sm": (1, 1.25, 1.5, 2, 2.5, 3, 3.5, 4),
+        "mac_bw": (1, 2, 3, 4, 6, 8),
+        "l1_bw": (1, 2),
+        "l2_bw": (1, 1.25, 1.5, 2, 2.5, 3),
+        "dram_bw": (1, 1.25, 1.5, 2, 2.5, 3),
+        "cta_tile": (128, 256),
+        "network": ("alexnet", "resnet152", "bert-base"),
+        "passes": ("forward", "training"),
+    }, batch=32)
+    frontier = list(explore(space).frontier)
+    assert len(space) == 41472 and len(frontier) == 362
+    assert hashlib.sha256(json.dumps(frontier).encode()).hexdigest() \
+        == PERFBENCH_FRONTIER_SHA256
 
 
 # ----------------------------------------------------------------------

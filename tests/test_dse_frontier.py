@@ -1,5 +1,7 @@
 """Tests for the objective/frontier layer (repro.analysis.frontier)."""
 
+import math
+
 import pytest
 
 from repro.analysis.frontier import (
@@ -56,6 +58,19 @@ class TestDominance:
     def test_equal_rows_do_not_dominate_each_other(self):
         row = {"tput": 1, "cost": 1}
         assert not dominates(row, dict(row), self.OBJS)
+
+    def test_nan_never_dominates_nor_is_dominated(self):
+        # agrees with pareto_frontier, which keeps the NaN row.
+        better = {"tput": 2, "cost": 0}
+        for nan_row in ({"tput": math.nan, "cost": 1},
+                        {"tput": 1, "cost": math.nan}):
+            assert not dominates(better, nan_row, self.OBJS)
+            assert not dominates(nan_row, better, self.OBJS)
+            assert pareto_frontier([better, nan_row], self.OBJS) == [0, 1]
+        maximize = (Objective("a", "a", "max", ""),
+                    Objective("b", "b", "max", ""))
+        assert not dominates({"a": 1, "b": 1}, {"a": math.nan, "b": 0},
+                             maximize)
 
 
 class TestParetoFrontier:

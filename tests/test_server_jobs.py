@@ -214,6 +214,50 @@ class TestJobRoutes:
         assert app.cache.stats.memo_hits == 1
         assert app.session.stats.requests_run == 1
 
+    def test_finished_job_is_encoded_once_across_polls(self, server,
+                                                       monkeypatch):
+        running, _ = server
+        calls = []
+        to_json, to_dict = Report.to_json, Report.to_dict
+
+        def counting_json(report, indent=None):
+            calls.append("to_json")
+            return to_json(report, indent=indent)
+
+        def counting_dict(report):
+            calls.append("to_dict")
+            return to_dict(report)
+
+        monkeypatch.setattr(Report, "to_json", counting_json)
+        monkeypatch.setattr(Report, "to_dict", counting_dict)
+        status, raw = _http(running, "POST", "/v1/sweep",
+                            body={"networks": ["alexnet"],
+                                  "gpus": ["titanxp"], "batches": [16],
+                                  "job": True})
+        assert status == 202
+        job_id = json.loads(raw)["job_id"]
+        for _ in range(600):
+            status, raw = _http(running, "GET", f"/v1/jobs/{job_id}")
+            if json.loads(raw)["status"] != "running":
+                break
+            time.sleep(0.05)
+        polls = [_http(running, "GET", f"/v1/jobs/{job_id}")
+                 for _ in range(3)]
+        reports = [_http(running, "GET", f"/v1/jobs/{job_id}/report")
+                   for _ in range(3)]
+        assert polls[0][0] == 200 and json.loads(polls[0][1])["status"] \
+            == "done"
+        assert polls[1:] == polls[:1] * 2
+        assert reports[0][0] == 200 and reports[1:] == reports[:1] * 2
+        # one encoding by the execution; the polls encode nothing more.
+        assert calls.count("to_json") == 1
+        encoded = len(calls)
+        for path in (f"/v1/jobs/{job_id}", f"/v1/jobs/{job_id}/report"):
+            assert _http(running, "GET", path) in polls + reports
+        assert len(calls) == encoded
+        assert Report.from_dict(json.loads(polls[0][1])["report"]) \
+            == Report.from_json(reports[0][1].decode("utf-8"))
+
     def test_unknown_job_is_structured_404(self, server):
         running, _ = server
         status, raw = _http(running, "GET", "/v1/jobs/job-999999")
