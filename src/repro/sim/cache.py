@@ -24,9 +24,14 @@ its sector with a fresh global timestamp, the cache contents are exactly the
 fewer than ``capacity`` live timestamps exceed the sector's previous stamp
 (its reuse/stack distance is below capacity).  Because the stamp evolution is
 independent of hit outcomes, a whole block can be classified with array
-order-statistics instead of per-sector pointer churn.  The set-associative
-cache keeps per-set ``(tag, stamp)`` way arrays and replays a block as a
-short sequence of rounds, each round touching every referenced set at once.
+order-statistics instead of per-sector pointer churn.
+
+The set-associative cache uses the same inclusion property per set
+(Mattson et al., 1970): a line is resident iff fewer than ``ways`` distinct
+lines of its set were used since its last use.  Its state is one row of
+tags per set in most-recently-used-first order, padded with -1, and a
+block is classified in one pass from each access's previous use (see
+:func:`_stack_lru_block`) instead of being replayed access by access.
 
 :class:`SetAssociativeCacheBank` runs many independent set-associative caches
 (e.g. one L1 per SM) through a single kernel invocation per block.
@@ -43,6 +48,9 @@ from ..obs.metrics import StatsView
 #: block-access chunk bound: limits the worst-case quadratic work of the
 #: within-block tie-break corrections (only adversarial streams hit it).
 _BLOCK_CHUNK = 8192
+
+#: elements per chunk of the set-associative kernel's windowed reuse count.
+_WINDOW_CHUNK = 1 << 16
 
 class CacheStats(StatsView):
     """Access statistics of one cache instance.
@@ -82,6 +90,20 @@ class CacheStats(StatsView):
 
 def _as_sector_array(sectors) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(sectors, dtype=np.int64)).ravel()
+
+
+def _check_range(values: np.ndarray, what: str,
+                 bound: Optional[int] = None) -> None:
+    """Fail closed on a value below 0 or at/above ``bound`` (when given):
+    -1 is the kernels' empty-slot sentinel, and an index past the dense
+    state would land in another sector's or another cache's slot."""
+    low = int(values.min())
+    if low < 0:
+        raise ValueError(f"negative {what} {low}")
+    if bound is not None:
+        high = int(values.max())
+        if high >= bound:
+            raise ValueError(f"{what} {high} outside [0, {bound})")
 
 
 def _count_earlier_greater(values: np.ndarray,
@@ -209,6 +231,7 @@ class LruCache:
         sectors = _as_sector_array(sectors)
         if sectors.size == 0:
             return np.zeros(0, dtype=bool)
+        _check_range(sectors, "sector index", self._universe)
         if sectors.size <= _BLOCK_CHUNK:
             hits = self._access_block_chunk(sectors)
         else:
@@ -294,50 +317,193 @@ class LruCache:
         return hits
 
 
-def _set_lru_block(state: np.ndarray, ways: int, set_index: np.ndarray,
-                   sectors: np.ndarray, start_time: int) -> np.ndarray:
-    """Replay a block through per-set LRU way arrays; returns the hit mask.
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """A stable argsort of non-negative int64 ``values``.
 
-    ``state`` is a (total_sets, 2 * ways) array updated in place — tags in
-    the first ``ways`` columns, recency stamps in the rest (one gather serves
-    both).  The block is processed in rounds: round ``r`` handles the r-th
-    access of every referenced set simultaneously, so rounds are bounded by
-    the most-touched set rather than the block length.
+    Each value and its position are packed into one int64 key when their bit
+    widths fit: sorting one key is about twice as fast as a stable argsort.
+    Where the packed key could overflow int64 the order comes from
+    :func:`numpy.lexsort` instead.
+    """
+    position_bits = max(1, (values.size - 1).bit_length())
+    if int(values.max()).bit_length() + position_bits > 63:
+        return np.lexsort((values,))
+    key = (values << position_bits) | np.arange(values.size, dtype=np.int64)
+    key.sort()
+    return key & ((1 << position_bits) - 1)
+
+
+def _count_reuses_within(prev: np.ndarray, starts: np.ndarray,
+                         stops: np.ndarray) -> np.ndarray:
+    """For each window ``(starts[i], stops[i])`` (both exclusive), count the
+    accesses ``r`` inside it whose previous use ``prev[r]`` is inside too.
+
+    Those are the window's accesses that add no new distinct line, so the
+    window holds ``stops - starts - 1 - count`` distinct lines.  ``prev`` is
+    -1 for an access with no earlier use, and ``prev[r] > starts[i]`` already
+    implies ``r > starts[i]``.  Short windows use a row-chunked broadcast
+    over window offsets; when that would exceed a few passes over the block,
+    a dyadic decomposition of ``[0, stop)`` counts with one sort per level,
+    O(n log^2 n) time in O(n) memory.
+    """
+    width = int((stops - starts).max()) - 1
+    if stops.size * width <= 4 * prev.size + _WINDOW_CHUNK:
+        out = np.empty(stops.size, dtype=np.int64)
+        offsets = np.arange(1, width + 1, dtype=np.int64)
+        rows = max(1, _WINDOW_CHUNK // max(width, 1))
+        for lo in range(0, stops.size, rows):
+            stop = stops[lo:lo + rows, np.newaxis]
+            start = starts[lo:lo + rows, np.newaxis]
+            inside = stop - offsets
+            reused = prev[np.maximum(inside, 0)] > start
+            out[lo:lo + rows] = reused.sum(axis=1)
+        return out
+    # dominance count: #{r < stop : prev[r] > start}.  Keys pack
+    # (r >> level, prev[r]) into 2 * bit_length(n) bits, which fits int64
+    # for any block below 2**31 accesses.
+    points = np.flatnonzero(prev >= 0)
+    values = prev[points]
+    value_bits = max(1, (prev.size - 1).bit_length())
+    out = np.zeros(stops.size, dtype=np.int64)
+    for level in range(int(stops.max()).bit_length()):
+        take = np.flatnonzero((stops >> level) & 1)
+        if take.size == 0:
+            continue
+        keys = np.sort(((points >> level) << value_bits) | values)
+        block = (stops[take] >> level) - 1
+        out[take] += (np.searchsorted(keys, (block + 1) << value_bits)
+                      - np.searchsorted(keys, (block << value_bits)
+                                        | starts[take], side="right"))
+    return out
+
+
+def _count_lower_ranked(groups: np.ndarray, ranks: np.ndarray,
+                        queries: np.ndarray, ways: int) -> np.ndarray:
+    """For each query index ``q`` into ``groups``/``ranks`` (grouped, in
+    access order), count earlier entries of the same group with a lower
+    rank.  A group holds at most ``ways`` entries, so ``ways - 1`` offsets
+    reach all of them."""
+    earlier = queries[:, np.newaxis] - np.arange(1, ways, dtype=np.int64)
+    valid = earlier >= 0
+    earlier = np.maximum(earlier, 0)
+    valid &= groups[earlier] == groups[queries, np.newaxis]
+    valid &= ranks[earlier] < ranks[queries, np.newaxis]
+    return valid.sum(axis=1)
+
+
+def _stack_lru_block(rows: np.ndarray, sets: np.ndarray,
+                     sectors: np.ndarray) -> np.ndarray:
+    """Classify a block through per-set LRU rows; returns the hit mask.
+
+    ``rows`` is a (total_sets, ways) array of tags in most-recently-used
+    first order, padded with -1 at the end, updated in place.  By LRU's
+    inclusion property a line is resident iff fewer than ``ways`` distinct
+    lines of its set were used since its last use, so every access is
+    classified at once from its previous use (two sorts: by (set, position),
+    then that order by sector, which keeps each set's uses of a line
+    together and in access order):
+
+    * a repeat within the block hits iff fewer than ``ways`` distinct lines
+      of the set were used in between;
+    * a first use hits iff it matches the resident at MRU rank ``r`` and
+      ``r + B - C < ways``, where ``B`` counts the set's distinct lines
+      earlier in the block and ``C`` those of them that matched residents
+      ranked below ``r``.
+
+    Each touched set's new row is the block's distinct lines, most recent
+    last use first, then the residents the block did not touch in their
+    order, truncated to ``ways``.
     """
     n = sectors.size
-    order = np.argsort(set_index, kind="stable")
-    sorted_sets = set_index[order]
-    run_start_mask = np.empty(n, dtype=bool)
-    run_start_mask[0] = True
-    run_start_mask[1:] = sorted_sets[1:] != sorted_sets[:-1]
-    run_starts = np.flatnonzero(run_start_mask)
-    run_lengths = np.diff(np.append(run_starts, n))
-    rank_sorted = np.arange(n, dtype=np.int64) - np.repeat(run_starts,
-                                                           run_lengths)
-    # Group original positions by round so each round is a plain slice.
-    by_rank = np.argsort(rank_sorted, kind="stable")
-    round_positions = order[by_rank]
-    round_bounds = np.searchsorted(rank_sorted[by_rank],
-                                   np.arange(int(run_lengths.max()) + 1))
-    rows_grouped = set_index[round_positions]
-    values_grouped = sectors[round_positions]
-    stamps_grouped = start_time + round_positions
-    hits_grouped = np.empty(n, dtype=bool)
-    for rank in range(round_bounds.size - 1):
-        lo, hi = round_bounds[rank], round_bounds[rank + 1]
-        rows = rows_grouped[lo:hi]      # unique sets within a round
-        values = values_grouped[lo:hi]
-        gathered = state[rows]
-        matches = gathered[:, :ways] == values[:, np.newaxis]
-        hit = matches.any(axis=1)
-        hits_grouped[lo:hi] = hit
-        way = np.where(hit, matches.argmax(axis=1),
-                       gathered[:, ways:].argmin(axis=1))
-        state[rows, way] = values
-        state[rows, ways + way] = stamps_grouped[lo:hi]
-    hits = np.empty(n, dtype=bool)
-    hits[round_positions] = hits_grouped
-    return hits
+    ways = rows.shape[1]
+    # --- group the block by set (A order: set, then access order).
+    by_set = _stable_order(sets)
+    set_a = sets[by_set]
+    sector_a = sectors[by_set]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(set_a[1:], set_a[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    group = np.cumsum(head) - 1
+    # --- previous use of each access's line in the block (A index or -1).
+    # Ties in sector keep A order, so a line's uses in one set are adjacent.
+    by_line = _stable_order(sector_a)
+    line_sector = sector_a[by_line]
+    line_group = group[by_line]
+    same = line_sector[1:] == line_sector[:-1]
+    same &= line_group[1:] == line_group[:-1]
+    repeat_of = by_line[:-1][same]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[by_line[1:][same]] = repeat_of
+    is_first = prev < 0
+    firsts_incl = np.cumsum(is_first)
+    firsts_before = firsts_incl - is_first
+    group_base = firsts_before[heads]
+    distinct = np.append(group_base[1:], firsts_incl[-1]) - group_base
+    hits = np.zeros(n, dtype=bool)
+
+    # --- repeats: the distinct lines between the two uses decide.  Fewer
+    # than ``ways`` accesses in between, or fewer than ``ways + 1`` distinct
+    # lines in the whole set, is a sure hit; ``ways`` or more first uses in
+    # between is a sure miss; the rest count the distinct lines exactly.
+    repeat = np.flatnonzero(~is_first)
+    if repeat.size:
+        start = prev[repeat]
+        gap = repeat - start - 1
+        sure = (gap < ways) | (distinct[group[repeat]] <= ways)
+        hits[repeat[sure]] = True
+        open_ = ~sure
+        open_ &= firsts_before[repeat] - firsts_incl[start] < ways
+        if open_.any():
+            stop, start = repeat[open_], start[open_]
+            reused = _count_reuses_within(prev, start, stop)
+            hits[stop] = stop - start - 1 - reused < ways
+
+    # --- first uses: the resident rank, shifted by the set's lines used
+    # earlier in the block that were not already above it.
+    touched = set_a[heads]
+    old = np.take(rows, touched, axis=0)
+    first = np.flatnonzero(is_first)
+    match = np.take(old, group[first], axis=0) == sector_a[first, np.newaxis]
+    rank = match.argmax(axis=1)
+    resident = match.ravel()[np.arange(first.size) * ways + rank]
+    found = first[resident]
+    found_rank = rank[resident]
+    found_group = group[found]
+    earlier = firsts_before[found] - group_base[found_group]
+    depth = found_rank + earlier
+    ambiguous = np.flatnonzero(depth >= ways)
+    if ambiguous.size:
+        depth[ambiguous] -= _count_lower_ranked(found_group, found_rank,
+                                                ambiguous, ways)
+    hits[found] = depth < ways
+
+    # --- new rows: block lines by last use (most recent first), then the
+    # untouched residents in order, truncated to ``ways``.
+    is_last = np.ones(n, dtype=bool)
+    is_last[repeat_of] = False
+    last = np.flatnonzero(is_last)
+    last_group = group[last]
+    column = (np.cumsum(distinct) - 1)[last_group] - np.arange(last.size)
+    fresh = np.full((touched.size, ways), -1, dtype=np.int64)
+    keep = np.flatnonzero(column < ways)
+    fresh.ravel()[last_group[keep] * ways + column[keep]] = \
+        sector_a[last[keep]]
+    stay = old >= 0
+    stay.ravel()[found_group * ways + found_rank] = False
+    # a staying resident's column: the set's distinct block lines, then the
+    # staying residents before it (a row-wise cumsum done as one flat pass).
+    column = np.cumsum(stay.ravel()).reshape(stay.shape)
+    column[1:] -= column[:-1, -1:].copy()
+    column += (distinct - 1)[:, np.newaxis]
+    slot = np.flatnonzero(stay & (column < ways))
+    fresh.ravel()[slot - slot % ways + column.ravel()[slot]] = \
+        old.ravel()[slot]
+    rows[touched] = fresh
+
+    out = np.empty(n, dtype=bool)
+    out[by_set] = hits
+    return out
 
 
 class SetAssociativeCache:
@@ -356,20 +522,16 @@ class SetAssociativeCache:
         self._reset_state()
 
     def _reset_state(self) -> None:
-        # tags in columns [:ways], recency stamps in columns [ways:].
-        self._state = np.full((self.num_sets, 2 * self.ways), -1,
-                              dtype=np.int64)
-        self._time = 0
+        # per set: tags most-recently-used first, -1 padded at the end.
+        self._rows = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
 
     def access_block(self, sectors) -> np.ndarray:
         """Access a whole sector array; returns the boolean hit mask."""
         sectors = _as_sector_array(sectors)
         if sectors.size == 0:
             return np.zeros(0, dtype=bool)
-        set_index = sectors % self.num_sets
-        hits = _set_lru_block(self._state, self.ways, set_index, sectors,
-                              self._time)
-        self._time += sectors.size
+        _check_range(sectors, "sector index")
+        hits = _stack_lru_block(self._rows, sectors % self.num_sets, sectors)
         self.stats.record_block(sectors.size,
                                 int(sectors.size - np.count_nonzero(hits)))
         return hits
@@ -380,7 +542,7 @@ class SetAssociativeCache:
 
     @property
     def occupancy(self) -> int:
-        return int(np.count_nonzero(self._state[:, :self.ways] >= 0))
+        return int(np.count_nonzero(self._rows >= 0))
 
 
 class SetAssociativeCacheBank:
@@ -404,9 +566,8 @@ class SetAssociativeCacheBank:
         self._reset_state()
 
     def _reset_state(self) -> None:
-        total_sets = self.num_caches * self.num_sets
-        self._state = np.full((total_sets, 2 * self.ways), -1, dtype=np.int64)
-        self._time = 0
+        self._rows = np.full((self.num_caches * self.num_sets, self.ways), -1,
+                             dtype=np.int64)
 
     def access_block(self, cache_ids, sectors) -> np.ndarray:
         """Access ``sectors[i]`` in cache ``cache_ids[i]``; returns hit mask."""
@@ -416,10 +577,10 @@ class SetAssociativeCacheBank:
             raise ValueError("cache_ids and sectors must have equal length")
         if sectors.size == 0:
             return np.zeros(0, dtype=bool)
+        _check_range(sectors, "sector index")
+        _check_range(cache_ids, "cache id", self.num_caches)
         set_index = cache_ids * self.num_sets + sectors % self.num_sets
-        hits = _set_lru_block(self._state, self.ways, set_index, sectors,
-                              self._time)
-        self._time += sectors.size
+        hits = _stack_lru_block(self._rows, set_index, sectors)
         self.stats.record_block(sectors.size,
                                 int(sectors.size - np.count_nonzero(hits)))
         return hits
@@ -430,4 +591,4 @@ class SetAssociativeCacheBank:
 
     @property
     def occupancy(self) -> int:
-        return int(np.count_nonzero(self._state[:, :self.ways] >= 0))
+        return int(np.count_nonzero(self._rows >= 0))

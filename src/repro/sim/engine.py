@@ -35,8 +35,9 @@ DESIGN.md for why that preserves the comparison.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +57,17 @@ _K_CHUNK = 16
 #: dense sector->stamp maps beyond this many sectors fall back to the dict
 #: path of :class:`LruCache` (keeps L2 state memory bounded for huge layers).
 _MAX_DENSE_SECTORS = 1 << 25
+
+
+def _timed(kernel: Callable, totals: List[float], slot: int) -> Callable:
+    """``kernel`` wrapped to add its wall seconds to ``totals[slot]``."""
+    def call(*args):
+        started = time.perf_counter()
+        try:
+            return kernel(*args)
+        finally:
+            totals[slot] += time.perf_counter() - started
+    return call
 
 
 @dataclass(frozen=True)
@@ -201,6 +213,14 @@ class ConvLayerSimulator:
             l2_cache = SetAssociativeCache(gpu.l2_size, sector_bytes,
                                            ways=config.l2_ways)
         dram = DramChannel(gpu)
+        # Under deep tracing each wave's L1 and L2 kernel seconds are summed
+        # onto its ``sim.kernels`` span; otherwise the kernels run bare.
+        l1_access = l1_bank.access_block
+        l2_access = l2_cache.access_block
+        kernel_seconds = [0.0, 0.0]
+        if obs_spans.deep_tracing():
+            l1_access = _timed(l1_access, kernel_seconds, 0)
+            l2_access = _timed(l2_access, kernel_seconds, 1)
         b_sector_boundary = trace.layout.b_base // sector_bytes
         t_compute = self._compute_time_per_loop(workload, tile)
 
@@ -273,7 +293,12 @@ class ConvLayerSimulator:
                     materialize(b_tiles, trace.b_tile_batch, new_ns)
 
             with obs_spans.trace_deep("sim.kernels", wave=wave_index,
-                                      ctas=wave.num_ctas, loops=num_loops):
+                                      ctas=wave.num_ctas,
+                                      loops=num_loops) as kernels_span:
+                if kernels_span is not None:
+                    kernel_seconds[:] = (0.0, 0.0)
+                    l1_before = (l1_bank.stats.accesses,
+                                 l1_bank.stats.misses)
                 # Wave-static per-loop aggregates (exact integer-valued
                 # floats, so the summation order cannot change the totals).
                 sm_fetch: Dict[int, np.ndarray] = {}
@@ -311,7 +336,7 @@ class ConvLayerSimulator:
                         owner_ids = np.repeat(
                             np.asarray(owners, dtype=np.int64),
                             np.asarray(lengths, dtype=np.int64))
-                        l1_hits = l1_bank.access_block(owner_ids, sectors)
+                        l1_hits = l1_access(owner_ids, sectors)
                         missed = sectors[~l1_hits]
                     else:
                         missed = empty
@@ -319,7 +344,7 @@ class ConvLayerSimulator:
                     l2_bytes += loop_l2_total
 
                     if missed.size:
-                        l2_hits = l2_cache.access_block(missed)
+                        l2_hits = l2_access(missed)
                         dram_missed = missed[~l2_hits]
                     else:
                         dram_missed = empty
@@ -333,6 +358,12 @@ class ConvLayerSimulator:
                     wave_time += self._loop_time(
                         per_sm, loop_l1_per_sm, loop_l2_total,
                         loop_dram_total, t_compute, dram)
+                if kernels_span is not None:
+                    kernels_span.attrs.update(
+                        l1_ms=kernel_seconds[0] * 1e3,
+                        l2_ms=kernel_seconds[1] * 1e3,
+                        l1_accesses=l1_bank.stats.accesses - l1_before[0],
+                        l1_misses=l1_bank.stats.misses - l1_before[1])
             simulated_ctas += wave.num_ctas
             simulated_time += wave_time
 

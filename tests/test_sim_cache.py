@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sim.cache import CacheStats, LruCache, SetAssociativeCache
+from repro.sim.cache import (CacheStats, LruCache, SetAssociativeCache,
+                             SetAssociativeCacheBank)
 
 
 def access(cache, sector):
@@ -97,6 +98,39 @@ class TestSetAssociativeCache:
         cache.reset()
         assert cache.occupancy == 0
         assert cache.stats.accesses == 0
+
+
+class TestInvalidInputs:
+    """-1 is the kernels' empty-slot sentinel and every state is a dense
+    array, so out-of-range indices fail closed instead of aliasing."""
+
+    def test_set_associative_rejects_negative_sector(self):
+        cache = SetAssociativeCache(256, 32, ways=8)
+        with pytest.raises(ValueError, match="-1"):
+            cache.access_block([-1])
+        assert cache.stats.accesses == 0
+        assert access(cache, 3) is False
+
+    def test_bank_rejects_negative_sector(self):
+        bank = SetAssociativeCacheBank(2, 1024, 32, ways=4)
+        with pytest.raises(ValueError, match="-1"):
+            bank.access_block([-1], [5])
+        assert not bank.access_block([1], [5])[0]
+
+    @pytest.mark.parametrize("cache_id", [-1, 2, 7])
+    def test_bank_rejects_cache_id_out_of_range(self, cache_id):
+        bank = SetAssociativeCacheBank(2, 1024, 32, ways=4)
+        with pytest.raises(ValueError, match=str(cache_id)):
+            bank.access_block([cache_id], [5])
+        assert bank.occupancy == 0
+
+    @pytest.mark.parametrize("sector", [-1, 10, 11])
+    def test_dense_lru_rejects_sector_outside_universe(self, sector):
+        cache = LruCache(1024, 32, sector_universe=10)
+        with pytest.raises(ValueError, match=str(sector)):
+            cache.access_block([sector])
+        assert cache.stats.accesses == 0
+        assert access(cache, 9) is False
 
 
 class TestCacheStats:

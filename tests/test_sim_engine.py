@@ -5,6 +5,8 @@ import pytest
 from repro.core.layer import ConvLayerConfig
 from repro.core.model import DeltaModel
 from repro.gpu import TITAN_XP
+from repro.obs import spans as obs_spans
+from repro.sim import engine as engine_module
 from repro.sim.engine import ConvLayerSimulator, SimResult, SimulatorConfig
 from sim_reference import ReferenceSimulator
 
@@ -62,6 +64,38 @@ class TestTrafficMeasurement:
         assert tiny_result.time_seconds > 0
         assert tiny_result.cycles == pytest.approx(
             tiny_result.time_seconds * TITAN_XP.core_clock_hz)
+
+
+class TestKernelSpans:
+    LAYER = ConvLayerConfig.square("spans", 4, in_channels=16, in_size=14,
+                                   out_channels=32, filter_size=3, padding=1)
+
+    def test_deep_trace_splits_kernel_time_per_wave(self):
+        simulator = ConvLayerSimulator(TITAN_XP, SimulatorConfig(max_ctas=60))
+        with obs_spans.collect_trace(deep=True) as trace:
+            result = simulator.run(self.LAYER)
+        waves = [span for span in trace.spans if span.name == "sim.kernels"]
+        assert waves
+        for span in waves:
+            attrs = span.attrs
+            assert attrs["l1_ms"] >= 0 and attrs["l2_ms"] >= 0
+            assert attrs["l1_ms"] + attrs["l2_ms"] <= span.duration_ms
+            assert 0 <= attrs["l1_misses"] <= attrs["l1_accesses"]
+        # every L1 miss is one sector of L2 traffic.
+        misses = sum(span.attrs["l1_misses"] for span in waves)
+        assert (misses * TITAN_XP.sector_bytes * result.scale_factor
+                == pytest.approx(result.traffic.l2_bytes))
+
+    def test_untraced_run_wraps_no_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel timing without deep tracing")
+
+        monkeypatch.setattr(engine_module, "_timed", refuse)
+        ConvLayerSimulator(TITAN_XP, SimulatorConfig(max_ctas=30)).run(
+            self.LAYER)
+        with obs_spans.collect_trace(deep=False):
+            ConvLayerSimulator(TITAN_XP, SimulatorConfig(max_ctas=30)).run(
+                self.LAYER)
 
 
 class TestSamplingAndExtrapolation:
