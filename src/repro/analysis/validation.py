@@ -59,7 +59,8 @@ class ValidationConfig:
     #: mini-batch used for both model and simulator (paper uses 256; the
     #: substitute simulator uses a smaller batch, see DESIGN.md).
     batch: int = 32
-    #: cap on exactly-simulated CTAs per layer.
+    #: per-layer CTA budget: simulates whole waves until at least this many
+    #: CTAs ran (None = all).
     max_ctas: Optional[int] = 180
     #: restrict each network to at most this many (unique) layers; None = all.
     layers_per_network: Optional[int] = 4

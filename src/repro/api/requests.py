@@ -96,7 +96,8 @@ class ValidateRequest:
 
     gpu: str = "titanxp"
     batch: int = 32
-    #: cap on exactly-simulated CTAs per layer (None = all).
+    #: per-layer CTA budget: simulates whole waves until at least this many
+    #: CTAs ran (None = all).
     max_ctas: Optional[int] = 180
     #: layers per network (None = all unique layers).
     layers_per_network: Optional[int] = 4

@@ -314,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp_parser.add_argument("--batch", type=int, default=None,
                             help="override the mini-batch size")
     exp_parser.add_argument("--max-ctas", type=int, default=None,
-                            help="override the exactly-simulated CTA cap")
+                            help="override the per-layer CTA budget: "
+                            "simulates whole waves until at least this many "
+                            "CTAs ran")
     exp_parser.add_argument("--layers-per-network", type=int, default=None,
                             help="override the layers validated per network")
     add_simulation_flags(exp_parser)
@@ -328,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     val_parser.add_argument("--gpu", default="titanxp")
     val_parser.add_argument("--batch", type=int, default=16)
     val_parser.add_argument("--max-ctas", type=int, default=90,
-                            help="CTAs simulated exactly per layer (<=0 = all)")
+                            help="per-layer CTA budget: simulates whole waves "
+                            "until at least this many CTAs ran (<=0 = all)")
     val_parser.add_argument("--layers-per-network", type=int, default=4,
                             help="layers per network (<=0 = all unique layers)")
     val_parser.add_argument("--networks", nargs="+", default=None,

@@ -48,9 +48,7 @@ from .runner import (
     PointResults,
     confirm_frontier,
     explore,
-    store_key,
     store_keys,
-    workload_fingerprint,
 )
 from .space import (
     AXIS_KEYS,
@@ -112,9 +110,7 @@ __all__ = [
     "evaluate_points",
     "MetricTable",
     "confirm_frontier",
-    "store_key",
     "store_keys",
-    "workload_fingerprint",
     "Objective",
     "OBJECTIVES",
     "DEFAULT_OBJECTIVE_NAMES",

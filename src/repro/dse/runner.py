@@ -2,8 +2,9 @@
 
 :func:`explore` is the one entry point: it asks the driver which design
 points to evaluate, answers as many as possible from the session memo and the
-resumable :class:`~repro.dse.store.ResultStore`, fans the rest out over the
-session's shared process pool, and finishes with the Pareto frontier over the
+resumable :class:`~repro.dse.store.ResultStore`, evaluates the rest
+(:func:`_evaluate_table`: on the session's shared process pool, or in
+process without a session) and finishes with the Pareto frontier over the
 requested objectives.
 
 Every point is evaluated on its design over the baseline GPU through the
@@ -41,7 +42,7 @@ from ..gpu.spec import GpuSpec
 from ..networks.registry import registry_generation
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
-from ..resilience import TaskFailure
+from ..resilience import TaskError, TaskFailure, run_chunk
 from ..sim.engine import SimulatorConfig
 from .batch import MetricTable, _workload_layers, evaluate_points
 from .drivers import ExhaustiveDriver, SuccessiveHalvingDriver
@@ -79,28 +80,10 @@ def _workload_fingerprint(network: str, batch: int, dtype_bytes: int,
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
-def workload_fingerprint(point: DesignPoint, unique: bool) -> str:
-    """Content hash of the evaluated layers' structural keys + pass kinds.
-
-    Built on the layers' ``structural_key`` — the same identity the
-    session's simulation dedupe uses — so a change to a network definition,
-    including a network registered again under the same name, changes the
-    key and stale store entries are never reused.
-    """
-    return _workload_fingerprint(point.network, point.batch,
-                                 point.dtype_bytes, point.passes, unique,
-                                 registry_generation())
-
-
 def _gpu_fingerprint(gpu: GpuSpec) -> Dict[str, object]:
     payload = dataclasses.asdict(gpu)
     payload.pop("name", None)  # content identity, not label
     return payload
-
-
-def store_key(base_gpu: GpuSpec, point: DesignPoint, unique: bool) -> str:
-    """Content key of one evaluation: baseline GPU x design point x workload."""
-    return store_keys(base_gpu, [point], unique)[0]
 
 
 def store_keys(base_gpu: GpuSpec, points: Sequence[DesignPoint],
@@ -133,27 +116,23 @@ def store_keys(base_gpu: GpuSpec, points: Sequence[DesignPoint],
         return keys
 
 
-def _fault_site(table: PointTable, row: int) -> str:
-    """The per-point fault-site text, ``name/network/bBATCH``."""
-    network, batch = table.signatures[table.signature_index[row]][:2]
-    return f"{table.name(row)}/{network}/b{batch}"
-
-
 def _evaluate_batch_task(task) -> MetricTable:
-    """Process-pool worker: evaluate one chunk of points as a batch.
+    """One evaluation task: a chunk of points evaluated as a batch.
 
     ``task`` is ``(base_gpu, points, unique, layer_stride)`` with ``points``
     a :class:`~repro.dse.space.PointTable` slice; a stride above 1 is
     successive halving's layer-subsampled proxy, whose fault sites carry a
-    ``proxy:`` prefix.  Fires the per-point fault sites first, then
-    evaluates the whole chunk through the array-of-points path.
+    ``proxy:`` prefix.  Fires each point's ``dse`` fault site
+    (``name/network/bBATCH``) first, then evaluates the whole chunk through
+    the array-of-points path.
     """
     base_gpu, points, unique, layer_stride = task
     table = PointTable.from_points(points)
     if faults.active():
         prefix = "proxy:" if layer_stride > 1 else ""
         for row in range(len(table)):
-            faults.fire("dse", prefix + _fault_site(table, row))
+            network, batch = table.signatures[table.signature_index[row]][:2]
+            faults.fire("dse", f"{prefix}{table.name(row)}/{network}/b{batch}")
     return evaluate_points(base_gpu, table, unique=unique,
                            layer_stride=layer_stride)
 
@@ -361,92 +340,50 @@ class Exploration:
 Outcomes = Tuple[MetricTable, Dict[int, TaskFailure]]
 
 
-def _evaluate_batch_local(base_gpu: GpuSpec, table: PointTable,
-                          unique: bool) -> Outcomes:
-    """In-process batched evaluation with per-point failure isolation.
+def _evaluate_table(session, base_gpu: GpuSpec, table: PointTable,
+                    unique: bool, layer_stride: int = 1) -> Outcomes:
+    """Evaluate ``table`` in :func:`_evaluate_batch_task` chunks with
+    per-point failure isolation: the one evaluation path of a sweep.
 
-    Fault sites fire per point before the batch call so an injected error
-    poisons only its own point; if the batch evaluation itself fails, the
-    chunk is re-run one point at a time so one bad point cannot take down
-    its neighbours.
+    With a session, ``BATCH_CHUNK``-point chunks run on its process pool
+    under its timeout and retry budget (``isolate=True``: a point that
+    crashes its worker cannot take the driver down).  Without one, the
+    whole table is one in-process task run by
+    :func:`repro.resilience.run_chunk` — a session with ``retries=0``.
+    Either way a chunk that still fails is re-run one point per task, so
+    only the genuinely bad points come back as failures.  The proxy of
+    successive halving (``layer_stride > 1``) only ranks candidates, so a
+    point failure there raises :class:`~repro.resilience.TaskError`.
     """
-    failures: Dict[int, TaskFailure] = {}
-    good = list(range(len(table)))
-    if faults.active():
-        for row in good:
-            try:
-                faults.fire("dse", _fault_site(table, row))
-            except Exception as exc:
-                failures[row] = TaskFailure.from_exception(exc)
-        good = [row for row in good if row not in failures]
-    try:
-        return (evaluate_points(base_gpu, table.take(good), unique=unique),
-                failures)
-    except Exception:
-        pieces = []
-        for row in good:
-            try:
-                pieces.append(evaluate_points(base_gpu, table.take([row]),
-                                              unique=unique))
-            except Exception as exc:
-                failures[row] = TaskFailure.from_exception(exc)
-        return MetricTable.concat(pieces), failures
+    def run(tasks: List[Tuple]) -> List:
+        if session is not None:
+            return session.map_tasks(_evaluate_batch_task, tasks,
+                                     return_failures=True, isolate=True)
+        return [TaskFailure.from_record(value) if status == "error"
+                else value for status, value in run_chunk(
+                    (_evaluate_batch_task, tasks))]
 
-
-def _chunk_tasks(base_gpu: GpuSpec, table: PointTable, unique: bool,
-                 layer_stride: int) -> List[Tuple]:
-    """``BATCH_CHUNK``-point :func:`_evaluate_batch_task` tasks."""
-    return [(base_gpu, table[start:start + BATCH_CHUNK], unique,
-             layer_stride)
-            for start in range(0, len(table), BATCH_CHUNK)]
-
-
-def _map_evaluations_batched(session, base_gpu: GpuSpec, table: PointTable,
-                             unique: bool) -> Outcomes:
-    """Batched evaluation fan-out with chunk-level crash isolation.
-
-    Chunks go through the session pool as single tasks; a chunk that fails
-    (e.g. one point crashes the worker) is retried one point per task so
-    only the genuinely bad point surfaces as a failure.
-    """
-    if session is None:
-        return _evaluate_batch_local(base_gpu, table, unique)
-    chunk_tasks = _chunk_tasks(base_gpu, table, unique, 1)
-    chunk_outcomes = session.map_tasks(_evaluate_batch_task, chunk_tasks,
-                                       return_failures=True, isolate=True)
+    size = BATCH_CHUNK if session is not None else max(1, len(table))
+    starts = range(0, len(table), size)
+    chunks = [table[start:start + size] for start in starts]
     pieces: List[MetricTable] = []
     failures: Dict[int, TaskFailure] = {}
-    for start, (_, chunk, _, _), outcome in zip(
-            range(0, len(table), BATCH_CHUNK), chunk_tasks, chunk_outcomes):
+    for start, chunk, outcome in zip(starts, chunks, run(
+            [(base_gpu, chunk, unique, layer_stride) for chunk in chunks])):
         if not isinstance(outcome, TaskFailure):
             pieces.append(outcome)
             continue
-        tasks = [(base_gpu, chunk[row:row + 1], unique, 1)
-                 for row in range(len(chunk))]
-        for row, single in enumerate(session.map_tasks(
-                _evaluate_batch_task, tasks, return_failures=True,
-                isolate=True)):
+        for row, single in enumerate(run(
+                [(base_gpu, chunk[row:row + 1], unique, layer_stride)
+                 for row in range(len(chunk))])):
             if isinstance(single, TaskFailure):
                 failures[start + row] = single
             else:
                 pieces.append(single)
+    if failures and layer_stride > 1:
+        raise TaskError(list(failures.values()),
+                        context="successive-halving proxy")
     return MetricTable.concat(pieces), failures
-
-
-def _score_proxy_batched(session, base_gpu: GpuSpec, table: PointTable,
-                         unique: bool) -> MetricTable:
-    """Batched proxy scoring for successive halving rungs.
-
-    Proxy failures propagate: the proxy only ranks candidates, so there is
-    no per-point isolation (``map_tasks`` without ``return_failures``).
-    """
-    if session is None:
-        return _evaluate_batch_task(
-            (base_gpu, table, unique, PROXY_LAYER_STRIDE))
-    return MetricTable.concat(session.map_tasks(
-        _evaluate_batch_task,
-        _chunk_tasks(base_gpu, table, unique, PROXY_LAYER_STRIDE),
-        isolate=True))
 
 
 def _baseline_table(planned: PointTable) -> PointTable:
@@ -467,7 +404,8 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
     ``session`` supplies process-pool parallelism, the resilience policy
     (timeout and retry budget) and the cross-request in-memory memo;
     ``store`` adds on-disk resumability.  Either (or both) may be omitted
-    for a serial, stateless sweep.
+    for a serial, stateless sweep: no session evaluates in process with the
+    same chunk -> point failure isolation as a ``Session(retries=0)``.
 
     The sweep stays columnar from plan to frontier: the driver plans row
     indices into the space's :class:`~repro.dse.space.PointTable`, every
@@ -479,7 +417,8 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
     Failures are isolated per point: an evaluation that still fails after the
     retry budget becomes a :class:`PointFailure` (recorded in the store when
     one is attached, and skipped on resume) while the sweep continues; the
-    frontier is computed over the successful points only.
+    frontier is computed over the successful points only.  A failing
+    successive-halving proxy raises :class:`~repro.resilience.TaskError`.
     """
     if driver is None:
         driver = ExhaustiveDriver()
@@ -504,8 +443,9 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
             with obs_spans.trace("dse.rung", candidates=len(candidates),
                                  fresh=len(missing)):
                 if missing:
-                    fresh = _score_proxy_batched(
-                        session, base_gpu, table.take(missing), unique)
+                    fresh, _ = _evaluate_table(
+                        session, base_gpu, table.take(missing), unique,
+                        PROXY_LAYER_STRIDE)
                     stats.proxy_evaluations += len(missing)
                     # lower is better for the refine() sort.
                     for row, value in zip(missing, getattr(
@@ -559,7 +499,7 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
         with obs_spans.trace("dse.evaluate", points=len(pending),
                              memo_hits=stats.memo_hits,
                              store_hits=stats.store_hits):
-            fresh, errors = _map_evaluations_batched(
+            fresh, errors = _evaluate_table(
                 session, base_gpu, everything.take(first[pending]), unique)
         failed_points = pending[np.fromiter(errors, dtype=np.intp,
                                             count=len(errors))]
@@ -630,10 +570,10 @@ def confirm_frontier(exploration: Exploration, session, *, top: int = 3,
     """Cross-check the top frontier points against the trace-driven simulator.
 
     Simulates the largest-MAC unique layer of each confirmed point's network
-    on the point's scaled GPU (capped at ``max_ctas`` exact CTAs) and attaches
-    the simulator/model time ratio to the result — a cheap sanity check that
-    the analytic ranking is not an artifact, without dragging the simulator
-    through the full sweep.
+    on the point's scaled GPU (whole waves until at least ``max_ctas`` CTAs
+    ran) and attaches the simulator/model time ratio to the result — a cheap
+    sanity check that the analytic ranking is not an artifact, without
+    dragging the simulator through the full sweep.
     """
     if top <= 0 or not exploration.frontier:
         return exploration

@@ -24,9 +24,7 @@ builds all of them).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
 import operator
 from collections.abc import Sequence
@@ -121,36 +119,9 @@ class DesignPoint:
     def name(self) -> str:
         return self.option.name
 
-    def descriptor(self) -> Dict[str, object]:
-        """Canonical plain-data identity of the point (name excluded).
-
-        Two points with equal descriptors produce identical evaluations
-        and share a result-store key (which hashes the same fields).
-        """
-        design = {key: getattr(self.option, key) for key in GPU_AXIS_KEYS}
-        design["cta_tile"] = self.option.cta_tile_hw
-        return {
-            "design": design,
-            "network": self.network,
-            "batch": self.batch,
-            "passes": self.passes,
-            "dtype_bytes": self.dtype_bytes,
-        }
-
-    def point_hash(self) -> str:
-        """Stable content hash of the descriptor (name-insensitive)."""
-        payload = json.dumps(self.descriptor(), sort_keys=True)
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()
-
     def workload_signature(self) -> Tuple[str, int, str, int]:
         """The workload half of the point (what a speedup baseline shares)."""
         return signature_of(self)
-
-    def baseline_point(self) -> "DesignPoint":
-        """The identity-design point of the same workload (speedup = 1)."""
-        return DesignPoint(option=DesignOption(name="baseline"),
-                           network=self.network, batch=self.batch,
-                           passes=self.passes, dtype_bytes=self.dtype_bytes)
 
 
 #: design-matrix column of every design axis key (see

@@ -74,8 +74,8 @@ class ResultStore:
 
     With ``path=None`` the store lives in memory only (the per-session
     dedupe memo); with a path it loads every chunk line on open and appends
-    one line per :meth:`put_many` (:meth:`put` and :meth:`put_failure` are
-    one-key calls).  :meth:`get_many` answers a whole batch of keys at once.
+    one line per :meth:`put_many`.  :meth:`get_many` answers a whole batch of
+    keys at once.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
@@ -188,13 +188,6 @@ class ResultStore:
         if failures:
             return {FAILURE_FIELD: failures[0]}
         return table[0] if len(found) else None
-
-    def put(self, key: str, metrics: Mapping[str, object]) -> None:
-        self.put_many([key], MetricTable.from_records([metrics]))
-
-    def put_failure(self, key: str, failure: Dict[str, object]) -> None:
-        """Record a permanently-failed evaluation (skipped on resume)."""
-        self.put_many([], MetricTable.from_records(()), {key: failure})
 
     def put_many(self, keys: Sequence[str], table: MetricTable,
                  failures: Optional[Mapping[str, Dict[str, object]]] = None

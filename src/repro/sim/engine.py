@@ -78,7 +78,8 @@ class SimulatorConfig:
     the simulation loop.
     """
 
-    #: maximum number of CTAs simulated exactly (None = all CTAs).
+    #: per-layer CTA budget: simulates whole waves until at least this many
+    #: CTAs ran, then extrapolates (None = all CTAs).
     max_ctas: Optional[int] = 240
     #: L1 traffic accounting granularity: "sector" counts the 32 B sectors a
     #: warp request actually moves (sectored hardware); "request" charges the

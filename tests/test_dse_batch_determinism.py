@@ -3,8 +3,8 @@
 ``explore`` evaluates points through the batched array-of-points path and
 appends them to the store as one chunk line.  The store it leaves behind
 must be *byte-identical* to one rebuilt one point at a time from the scalar
-oracles — ``store_key`` keys and ``evaluate_point`` records handed to
-:meth:`ResultStore.put_many` — for every driver, including the
+oracles — one-point ``store_keys`` calls and ``evaluate_point`` records
+handed to :meth:`ResultStore.put_many` — for every driver, including the
 successive-halving driver whose proxy scoring is batched too.  A divergence
 here (a value, a key, the dedupe order or a dict's key order) would silently
 fork resumed sweeps.
@@ -17,7 +17,9 @@ import pytest
 from repro.analysis.frontier import DEFAULT_OBJECTIVE_NAMES, resolve_objectives
 from repro.dse import (ExhaustiveDriver, MetricTable, RandomDriver,
                        ResultStore, SuccessiveHalvingDriver, explore, grid,
-                       store_key)
+                       store_keys)
+from repro.dse.space import DesignPoint
+from repro.gpu import DesignOption
 from repro.gpu.devices import TITAN_XP
 
 from model_reference import evaluate_point
@@ -61,12 +63,12 @@ def _oracle_store(driver, path):
     points = [space_points[row] for row in rows]
     baselines = {}
     for point in points:
-        baselines.setdefault(point.workload_signature(),
-                             point.baseline_point())
+        baselines.setdefault(point.workload_signature(), DesignPoint(
+            DesignOption("baseline"), *point.workload_signature()))
     keys = []
     records = []
     for point in points + list(baselines.values()):
-        key = store_key(TITAN_XP, point, unique=True)
+        key = store_keys(TITAN_XP, [point], unique=True)[0]
         if key in keys:
             continue
         keys.append(key)
@@ -90,7 +92,7 @@ def test_store_contents_identical_across_eval_modes(make_driver, tmp_path):
     assert _store_lines(path) == _store_lines(oracle_path)
     assert exploration.stats.evaluated == written > 0
     assert [r.key for r in exploration.results] == [
-        store_key(TITAN_XP, r.point, unique=True)
+        store_keys(TITAN_XP, [r.point], unique=True)[0]
         for r in exploration.results]
 
 

@@ -6,6 +6,7 @@ from repro.dse.space import (
     AXIS_KEYS,
     Axis,
     DesignPoint,
+    PointTable,
     axis,
     default_space,
     grid,
@@ -63,9 +64,7 @@ class TestGridSpace:
     def test_enumeration_is_deterministic(self):
         space = grid({"num_sm": (1, 2), "mac_bw": (1, 2, 4),
                       "cta_tile": (128, 256)})
-        first = [p.point_hash() for p in space.points()]
-        second = [p.point_hash() for p in space.points()]
-        assert first == second
+        assert list(space.points()) == list(space.points())
 
     def test_points_lower_through_design_option(self):
         space = grid({"num_sm": (2,), "dram_bw": (1.5,)})
@@ -132,24 +131,27 @@ class TestUnionSpace:
 
 
 class TestDesignPoint:
-    def test_point_hash_ignores_option_name(self):
+    def test_content_index_ignores_option_name(self):
         a = DesignPoint(option=DesignOption("a", num_sm=2.0))
         b = DesignPoint(option=DesignOption("b", num_sm=2.0))
-        assert a.point_hash() == b.point_hash()
+        first, inverse = PointTable.from_points([a, b]).content_index()
+        assert first.tolist() == [0]
+        assert inverse.tolist() == [0, 0]
 
-    def test_point_hash_sensitive_to_design_and_workload(self):
-        base = DesignPoint(option=DesignOption("x", num_sm=2.0))
-        assert base.point_hash() != DesignPoint(
-            option=DesignOption("x", num_sm=4.0)).point_hash()
-        assert base.point_hash() != DesignPoint(
-            option=DesignOption("x", num_sm=2.0), batch=128).point_hash()
-        assert base.point_hash() != DesignPoint(
-            option=DesignOption("x", num_sm=2.0), passes="wgrad").point_hash()
+    def test_content_index_sensitive_to_design_and_workload(self):
+        points = [DesignPoint(option=DesignOption("x", num_sm=2.0)),
+                  DesignPoint(option=DesignOption("x", num_sm=4.0)),
+                  DesignPoint(option=DesignOption("x", num_sm=2.0), batch=128),
+                  DesignPoint(option=DesignOption("x", num_sm=2.0),
+                              passes="wgrad")]
+        first, _ = PointTable.from_points(points).content_index()
+        assert first.tolist() == [0, 1, 2, 3]
 
     def test_baseline_point_shares_workload(self):
         point = DesignPoint(option=DesignOption("x", mac_bw=4.0),
                             network="alexnet", batch=32, passes="training")
-        baseline = point.baseline_point()
+        baseline = DesignPoint(DesignOption("baseline"),
+                               *point.workload_signature())
         assert baseline.workload_signature() == point.workload_signature()
         assert baseline.option.mac_bw == 1.0
 

@@ -19,13 +19,13 @@ from repro.dse import (
     explore,
     grid,
     is_failure_record,
-    store_key,
     store_keys,
-    workload_fingerprint,
 )
+from repro.dse.runner import _workload_fingerprint
 from repro.dse.space import DesignPoint
 from repro.gpu import TITAN_XP, DesignOption, get_device
 from repro.networks import get_network, register_network, unregister_network
+from repro.networks.registry import registry_generation
 from repro.resilience import TaskFailure
 
 from model_reference import evaluate_point
@@ -52,6 +52,22 @@ def _table(*times):
     return MetricTable.from_records([_record(time_s) for time_s in times])
 
 
+def _put(store, key, record):
+    """Append one metrics record (one chunk line)."""
+    store.put_many([key], MetricTable.from_records([record]))
+
+
+def _key(base_gpu, point, unique):
+    """The content key of one design point."""
+    return store_keys(base_gpu, [point], unique)[0]
+
+
+def _fingerprint(point, unique):
+    return _workload_fingerprint(point.network, point.batch,
+                                 point.dtype_bytes, point.passes, unique,
+                                 registry_generation())
+
+
 @pytest.fixture()
 def space():
     return grid({"num_sm": (1, 2), "mac_bw": (1, 2), "dram_bw": (1, 1.5)},
@@ -61,7 +77,7 @@ def space():
 class TestResultStore:
     def test_put_get_roundtrip(self, tmp_path):
         store = ResultStore(str(tmp_path / "sweep.jsonl"))
-        store.put("k1", _record(0.1234567890123456789, layers=5))
+        _put(store, "k1", _record(0.1234567890123456789, layers=5))
         assert store.get("k1") == _record(0.1234567890123456789, layers=5)
         assert "k1" in store
         assert len(store) == 1
@@ -71,7 +87,7 @@ class TestResultStore:
         path = str(tmp_path / "sweep.jsonl")
         value = 0.1 + 0.2  # a float with an awkward shortest repr
         with ResultStore(path) as store:
-            store.put("k", _record(value, bottlenecks={"DRAM_BW": 1.0 / 3.0}))
+            _put(store, "k", _record(value, bottlenecks={"DRAM_BW": 1.0 / 3.0}))
         reloaded = ResultStore(path)
         record = reloaded.get("k")
         assert record["time_s"] == value
@@ -79,15 +95,15 @@ class TestResultStore:
 
     def test_in_memory_store_without_path(self):
         store = ResultStore()
-        store.put("k", _record(1.0))
+        _put(store, "k", _record(1.0))
         assert store.get("k") == _record(1.0)
         assert store.path is None
 
     def test_duplicate_put_is_ignored(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
         with ResultStore(path) as store:
-            store.put("k", _record(1.0))
-            store.put("k", _record(2.0))
+            _put(store, "k", _record(1.0))
+            _put(store, "k", _record(2.0))
         assert ResultStore(path).get("k") == _record(1.0)
         with open(path) as handle:
             assert len(handle.readlines()) == 1
@@ -97,14 +113,14 @@ class TestResultStore:
         load every complete record and keep accepting new ones."""
         path = tmp_path / "sweep.jsonl"
         with ResultStore(str(path)) as store:
-            store.put("k1", _record(1.0))
-            store.put("k2", _record(2.0))
+            _put(store, "k1", _record(1.0))
+            _put(store, "k2", _record(2.0))
         text = path.read_text()
         path.write_text(text + '{"key": "k3", "metr')  # torn write
         reloaded = ResultStore(str(path))
         assert len(reloaded) == 2
         assert reloaded.corrupt_lines == 1
-        reloaded.put("k3", _record(3.0))
+        _put(reloaded, "k3", _record(3.0))
         reloaded.close()
         final = ResultStore(str(path))
         assert final.get("k3") == _record(3.0)
@@ -112,7 +128,7 @@ class TestResultStore:
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "nested" / "dir" / "sweep.jsonl"
         with ResultStore(str(path)) as store:
-            store.put("k", _record(1.0))
+            _put(store, "k", _record(1.0))
         assert path.exists()
 
 
@@ -124,9 +140,9 @@ class TestDurability:
         accepting appends that later load cleanly."""
         path = tmp_path / "sweep.jsonl"
         with ResultStore(str(path)) as store:
-            store.put("k1", _record(1.0))
-            store.put("k2", _record(2.0))
-            store.put("k3", _record(3.0))
+            _put(store, "k1", _record(1.0))
+            _put(store, "k2", _record(2.0))
+            _put(store, "k3", _record(3.0))
         blob = path.read_bytes()
         prefix_len = blob.index(b'"k3"')  # cut somewhere inside record 3
         prefix_len = blob.rfind(b"\n", 0, prefix_len) + 1
@@ -139,7 +155,7 @@ class TestDurability:
             assert reloaded.corrupt_lines <= 1
             assert ("k3" in reloaded) == (reloaded.corrupt_lines == 0
                                           and offset > prefix_len)
-            reloaded.put("k4", _record(4.0))
+            _put(reloaded, "k4", _record(4.0))
             reloaded.close()
             recovered = ResultStore(str(path))
             assert recovered.get("k4") == _record(4.0)
@@ -151,14 +167,14 @@ class TestDurability:
     def test_second_concurrent_writer_is_rejected(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
         first = ResultStore(path)
-        first.put("k1", _record(1.0))  # first append takes the writer lock
+        _put(first, "k1", _record(1.0))  # first append takes the writer lock
         second = ResultStore(path)
         assert second.get("k1") == _record(1.0)  # reading is fine
         with pytest.raises(StoreLockedError, match="locked by another"):
-            second.put("k2", _record(2.0))
+            _put(second, "k2", _record(2.0))
         first.close()
         third = ResultStore(path)
-        third.put("k3", _record(3.0))  # lock released with the handle
+        _put(third, "k3", _record(3.0))  # lock released with the handle
         third.close()
 
     def test_failure_records_round_trip(self, tmp_path):
@@ -166,8 +182,9 @@ class TestDurability:
         failure = TaskFailure(kind="crash", error_type="BrokenProcessPool",
                               message="worker died", attempts=3)
         with ResultStore(path) as store:
-            store.put("ok", _record(1.0))
-            store.put_failure("bad", failure.as_record())
+            _put(store, "ok", _record(1.0))
+            store.put_many([], MetricTable.from_records(()),
+                           {"bad": failure.as_record()})
         reloaded = ResultStore(path)
         assert not is_failure_record(reloaded.get("ok"))
         record = reloaded.get("bad")
@@ -214,14 +231,14 @@ class TestStoreKey:
         changed = dataclasses.replace(
             BASE_POINT,
             option=dataclasses.replace(BASE_POINT.option, **{field: value}))
-        assert store_key(TITAN_XP, changed, True) != store_key(
+        assert _key(TITAN_XP, changed, True) != _key(
             TITAN_XP, BASE_POINT, True)
 
     @pytest.mark.parametrize("field,value", WORKLOAD_CHANGES,
                              ids=[field for field, _ in WORKLOAD_CHANGES])
     def test_key_tracks_every_workload_field(self, field, value):
         changed = dataclasses.replace(BASE_POINT, **{field: value})
-        assert store_key(TITAN_XP, changed, True) != store_key(
+        assert _key(TITAN_XP, changed, True) != _key(
             TITAN_XP, BASE_POINT, True)
 
     def test_batched_keys_equal_one_point_keys(self):
@@ -231,7 +248,7 @@ class TestStoreKey:
                             "dtype_bytes": (2, 4)}, batch=8).points())
         for unique in (True, False):
             keys = store_keys(TITAN_XP, points, unique)
-            assert keys == [store_key(TITAN_XP, point, unique)
+            assert keys == [_key(TITAN_XP, point, unique)
                             for point in points]
             assert len(set(keys)) == len(points)
 
@@ -251,13 +268,13 @@ class TestStoreKey:
         register_network("tmpnet")(
             lambda batch: get_network("alexnet", batch=batch))
         try:
-            first_key = store_key(TITAN_XP, point, True)
+            first_key = _key(TITAN_XP, point, True)
             assert evaluated_layers() == {
                 len(get_network("alexnet", batch=16).unique_layers())}
             unregister_network("tmpnet")
             register_network("tmpnet")(
                 lambda batch: get_network("vgg16", batch=batch))
-            assert store_key(TITAN_XP, point, True) != first_key
+            assert _key(TITAN_XP, point, True) != first_key
             assert evaluated_layers() == {
                 len(get_network("vgg16", batch=16).unique_layers())}
         finally:
@@ -268,26 +285,26 @@ class TestStoreKey:
                         batch=16)
         b = DesignPoint(option=DesignOption("b", num_sm=2.0), network="alexnet",
                         batch=16)
-        assert store_key(TITAN_XP, a, True) == store_key(TITAN_XP, b, True)
+        assert _key(TITAN_XP, a, True) == _key(TITAN_XP, b, True)
         c = DesignPoint(option=DesignOption("a", num_sm=4.0), network="alexnet",
                         batch=16)
-        assert store_key(TITAN_XP, a, True) != store_key(TITAN_XP, c, True)
+        assert _key(TITAN_XP, a, True) != _key(TITAN_XP, c, True)
 
     def test_key_depends_on_baseline_gpu_and_layer_selection(self):
         point = DesignPoint(option=DesignOption("a", num_sm=2.0),
                             network="alexnet", batch=16)
-        assert store_key(TITAN_XP, point, True) != store_key(
+        assert _key(TITAN_XP, point, True) != _key(
             get_device("v100"), point, True)
-        assert store_key(TITAN_XP, point, True) != store_key(
+        assert _key(TITAN_XP, point, True) != _key(
             TITAN_XP, point, False)
 
     def test_workload_fingerprint_tracks_structure(self):
         a = DesignPoint(option=DesignOption("a"), network="alexnet", batch=16)
         b = DesignPoint(option=DesignOption("a"), network="alexnet", batch=32)
-        assert workload_fingerprint(a, True) != workload_fingerprint(b, True)
+        assert _fingerprint(a, True) != _fingerprint(b, True)
         c = DesignPoint(option=DesignOption("a"), network="alexnet", batch=16,
                         passes="training")
-        assert workload_fingerprint(a, True) != workload_fingerprint(c, True)
+        assert _fingerprint(a, True) != _fingerprint(c, True)
 
 
 class TestResumableSweep:
@@ -376,7 +393,7 @@ class TestColumnarChunks:
         path = str(tmp_path / "sweep.jsonl")
         with faults.injected(
                 faults.flaky(site="dse", match="num_sm=2,mac_bw=2,dram_bw=1.5",
-                             failures=1),
+                             failures=2),
                 state_dir=str(tmp_path / "state")):
             with ResultStore(path) as store:
                 first = explore(space, store=store)

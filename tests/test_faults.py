@@ -18,10 +18,11 @@ from repro import faults
 from repro.analysis.validation import (QUARANTINE_SUFFIX, _sim_cache_key,
                                        _sim_cache_path, simulate_layer)
 from repro.api import Session, SimulationError, ValidateRequest
-from repro.dse import ExhaustiveDriver, ResultStore, explore, grid
+from repro.dse import (ExhaustiveDriver, ResultStore, SuccessiveHalvingDriver,
+                       explore, grid)
 from repro.gpu.devices import TITAN_XP
 from repro.networks.registry import get_network
-from repro.resilience import TaskFailure
+from repro.resilience import TaskError, TaskFailure
 from repro.sim.engine import SimulatorConfig
 
 TINY = dict(batch=4, max_ctas=40, layers_per_network=1)
@@ -272,6 +273,62 @@ class TestDseFaultIsolation:
         rows = exploration.failure_rows()
         assert rows[0]["design"] == "num_sm=2,mac_bw=2"
         assert rows[0]["kind"] == "error"
+
+    def test_flaky_point_recovers_without_session(self, tmp_path):
+        """No session is a ``retries=0`` session: the chunk fails once, the
+        per-point re-run succeeds, and nothing is lost."""
+        clean = explore(self.SPACE)
+        with faults.injected(
+                faults.flaky(site="dse", match="num_sm=2,mac_bw=2",
+                             failures=1),
+                state_dir=str(tmp_path)):
+            flaky = explore(self.SPACE)
+        assert flaky.failures == ()
+        assert flaky.stats.failed == 0
+        assert [(r.key, r.metrics) for r in flaky.results] == [
+            (r.key, r.metrics) for r in clean.results]
+
+    def test_permanent_failure_same_with_and_without_session(self, tmp_path):
+        """A point that fails on every attempt: identical results, failures
+        and store bytes in process and on a ``retries=0`` session pool."""
+        def sweep(name, session):
+            path = tmp_path / f"{name}.jsonl"
+            with faults.injected(
+                    faults.flaky(site="dse", match="num_sm=2,mac_bw=2",
+                                 failures=100),
+                    state_dir=str(tmp_path / name)):
+                with ResultStore(str(path)) as store:
+                    exploration = explore(self.SPACE, store=store,
+                                          session=session)
+            return exploration, path.read_bytes()
+
+        local, local_store = sweep("local", None)
+        with Session(jobs=1, retries=0) as session:
+            pooled, pooled_store = sweep("pooled", session)
+        assert [f.point.name for f in local.failures] == ["num_sm=2,mac_bw=2"]
+        assert local.failures == pooled.failures
+        assert [(r.key, r.metrics) for r in local.results] == [
+            (r.key, r.metrics) for r in pooled.results]
+        assert local.frontier == pooled.frontier
+        assert local_store == pooled_store
+
+    @pytest.mark.parametrize("jobs", [None, 1], ids=["no-session", "session"])
+    def test_failing_proxy_rung_raises_task_error(self, tmp_path, jobs):
+        """The successive-halving proxy only ranks candidates: a point whose
+        proxy evaluation keeps failing aborts the sweep with ``TaskError``,
+        with or without a session."""
+        session = None if jobs is None else Session(jobs=jobs, retries=0)
+        with faults.injected(
+                faults.flaky(site="dse", match="proxy:num_sm=2,mac_bw=2",
+                             failures=100),
+                state_dir=str(tmp_path)):
+            with pytest.raises(TaskError) as excinfo:
+                explore(self.SPACE, session=session,
+                        driver=SuccessiveHalvingDriver(budget=2, seed=0))
+        if session is not None:
+            session.close()
+        (failure,) = excinfo.value.failures
+        assert failure.error_type == "InjectedFault"
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.core.layer import ConvLayerConfig
 from repro.core.model import DeltaModel
 from repro.gpu import TITAN_XP
+from repro.networks import get_network
 from repro.obs import spans as obs_spans
 from repro.sim import engine as engine_module
 from repro.sim.engine import ConvLayerSimulator, SimResult, SimulatorConfig
@@ -115,6 +116,19 @@ class TestSamplingAndExtrapolation:
                                                          rel=0.2)
         assert sampled.traffic.dram_bytes == pytest.approx(fuller.traffic.dram_bytes,
                                                            rel=0.5)
+
+    @pytest.mark.parametrize("budget,simulated",
+                             [(20, 150), (150, 150), (151, 190)])
+    def test_budget_simulates_whole_waves(self, budget, simulated):
+        """``max_ctas`` is wave-granular: whole waves run until at least the
+        budget's CTAs ran.  AlexNet conv1 at batch 8 on TITAN Xp has 190
+        CTAs in waves of 150 and 40; the last wave is never cut."""
+        layer = get_network("alexnet", batch=8).unique_layers()[0]
+        result = ConvLayerSimulator(
+            TITAN_XP, SimulatorConfig(max_ctas=budget)).run(layer)
+        assert result.grid.num_ctas == 190
+        assert result.simulated_ctas == simulated >= budget
+        assert result.scale_factor == pytest.approx(190 / simulated)
 
     def test_accounting_mode_changes_l1_only(self):
         layer = ConvLayerConfig.square("acct", 2, in_channels=8, in_size=14,
