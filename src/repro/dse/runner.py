@@ -350,8 +350,11 @@ def _evaluate_table(session, base_gpu: GpuSpec, table: PointTable,
     crashes its worker cannot take the driver down).  Without one, the
     whole table is one in-process task run by
     :func:`repro.resilience.run_chunk` — a session with ``retries=0``.
-    Either way a chunk that still fails is re-run one point per task, so
-    only the genuinely bad points come back as failures.  The proxy of
+    Either way a chunk that still fails is re-run one point per task (a
+    session-less table larger than ``BATCH_CHUNK`` is first re-run in
+    ``BATCH_CHUNK``-point pieces, so one bad point costs one piece of
+    single-point tasks, not the whole table's), and only the genuinely bad
+    points come back as failures.  The proxy of
     successive halving (``layer_stride > 1``) only ranks candidates, so a
     point failure there raises :class:`~repro.resilience.TaskError`.
     """
@@ -363,23 +366,28 @@ def _evaluate_table(session, base_gpu: GpuSpec, table: PointTable,
                 else value for status, value in run_chunk(
                     (_evaluate_batch_task, tasks))]
 
-    size = BATCH_CHUNK if session is not None else max(1, len(table))
-    starts = range(0, len(table), size)
-    chunks = [table[start:start + size] for start in starts]
     pieces: List[MetricTable] = []
     failures: Dict[int, TaskFailure] = {}
-    for start, chunk, outcome in zip(starts, chunks, run(
-            [(base_gpu, chunk, unique, layer_stride) for chunk in chunks])):
-        if not isinstance(outcome, TaskFailure):
-            pieces.append(outcome)
-            continue
-        for row, single in enumerate(run(
-                [(base_gpu, chunk[row:row + 1], unique, layer_stride)
-                 for row in range(len(chunk))])):
-            if isinstance(single, TaskFailure):
-                failures[start + row] = single
+
+    def evaluate(start: int, chunk: PointTable, size: int,
+                 final: bool) -> None:
+        """Run ``chunk`` as ``size``-point tasks.  A failed task is re-run
+        in ``BATCH_CHUNK``-point pieces while it is larger, then one point
+        per task, whose failure is final."""
+        offsets = range(0, len(chunk), size)
+        parts = [chunk[offset:offset + size] for offset in offsets]
+        for offset, part, outcome in zip(offsets, parts, run(
+                [(base_gpu, part, unique, layer_stride) for part in parts])):
+            if not isinstance(outcome, TaskFailure):
+                pieces.append(outcome)
+            elif final:
+                failures[start + offset] = outcome
             else:
-                pieces.append(single)
+                smaller = BATCH_CHUNK if len(part) > BATCH_CHUNK else 1
+                evaluate(start + offset, part, smaller, final=smaller == 1)
+
+    evaluate(0, table, BATCH_CHUNK if session is not None
+             else max(1, len(table)), final=False)
     if failures and layer_stride > 1:
         raise TaskError(list(failures.values()),
                         context="successive-halving proxy")

@@ -48,7 +48,7 @@ from ..gpu.spec import GpuSpec
 from ..obs import spans as obs_spans
 from .cache import LruCache, SetAssociativeCache, SetAssociativeCacheBank
 from .dram import DramChannel
-from .im2col import GemmTraceGenerator
+from .im2col import GemmTraceGenerator, TileAccessBatch
 from .scheduler import CtaScheduler, SchedulingOrder
 
 #: K offsets per batched trace-generation call (bounds peak lattice memory).
@@ -237,7 +237,8 @@ class ConvLayerSimulator:
         b_tiles: Dict[int, Tuple[List[np.ndarray], np.ndarray,
                                  np.ndarray]] = {}
 
-        def materialize(store, generator, coords: List[int]) -> None:
+        def materialize(store, generator,
+                        coords: List[int]) -> List[TileAccessBatch]:
             chunks = []
             for start in range(0, num_loops, _K_CHUNK):
                 chunk = k_offsets[start:start + _K_CHUNK]
@@ -263,6 +264,7 @@ class ConvLayerSimulator:
                 store[coord] = (sector_views,
                                 np.concatenate(requests_parts),
                                 np.concatenate(fetch_parts))
+            return [batch for _, batch in chunks]
 
         l1_bytes = 0.0
         l2_bytes = 0.0
@@ -287,11 +289,17 @@ class ConvLayerSimulator:
             # the benchmarked hot path.
             with obs_spans.trace_deep("sim.im2col", wave=wave_index,
                                       m_tiles=len(new_ms),
-                                      n_tiles=len(new_ns)):
+                                      n_tiles=len(new_ns)) as im2col_span:
+                batches = []
                 if new_ms:
-                    materialize(a_tiles, trace.a_tile_batch, new_ms)
+                    batches += materialize(a_tiles, trace.a_tile_batch, new_ms)
                 if new_ns:
-                    materialize(b_tiles, trace.b_tile_batch, new_ns)
+                    batches += materialize(b_tiles, trace.b_tile_batch, new_ns)
+                if im2col_span is not None:
+                    im2col_span.attrs.update(
+                        lattice_elements=sum(b.lattice_elements
+                                             for b in batches),
+                        sorted_keys=sum(b.sorted_keys for b in batches))
 
             with obs_spans.trace_deep("sim.kernels", wave=wave_index,
                                       ctas=wave.num_ctas,

@@ -29,6 +29,12 @@ Thread-to-data mapping follows Section IV-A of the paper:
 * B tiles are loaded with ``32 / blkK`` columns per warp (each thread loads
   one element), so each warp gathers several distant ``blkK``-element
   segments.
+
+Coalescing works on a warp-major layout of the lattice, where each warp's
+lanes are adjacent (column-major tiles come out K-major from the same one
+transposing copy).  A warp's addresses come in runs (the inner ``w_out``
+loop of im2col), so only the first lane of each run of equal sectors within
+a warp enters the one sort that dedupes a whole batch.
 """
 
 from __future__ import annotations
@@ -45,16 +51,22 @@ from ..gpu.spec import GpuSpec, WARP_SIZE
 from .address import INVALID_ADDRESS, WorkloadLayout
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
+def _sorted_unique(values: np.ndarray, kind=None) -> np.ndarray:
     """Sorted unique values via an explicit sort (faster than np.unique's
-    hash-based integer path for these small, heavily repeated key arrays)."""
+    hash-based integer path for these heavily repeated key arrays);
+    ``kind="stable"`` is near linear on mostly presorted keys."""
     if values.size == 0:
-        return values.astype(np.int64, copy=True)
-    ordered = np.sort(values, kind="stable")
+        return values.copy()
+    ordered = np.sort(values, kind=kind)
     keep = np.empty(ordered.size, dtype=bool)
     keep[0] = True
     keep[1:] = ordered[1:] != ordered[:-1]
     return ordered[keep]
+
+
+def _outside(values: np.ndarray, extent: int) -> np.ndarray:
+    """``(values < 0) | (values >= extent)`` as one unsigned compare."""
+    return values.view(f"u{values.itemsize}") >= extent
 
 
 #: per-axis address decomposition of one operand: byte offsets relative to
@@ -291,8 +303,8 @@ class GemmTraceGenerator:
     def _operand_base(self, operand: str) -> int:
         return self.layout.a_base if operand == "a" else self.layout.b_base
 
-    def _group_ids(self, operand: str) -> np.ndarray:
-        """Warp group of each element of one flattened (own x K) tile.
+    def _column_major(self, operand: str) -> bool:
+        """Whether each warp of ``operand`` loads 32 rows of one tile column.
 
         B tiles are loaded with ``32 / blkK`` columns per warp: consecutive
         lanes walk the own-major, K-minor element order.  The A tile's warp
@@ -310,21 +322,25 @@ class GemmTraceGenerator:
         contiguous along its own axis (fully coalesced column loads,
         ``contiguous``).
         """
-        blk_k = self.tile.blk_k
         if operand == "b":
-            return np.arange(self.tile.blk_n * blk_k) // WARP_SIZE
-        rows = self.tile.blk_m
+            return False
         if self.workload.layout == "dense":
-            segment_major = self.workload.pass_kind != "wgrad"
-        else:
-            segment_major = (self.workload.a.l1_pattern == "contiguous"
-                             and self.workload.pass_kind == "wgrad")
-        if segment_major:
-            return np.arange(rows * blk_k) // WARP_SIZE
-        row_group = np.arange(rows) // WARP_SIZE
-        col_ids = np.arange(blk_k)
-        return (col_ids[np.newaxis, :] * (rows // WARP_SIZE + 1)
-                + row_group[:, np.newaxis]).ravel()
+            return self.workload.pass_kind == "wgrad"
+        return not (self.workload.a.l1_pattern == "contiguous"
+                    and self.workload.pass_kind == "wgrad")
+
+    def _warp_line(self, operand: str) -> int:
+        """Lanes per warp line of one tile in warp-major element order.
+
+        Warp-major order is the own-major, K-minor element order for segment
+        loads (one line: the whole tile) and the K-major, own-minor order for
+        column-major tiles (one line per column), so each warp is 32
+        adjacent elements of one line; a line's last warp may be short.
+        """
+        blk_own = self.tile.blk_m if operand == "a" else self.tile.blk_n
+        if self._column_major(operand):
+            return blk_own
+        return blk_own * self.tile.blk_k
 
     # ------------------------------------------------------------------
     # Tile generation
@@ -344,6 +360,13 @@ class GemmTraceGenerator:
         adds/compares touch the full lattice, which stays in the narrow
         coordinate dtype.
         """
+        return self._tile_lattice(operand, coords, k_offsets, k_major=False)
+
+    def _tile_lattice(self, operand: str, coords: Sequence[int],
+                      k_offsets: Sequence[int], k_major: bool) -> np.ndarray:
+        """:meth:`tile_addresses`, with each tile's elements in K-major,
+        own-minor order when ``k_major`` (the warp-major order of
+        column-major tiles)."""
         blk_own = self.tile.blk_m if operand == "a" else self.tile.blk_n
         blk_k = self.tile.blk_k
         coords = np.asarray(coords, dtype=np.int64)
@@ -356,37 +379,46 @@ class GemmTraceGenerator:
         base_k, row_k, col_k, ok_k = self._operand_parts(operand, "k",
                                                          k_values)
 
-        # Outer combination over the (own axis, K axis) lattice.
-        valid = ok_o[:, np.newaxis] & ok_k[np.newaxis, :]
+        # Outer sum over the (own axis, K axis) lattice, or the (K axis,
+        # own axis) one for K-major tiles; predicated-off lanes are then
+        # overwritten: whole rows/columns for the per-axis range checks, and
+        # the lanes outside the feature map for padded operands.
+        as_column, as_row = (slice(None), np.newaxis), (np.newaxis, slice(None))
+        own, k = (as_row, as_column) if k_major else (as_column, as_row)
+        coord_dtype = base_o.dtype.type
+        invalid = coord_dtype(INVALID_ADDRESS)
+        addresses = ((base_o + coord_dtype(self._operand_base(operand)))[own]
+                     + base_k[k])
         bounds = self._operand_bounds(operand)
         if bounds is not None:
             height, width = bounds
-            row = row_o[:, np.newaxis] + row_k[np.newaxis, :]
-            col = col_o[:, np.newaxis] + col_k[np.newaxis, :]
-            valid &= (row >= 0) & (row < height) & (col >= 0) & (col < width)
-        coord_dtype = base_o.dtype.type
-        addresses = np.where(
-            valid,
-            base_o[:, np.newaxis] + base_k[np.newaxis, :]
-            + coord_dtype(self._operand_base(operand)),
-            coord_dtype(INVALID_ADDRESS))
+            np.copyto(addresses, invalid,
+                      where=(_outside(row_o[own] + row_k[k], height)
+                             | _outside(col_o[own] + col_k[k], width)))
+        own_major = addresses.T if k_major else addresses
+        own_major[~ok_o] = invalid
+        own_major[:, ~ok_k] = invalid
 
-        # (ncoords, blk_own, nk, blk_k) -> (ncoords, nk, blk_own, blk_k)
-        return addresses.reshape(coords.size, blk_own, k_offsets.size, blk_k) \
-            .transpose(0, 2, 1, 3) \
-            .reshape(coords.size * k_offsets.size, blk_own * blk_k)
+        if k_major:  # (nk, blk_k, ncoords, blk_own) -> (ncoords, nk, ...)
+            lattice = addresses.reshape(k_offsets.size, blk_k, coords.size,
+                                        blk_own).transpose(2, 0, 1, 3)
+        else:  # (ncoords, blk_own, nk, blk_k) -> (ncoords, nk, ...)
+            lattice = addresses.reshape(coords.size, blk_own, k_offsets.size,
+                                        blk_k).transpose(0, 2, 1, 3)
+        return lattice.reshape(coords.size * k_offsets.size, blk_own * blk_k)
 
     def _tile_batch(self, operand: str, coords: Sequence[int],
                     k_offsets: Sequence[int]) -> "TileAccessBatch":
         """Coalesced accesses of every (coord, k_offset) tile, batched.
 
         Tiles are indexed as in :meth:`tile_addresses`; one address
-        computation and one sort serve the whole batch, which is what makes
-        exact trace generation tractable.
+        computation in warp-major element order and one sort serve the
+        whole batch, which is what makes exact trace generation tractable.
         """
         return self._build_access_batch(
-            self.tile_addresses(operand, coords, k_offsets),
-            self._group_ids(operand))
+            self._tile_lattice(operand, coords, k_offsets,
+                               k_major=self._column_major(operand)),
+            self._warp_line(operand))
 
     def a_tile_batch(self, cta_ms: Sequence[int],
                      k_offsets: Sequence[int]) -> "TileAccessBatch":
@@ -399,84 +431,93 @@ class GemmTraceGenerator:
         return self._tile_batch("b", cta_ns, k_offsets)
 
     def _build_access_batch(self, addresses: np.ndarray,
-                            group_ids: np.ndarray) -> "TileAccessBatch":
+                            line: int) -> "TileAccessBatch":
         """Coalescing counts and unique sectors for a (tiles, elements) batch.
 
-        ``group_ids`` is the shared per-element warp-group row (identical for
-        every tile of the batch).  Tiles are folded into the dedup keys so one
-        sort covers the whole batch; per-tile counts fall out of a
-        ``bincount`` and per-tile sector arrays out of run boundaries in the
-        sorted unique keys.  Invalid (predicated-off) accesses are mapped to
-        negative sentinel keys and dropped after the sort, avoiding any
-        boolean-mask gathers over the full lattice.
+        Each row of ``addresses`` is one tile in warp-major element order:
+        lines of ``line`` elements, each split into warps of 32 adjacent
+        lanes (see :meth:`_warp_line`).  A warp's lanes hit a few sectors in
+        runs, and dropping adjacent duplicates cannot change a sort-unique
+        set, so only the first lane of each run of equal sectors within a
+        warp (predicated-off lanes dropped) builds a (tile, sector, warp)
+        key: one sort of those keys covers the whole batch.  Per-tile counts
+        and sector arrays fall out of run boundaries in the sorted unique
+        keys.
         """
         gpu = self.gpu
-        num_tiles = addresses.shape[0]
-        valid = addresses != INVALID_ADDRESS
-        elements = np.count_nonzero(valid, axis=1)
-        num_invalid = addresses.size - int(elements.sum())
+        num_tiles, width = addresses.shape
+        # Full-lattice passes, in the narrow coordinate dtype: the sector
+        # division, one compare, the forced breaks at warp starts and one
+        # ``flatnonzero``.
+        sectors = (addresses // gpu.sector_bytes).ravel()
+        heads = np.empty(sectors.size + 1, dtype=bool)
+        heads[-1] = True  # end sentinel: ``runs[i + 1]`` ends run ``i``
+        np.not_equal(sectors[1:], sectors[:-1], out=heads[1:-1])
+        heads[:-1].reshape(-1, line)[:, ::WARP_SIZE] = True
+        runs = np.flatnonzero(heads)
+        run_sectors = sectors[runs[:-1]]
+        valid = run_sectors >= 0  # INVALID_ADDRESS maps to sector -1
+        # Issued loads: every lane but those of the predicated-off runs.
+        invalid = np.flatnonzero(~valid)
+        elements = (width - np.bincount(
+            runs[invalid] // width, weights=runs[invalid + 1] - runs[invalid],
+            minlength=num_tiles)).astype(np.int64)
+        run_sectors = run_sectors[valid]
+        index_dtype = (np.int32 if sectors.size < np.iinfo(np.int32).max
+                       else np.int64)
+        starts = runs[:-1][valid].astype(index_dtype)
+        tiles = starts // width
+        lanes = starts - tiles * width
 
-        groups = np.asarray(group_ids, dtype=np.int64)[np.newaxis, :]
-        group_span = int(groups.max()) + 1 if groups.size else 1
-
-        def dedup(keys: np.ndarray) -> np.ndarray:
-            """Sorted unique valid keys (drops the negative sentinel run)."""
-            keys = np.where(valid, keys, -1)
-            keys = np.sort(keys, axis=None)[num_invalid:]
-            if keys.size == 0:
-                return keys
-            keep = np.empty(keys.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = keys[1:] != keys[:-1]
-            return keys[keep]
-
-        # Sectors: one sorted pass over the lattice yields the per-warp
-        # sector count (tile, group, sector triples), the unique tile sector
+        # Sectors: one sorted pass over the run keys yields the per-warp
+        # sector count (tile, sector, warp triples), the unique tile sector
         # lists, and — because L1 request blocks are whole multiples of
-        # sectors — the coalesced L1 request count as well.  Keys are built
-        # in int32 whenever the combined span fits (int32 sorts are ~2x
-        # faster than int64 ones).
-        sector_values = addresses // gpu.sector_bytes
-        sector_span = int(sector_values.max()) + 1 if sector_values.size else 1
+        # sectors (GpuSpec enforces it) — the coalesced L1 request count as
+        # well.  Keys are built in int32 whenever the combined span fits
+        # (int32 sorts are ~2x faster than int64 ones).
+        warps_per_line = -(-line // WARP_SIZE)
+        group_span = width // line * warps_per_line
+        lane_ids = np.arange(width)
+        warps = (lane_ids // line * warps_per_line
+                 + lane_ids % line // WARP_SIZE)[lanes]
+        sector_span = int(run_sectors.max()) + 1 if run_sectors.size else 1
         key_dtype = (np.int32 if num_tiles * sector_span * group_span
                      < np.iinfo(np.int32).max else np.int64)
-        tile_base = np.arange(num_tiles, dtype=key_dtype)[:, np.newaxis]
-        triple_keys = dedup(
-            (tile_base * sector_span
-             + sector_values.astype(key_dtype, copy=False))
-            * group_span + groups.astype(key_dtype))
+        tiles = tiles.astype(key_dtype, copy=False)
+        warps = warps.astype(key_dtype)
+        triple_keys = _sorted_unique(
+            (tiles * sector_span + run_sectors.astype(key_dtype, copy=False))
+            * group_span + warps)
         pair_keys = triple_keys // group_span
-        warp_sectors = np.bincount(pair_keys // sector_span,
-                                   minlength=num_tiles)
         keep = np.empty(pair_keys.size, dtype=bool)
         if pair_keys.size:
             keep[0] = True
-            keep[1:] = pair_keys[1:] != pair_keys[:-1]
+            np.not_equal(pair_keys[1:], pair_keys[:-1], out=keep[1:])
         unique_pairs = pair_keys[keep]
-        unique_tile = unique_pairs // sector_span
-        offsets = np.searchsorted(unique_tile, np.arange(num_tiles + 1))
+        tile_ids = np.arange(num_tiles + 1, dtype=key_dtype)
+        warp_sectors = np.diff(np.searchsorted(
+            triple_keys, tile_ids * (sector_span * group_span)))
+        offsets = np.searchsorted(unique_pairs, tile_ids * sector_span)
 
-        # L1 requests: unique (tile, warp group, request block) — derived
-        # from the deduplicated sector triples when the request size is a
-        # multiple of the sector size (it always is on real devices).
-        if gpu.l1_request_bytes % gpu.sector_bytes == 0:
-            ratio = gpu.l1_request_bytes // gpu.sector_bytes
-            t_tile = triple_keys // (sector_span * group_span)
-            t_group = triple_keys % group_span
-            t_block = (triple_keys // group_span) % sector_span // ratio
-            block_span = sector_span // ratio + 1
-            request_keys = _sorted_unique(
-                (t_tile * group_span + t_group) * block_span + t_block)
-        else:  # pragma: no cover - no current GpuSpec hits this
-            request_blocks = (addresses // gpu.l1_request_bytes) \
-                .astype(np.int64, copy=False)
-            block_span = (int(request_blocks.max()) + 1
-                          if request_blocks.size else 1)
-            request_keys = dedup(
-                (tile_base.astype(np.int64) * group_span + groups)
-                * block_span + request_blocks)
-        requests = np.bincount(request_keys // (group_span * block_span),
-                               minlength=num_tiles)
+        # L1 requests: unique (tile, warp, request block).  In lane order a
+        # warp's equal request blocks are adjacent and its blocks mostly
+        # ascend, so only the first of each run enters a stable sort, which
+        # is near linear on such presorted keys.
+        ratio = gpu.l1_request_bytes // gpu.sector_bytes
+        block_span = sector_span // ratio + 1
+        block_dtype = (np.int32 if num_tiles * group_span * block_span
+                       < np.iinfo(np.int32).max else np.int64)
+        block_keys = ((tiles.astype(block_dtype) * group_span + warps)
+                      * block_span
+                      + (run_sectors // ratio).astype(block_dtype))
+        fresh = np.empty(block_keys.size, dtype=bool)
+        if block_keys.size:
+            fresh[0] = True
+            np.not_equal(block_keys[1:], block_keys[:-1], out=fresh[1:])
+        request_keys = _sorted_unique(block_keys[fresh], kind="stable")
+        requests = np.diff(np.searchsorted(
+            request_keys, np.arange(num_tiles + 1, dtype=block_dtype)
+            * (group_span * block_span)))
 
         return TileAccessBatch(
             l1_requests=requests,
@@ -484,6 +525,8 @@ class GemmTraceGenerator:
             elements=elements,
             sectors=unique_pairs % sector_span,
             offsets=offsets,
+            lattice_elements=addresses.size,
+            sorted_keys=run_sectors.size,
         )
 
 
@@ -505,3 +548,7 @@ class TileAccessBatch:
     elements: np.ndarray
     sectors: np.ndarray
     offsets: np.ndarray
+    #: lattice elements the batch was built from (predicated-off included)
+    #: and keys that entered its sector sort: observability counts.
+    lattice_elements: int
+    sorted_keys: int

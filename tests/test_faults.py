@@ -19,7 +19,7 @@ from repro.analysis.validation import (QUARANTINE_SUFFIX, _sim_cache_key,
                                        _sim_cache_path, simulate_layer)
 from repro.api import Session, SimulationError, ValidateRequest
 from repro.dse import (ExhaustiveDriver, ResultStore, SuccessiveHalvingDriver,
-                       explore, grid)
+                       explore, grid, runner)
 from repro.gpu.devices import TITAN_XP
 from repro.networks.registry import get_network
 from repro.resilience import TaskError, TaskFailure
@@ -311,6 +311,38 @@ class TestDseFaultIsolation:
             (r.key, r.metrics) for r in pooled.results]
         assert local.frontier == pooled.frontier
         assert local_store == pooled_store
+
+    def test_failed_table_splits_into_chunks_before_points(self, tmp_path,
+                                                           monkeypatch):
+        """Without a session a failing table larger than ``BATCH_CHUNK`` is
+        re-run in ``BATCH_CHUNK``-point pieces first; only the piece that
+        fails goes one point per task.  Counted in ``evaluate_points``
+        calls: a task whose fault fires raises before evaluating."""
+        table = grid({"num_sm": (1, 2, 3), "mac_bw": (1, 2, 3)},
+                     network="alexnet", batch=8).table()
+        sizes = []
+        evaluate_points = runner.evaluate_points
+
+        def counted(base_gpu, points, **kwargs):
+            sizes.append(len(points))
+            return evaluate_points(base_gpu, points, **kwargs)
+
+        monkeypatch.setattr(runner, "evaluate_points", counted)
+        monkeypatch.setattr(runner, "BATCH_CHUNK", 3)
+        clean, _ = runner._evaluate_table(None, TITAN_XP, table, unique=True)
+        assert sizes == [9]  # the clean path keeps its single call
+        sizes.clear()
+        with faults.injected(
+                faults.flaky(site="dse", match="num_sm=2,mac_bw=2",
+                             failures=100),
+                state_dir=str(tmp_path)):
+            metrics, failures = runner._evaluate_table(None, TITAN_XP, table,
+                                                       unique=True)
+        # the two clean pieces, then the failing piece's healthy points.
+        assert sizes == [3, 3, 1, 1]
+        assert [table.name(row) for row in failures] == ["num_sm=2,mac_bw=2"]
+        assert list(metrics) == [clean[row] for row in range(len(table))
+                                 if row not in failures]
 
     @pytest.mark.parametrize("jobs", [None, 1], ids=["no-session", "session"])
     def test_failing_proxy_rung_raises_task_error(self, tmp_path, jobs):

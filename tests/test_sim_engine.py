@@ -87,6 +87,22 @@ class TestKernelSpans:
         assert (misses * TITAN_XP.sector_bytes * result.scale_factor
                 == pytest.approx(result.traffic.l2_bytes))
 
+    def test_deep_trace_counts_trace_keys_per_wave(self):
+        simulator = ConvLayerSimulator(TITAN_XP, SimulatorConfig(max_ctas=60))
+        with obs_spans.collect_trace(deep=True) as trace:
+            result = simulator.run(self.LAYER)
+        waves = [span for span in trace.spans if span.name == "sim.im2col"]
+        assert waves
+        tile = result.grid.tile
+        for span in waves:
+            attrs = span.attrs
+            assert 0 < attrs["sorted_keys"] <= attrs["lattice_elements"]
+            # one lattice element per lane of every new tile, all K loops.
+            assert attrs["lattice_elements"] == (
+                result.grid.main_loops_per_cta * tile.blk_k
+                * (attrs["m_tiles"] * tile.blk_m
+                   + attrs["n_tiles"] * tile.blk_n))
+
     def test_untraced_run_wraps_no_kernel(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("kernel timing without deep tracing")
