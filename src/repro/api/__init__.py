@@ -26,7 +26,8 @@ Quick start::
   a failing request yields a ``Report(kind="error")`` in its slot instead of
   aborting the batch (see DESIGN.md, "Failure semantics").
 * ``register_network`` / ``register_gpu`` / ``register_experiment`` extend
-  the catalogs the requests refer to by name.
+  the catalogs the requests refer to by name; :func:`catalog` lists them
+  (``repro list --format json`` and the server's registry routes).
 """
 
 from ..experiments.registry import (
@@ -71,7 +72,22 @@ from .session import (
     use_session,
 )
 
+
+def catalog() -> dict[str, object]:
+    """Every name a request can refer to: networks, GPUs (with aliases), experiments."""
+    return {
+        "networks": available_networks(),
+        "paper_subset_variants": paper_subset_networks(),
+        "gpus": [{"name": name, "aliases": list(aliases)}
+                 for name, aliases in device_aliases().items()],
+        "experiments": [{"id": spec.experiment_id, "title": spec.title, "fast": spec.fast,
+                         "uses_validation": spec.uses_validation}
+                        for spec in all_experiment_specs()],
+    }
+
+
 __all__ = [
+    "catalog",
     "Session",
     "SessionStats",
     "current_session",

@@ -479,7 +479,7 @@ def _run_experiment(session: "Session", request: ExperimentRequest) -> Report:
     ) if value is not None}
     if overrides:
         meta["overrides"] = overrides
-    return Report.from_experiment(result, meta=meta)
+    return replace(result, meta=meta)
 
 
 def plan_simulation_units(session: "Session",

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.tables import render_series, render_table
-from ..experiments.base import ExperimentResult
 from ..resilience import TaskError, TaskFailure
 
 #: bumped when the serialized layout changes shape.
@@ -140,7 +139,7 @@ class Report:
     def from_json(cls, text: str) -> "Report":
         return cls.from_dict(json.loads(text))
 
-    # -- bridges ---------------------------------------------------------
+    # -- errors ----------------------------------------------------------
 
     @classmethod
     def from_error(cls, exc: BaseException, *, request: object = None,
@@ -172,30 +171,4 @@ class Report:
             title=f"{request_name} failed: {failure.error_type}: {failure.message}",
             summary={"error": failure.error_type, "message": failure.message},
             meta=merged,
-        )
-
-    @classmethod
-    def from_experiment(cls, result: ExperimentResult,
-                        meta: Optional[Mapping[str, object]] = None) -> "Report":
-        """Wrap an :class:`ExperimentResult` (text rendering stays identical)."""
-        return cls(
-            kind="experiment",
-            title=result.title,
-            report_id=result.experiment_id,
-            rows=result.rows,
-            series=dict(result.series),
-            summary=dict(result.summary),
-            meta=dict(meta or {}),
-        )
-
-    def to_experiment(self) -> ExperimentResult:
-        """Narrow an experiment-kind report back to an ExperimentResult."""
-        if self.kind != "experiment" or self.report_id is None:
-            raise ValueError(f"report of kind {self.kind!r} is not an experiment")
-        return ExperimentResult(
-            experiment_id=self.report_id,
-            title=self.title,
-            rows=self.rows,
-            series=self.series,
-            summary=dict(self.summary),
         )

@@ -62,12 +62,11 @@ from .api import (
     Session,
     SweepRequest,
     ValidateRequest,
+    catalog,
 )
 from .dse.drivers import driver_names
 from .dse.space import default_space, parse_axis
-from .experiments.registry import all_experiment_specs, available_experiments
-from .gpu.devices import all_devices, device_aliases
-from .networks.registry import available_networks, paper_subset_networks
+from .experiments.registry import available_experiments
 from .obs import spans as obs_spans
 from .obs.log import get_logger
 
@@ -143,23 +142,14 @@ def _run_request(args: argparse.Namespace, build_request) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    payload = catalog()
     if args.format == "json":
-        payload = {
-            "networks": available_networks(),
-            "paper_subset_variants": paper_subset_networks(),
-            "gpus": [{"name": name, "aliases": list(aliases)}
-                     for name, aliases in device_aliases().items()],
-            "experiments": [{"id": spec.experiment_id, "title": spec.title,
-                             "fast": spec.fast,
-                             "uses_validation": spec.uses_validation}
-                            for spec in all_experiment_specs()],
-        }
         print(json.dumps(payload, indent=2))
         return 0
-    print("Networks:", ", ".join(available_networks()))
-    print("Paper-subset variants:", ", ".join(paper_subset_networks()))
-    print("GPUs:", ", ".join(gpu.name for gpu in all_devices()))
-    print("Experiments:", ", ".join(available_experiments()))
+    print("Networks:", ", ".join(payload["networks"]))
+    print("Paper-subset variants:", ", ".join(payload["paper_subset_variants"]))
+    print("GPUs:", ", ".join(gpu["name"] for gpu in payload["gpus"]))
+    print("Experiments:", ", ".join(spec["id"] for spec in payload["experiments"]))
     return 0
 
 

@@ -48,13 +48,10 @@ class DramModelOptions:
     ``scheduling`` selects the CTA scheduling order assumed for inter-CTA
     reuse: the paper's column-wise order (the M-side operand re-read per CTA
     column) or a row-wise order (the N-side operand re-read per CTA row) used
-    as an ablation.  ``include_output_write`` adds the epilogue write-back of
-    the workload's output tensor to the DRAM traffic total (the paper's
-    figures report load traffic only).
+    as an ablation.
     """
 
     scheduling: SchedulingOrder = "column"
-    include_output_write: bool = False
 
 
 @dataclass(frozen=True)
@@ -68,14 +65,9 @@ class DramTraffic:
 
     ifmap_bytes: float
     filter_bytes: float
-    output_bytes: float = 0.0
 
     @property
     def total_bytes(self) -> float:
-        return self.ifmap_bytes + self.filter_bytes + self.output_bytes
-
-    @property
-    def load_bytes(self) -> float:
         return self.ifmap_bytes + self.filter_bytes
 
 
@@ -97,11 +89,7 @@ def estimate_dram_traffic(source: Union[ConvLayerConfig, GemmWorkload],
         raise ValueError(f"unknown scheduling order {options.scheduling!r}")
 
     dtype = workload.dtype_bytes
-    output_bytes = 0.0
-    if options.include_output_write:
-        output_bytes = float(workload.out_elements * dtype)
     return DramTraffic(
         ifmap_bytes=a_elements * a_passes * dtype,
         filter_bytes=b_elements * b_passes * dtype,
-        output_bytes=output_bytes,
     )

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Union
 
-from ..gpu.spec import GpuSpec
 from .layer import ConvLayerConfig
 from .tiling import CtaTile, GemmGrid
 from .workload import GemmWorkload, Im2colPattern, OperandSpec, as_workload
@@ -51,8 +50,6 @@ class L2ModelOptions:
     """
 
     channel_span_mode: ChannelSpanMode = "paper"
-    #: round per-tile traffic up to whole sectors (hardware moves sectors).
-    quantize_to_sectors: bool = False
 
 
 @dataclass(frozen=True)
@@ -266,7 +263,7 @@ def operand_tile_elements(workload: GemmWorkload, operand: OperandSpec,
 
 
 def estimate_l2_traffic(source: Union[ConvLayerConfig, GemmWorkload],
-                        grid: GemmGrid, gpu: GpuSpec,
+                        grid: GemmGrid,
                         options: L2ModelOptions = L2ModelOptions()) -> L2Traffic:
     """Eq. 9: total L2 load traffic of one GEMM workload, in bytes."""
     workload = as_workload(source)
@@ -274,11 +271,6 @@ def estimate_l2_traffic(source: Union[ConvLayerConfig, GemmWorkload],
     dtype = workload.dtype_bytes
     a_per_loop = operand_tile_elements(workload, workload.a, "m", tile, options)
     b_per_loop = operand_tile_elements(workload, workload.b, "n", tile, options)
-    if options.quantize_to_sectors:
-        elems_per_sector = gpu.sector_bytes / dtype
-        a_per_loop = math.ceil(a_per_loop / elems_per_sector) * elems_per_sector
-        b_per_loop = math.ceil(b_per_loop / elems_per_sector) * elems_per_sector
-
     loops = grid.main_loops_per_cta * grid.num_ctas
     return L2Traffic(
         ifmap_bytes=a_per_loop * loops * dtype,

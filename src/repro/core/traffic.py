@@ -99,7 +99,7 @@ class TrafficEstimate:
         """Fraction of L2 traffic that reaches DRAM."""
         if self.l2_bytes <= 0:
             return 0.0
-        return min(1.0, self.dram.load_bytes / self.l2_bytes)
+        return min(1.0, self.dram.total_bytes / self.l2_bytes)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class TrafficModel:
             grid = build_grid(workload, tile_hw=self.cta_tile_hw)
         l1 = estimate_l1_traffic(workload, grid, self.gpu,
                                  replication=self.l1_replication)
-        l2 = estimate_l2_traffic(workload, grid, self.gpu, self.l2_options)
+        l2 = estimate_l2_traffic(workload, grid, self.l2_options)
         dram = estimate_dram_traffic(workload, grid, self.dram_options)
         # Traffic can only shrink as it moves up the hierarchy; the analytical
         # approximations occasionally violate this for degenerate layers, so
@@ -138,12 +138,11 @@ class TrafficModel:
                 filter_elements_per_loop=l2.filter_elements_per_loop * scale,
             )
         dram_clamped = dram
-        if dram.load_bytes > l2_clamped.total_bytes:
-            scale = l2_clamped.total_bytes / dram.load_bytes
+        if dram.total_bytes > l2_clamped.total_bytes:
+            scale = l2_clamped.total_bytes / dram.total_bytes
             dram_clamped = DramTraffic(
                 ifmap_bytes=dram.ifmap_bytes * scale,
                 filter_bytes=dram.filter_bytes * scale,
-                output_bytes=dram.output_bytes,
             )
         return TrafficEstimate(
             workload=workload,

@@ -1,6 +1,6 @@
 """One module per reproduced table/figure of the paper's evaluation."""
 
-from .base import ExperimentResult, make_result
+from .base import make_result
 from .registry import (
     FAST_EXPERIMENTS,
     ExperimentSpec,
@@ -14,7 +14,6 @@ from .registry import (
 )
 
 __all__ = [
-    "ExperimentResult",
     "make_result",
     "ExperimentSpec",
     "available_experiments",

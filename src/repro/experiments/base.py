@@ -1,92 +1,29 @@
-"""Common result container for the per-figure/table experiments.
+"""Common result constructor for the per-figure/table experiments.
 
 Every module in :mod:`repro.experiments` exposes a ``run(...)`` function that
-returns an :class:`ExperimentResult`: the rows/series the corresponding paper
-table or figure reports, a small summary dict with the headline numbers, and a
-``render()`` method that prints everything as plain text (used by the CLI and
-captured by the benchmarks).
+returns an experiment-kind :class:`repro.api.Report`: the rows/series the
+corresponding paper table or figure reports, a small summary dict with the
+headline numbers, and the ``[id] title`` header its ``render()`` prints (used
+by the CLI and captured by the benchmarks).  The executor adds only ``meta``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence
 
-from ..analysis.tables import render_series, render_table
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Output of one reproduced table or figure."""
-
-    #: experiment identifier, e.g. "fig11" or "tab01".
-    experiment_id: str
-    #: human readable title (matches the paper's caption).
-    title: str
-    #: table rows (one dict per row).
-    rows: Tuple[Dict[str, object], ...] = ()
-    #: named (x, y) series, for figure-style results.
-    series: Dict[str, Tuple[Tuple[object, object], ...]] = field(default_factory=dict)
-    #: headline numbers (GMAE, speedups, ...), used by tests and benchmarks.
-    summary: Dict[str, object] = field(default_factory=dict)
-
-    def render(self, precision: int = 3) -> str:
-        """Render the result as plain text (tables first, then series)."""
-        parts: List[str] = [f"[{self.experiment_id}] {self.title}"]
-        if self.summary:
-            summary_rows = [{"metric": key, "value": value}
-                            for key, value in self.summary.items()]
-            parts.append(render_table(summary_rows, columns=["metric", "value"],
-                                      precision=precision))
-        if self.rows:
-            parts.append(render_table(list(self.rows), precision=precision))
-        for name, pairs in self.series.items():
-            parts.append(render_series(name, pairs, precision=precision))
-        return "\n\n".join(parts)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data payload (lists/dicts/scalars only)."""
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "rows": [dict(row) for row in self.rows],
-            "series": {name: [[x, y] for x, y in pairs]
-                       for name, pairs in self.series.items()},
-            "summary": dict(self.summary),
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ExperimentResult":
-        return make_result(
-            experiment_id=str(payload["experiment_id"]),
-            title=str(payload["title"]),
-            rows=payload.get("rows", ()),
-            series=payload.get("series"),
-            summary=payload.get("summary"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        return cls.from_dict(json.loads(text))
+from ..api.report import Report, _freeze_rows, _freeze_series
 
 
 def make_result(experiment_id: str, title: str,
                 rows: Sequence[Mapping[str, object]] = (),
                 series: Mapping[str, Sequence[Sequence[object]]] | None = None,
-                summary: Mapping[str, object] | None = None) -> ExperimentResult:
-    """Convenience constructor that normalizes containers to tuples."""
-    frozen_series = {
-        name: tuple((pair[0], pair[1]) for pair in pairs)
-        for name, pairs in (series or {}).items()
-    }
-    return ExperimentResult(
-        experiment_id=experiment_id,
+                summary: Mapping[str, object] | None = None) -> Report:
+    """The experiment-kind report of one table or figure, containers frozen."""
+    return Report(
+        kind="experiment",
         title=title,
-        rows=tuple(dict(row) for row in rows),
-        series=frozen_series,
+        report_id=experiment_id,
+        rows=_freeze_rows(rows),
+        series=_freeze_series(series),
         summary=dict(summary or {}),
     )

@@ -20,7 +20,7 @@ from ..dse.space import SearchSpace, default_space
 from ..dse.store import ResultStore
 from ..gpu.devices import TITAN_XP
 from ..gpu.spec import GpuSpec
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "dse"
@@ -34,7 +34,7 @@ def run(baseline: GpuSpec = TITAN_XP, network: str = "resnet152",
         budget: Optional[int] = None, seed: int = 0,
         objectives: Sequence[str] = ("throughput", "dram", "cost"),
         store_path: Optional[str] = None,
-        session: Optional[object] = None) -> ExperimentResult:
+        session: Optional[object] = None) -> Report:
     """Explore a GPU design space and report its Pareto frontier."""
     if space is None:
         space = default_space(networks=(network,), batches=(batch,),

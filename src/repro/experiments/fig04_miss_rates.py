@@ -14,7 +14,7 @@ from ..gpu.devices import TITAN_XP
 from ..gpu.spec import GpuSpec
 from ..networks.registry import get_network
 from ..sim.engine import SimulatorConfig
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "fig04"
@@ -33,7 +33,7 @@ def run(gpu: GpuSpec = TITAN_XP, batch: int = 16,
         layer_names: Optional[Sequence[str]] = None,
         max_ctas: Optional[int] = 90,
         network: str = "googlenet",
-        session=None) -> ExperimentResult:
+        session=None) -> Report:
     """Measure L1/L2 miss rates of the selected layers (GoogLeNet by default).
 
     Simulations route through the session (memo + optional disk cache); for a

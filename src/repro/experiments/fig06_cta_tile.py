@@ -11,7 +11,7 @@ from typing import Sequence
 
 from ..core.layer import ConvLayerConfig
 from ..core.tiling import select_cta_tile
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "fig06"
@@ -20,7 +20,7 @@ TITLE = "Fig. 6: CTA tile width by output channel count"
 
 @register_experiment(EXPERIMENT_ID, title=TITLE, fast=True)
 def run(channel_counts: Sequence[int] | None = None,
-        batch: int = 256) -> ExperimentResult:
+        batch: int = 256) -> Report:
     """Tabulate the selected CTA tile for a sweep of output channel counts."""
     if channel_counts is None:
         channel_counts = list(range(1, 385, 13)) + [384]

@@ -20,7 +20,7 @@ from ..analysis.validation import (
 )
 from ..gpu.devices import all_devices
 from ..gpu.spec import GpuSpec
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "fig11"
@@ -31,7 +31,7 @@ TITLE = "Fig. 11: normalized L1/L2/DRAM traffic estimates (model / measured)"
                      default_gpus=("titanxp", "p100", "v100"))
 def run(devices: Optional[Sequence[GpuSpec]] = None,
         config: ValidationConfig = QUICK_VALIDATION,
-        session=None) -> ExperimentResult:
+        session=None) -> Report:
     """Validate traffic estimates against the simulator on every device."""
     devices = list(devices) if devices is not None else list(all_devices())
 

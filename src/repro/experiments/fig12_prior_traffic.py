@@ -15,7 +15,7 @@ from ..analysis.validation import QUICK_VALIDATION, ValidationConfig, validation
 from ..core.baselines import FixedMissRateTrafficModel
 from ..gpu.devices import TITAN_XP
 from ..gpu.spec import GpuSpec
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "fig12"
@@ -26,7 +26,7 @@ TITLE = "Fig. 12: L2 and DRAM traffic, DeLTA vs prior fixed-miss-rate methodolog
                      default_gpus=("titanxp",))
 def run(gpu: GpuSpec = TITAN_XP,
         config: ValidationConfig = QUICK_VALIDATION,
-        session=None) -> ExperimentResult:
+        session=None) -> Report:
     """Compare normalized traffic of DeLTA and the miss-rate-1.0 baseline."""
     report = validation_report(gpu, config, session=session)
     prior = FixedMissRateTrafficModel(gpu, l1_miss_rate=1.0, l2_miss_rate=1.0)

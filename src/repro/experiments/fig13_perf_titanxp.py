@@ -13,7 +13,7 @@ from collections import Counter
 from ..analysis.validation import QUICK_VALIDATION, ValidationConfig, validation_report
 from ..gpu.devices import TITAN_XP
 from ..gpu.spec import GpuSpec
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "fig13"
@@ -26,7 +26,7 @@ def run(gpu: GpuSpec = TITAN_XP,
         config: ValidationConfig = QUICK_VALIDATION,
         experiment_id: str = EXPERIMENT_ID,
         title: str = TITLE,
-        session=None) -> ExperimentResult:
+        session=None) -> Report:
     """Validate execution-time estimates on one GPU (used by Fig. 13 and 14)."""
     report = validation_report(gpu, config, session=session)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from ..analysis.validation import QUICK_VALIDATION, ValidationConfig
 from ..gpu.devices import TESLA_V100
 from ..gpu.spec import GpuSpec
-from .base import ExperimentResult
+from .base import Report
 from .fig13_perf_titanxp import run as _run_perf
 from .registry import register_experiment
 
@@ -20,7 +20,7 @@ TITLE = "Fig. 14: normalized execution time and bottlenecks (TESLA V100)"
                      default_gpus=("v100",))
 def run(gpu: GpuSpec = TESLA_V100,
         config: ValidationConfig = QUICK_VALIDATION,
-        session=None) -> ExperimentResult:
+        session=None) -> Report:
     """Validate execution-time estimates on the V100."""
     return _run_perf(gpu=gpu, config=config,
                      experiment_id=EXPERIMENT_ID, title=TITLE,

@@ -16,7 +16,7 @@ from ..analysis.validation import QUICK_VALIDATION, ValidationConfig, validation
 from ..core.baselines import PAPER_MISS_RATES, FixedMissRateModel
 from ..gpu.devices import TITAN_XP, all_devices
 from ..gpu.spec import GpuSpec
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "fig15"
@@ -48,7 +48,7 @@ def run(devices: Optional[Sequence[GpuSpec]] = None,
         baseline_gpu: GpuSpec = TITAN_XP,
         miss_rates: Sequence[float] = PAPER_MISS_RATES,
         config: ValidationConfig = QUICK_VALIDATION,
-        session=None) -> ExperimentResult:
+        session=None) -> Report:
     """Build both panels of Fig. 15."""
     devices = list(devices) if devices is not None else list(all_devices())
 

@@ -29,7 +29,7 @@ from ..dse.space import space_from_options
 from ..gpu.design_options import DesignOption, PAPER_DESIGN_OPTIONS
 from ..gpu.devices import TITAN_XP
 from ..gpu.spec import GpuSpec
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "fig16"
@@ -40,7 +40,7 @@ TITLE = "Fig. 16: GPU resource scaling study (ResNet152, all layers)"
 def run(baseline: GpuSpec = TITAN_XP,
         options: Sequence[DesignOption] = PAPER_DESIGN_OPTIONS,
         batch: int = 256, network: str = "resnet152",
-        session: Optional[object] = None) -> ExperimentResult:
+        session: Optional[object] = None) -> Report:
     """Run the design-space exploration of Fig. 16 (ResNet152 by default)."""
     space = space_from_options(tuple(options), network=network, batch=batch)
     exploration = explore(space, driver=ExhaustiveDriver(),

@@ -18,7 +18,7 @@ from ..analysis.validation import MEMORY_LEVELS
 from ..gpu.devices import TITAN_XP
 from ..gpu.spec import GpuSpec
 from ..sim.engine import SimulatorConfig
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "fig17"
@@ -30,7 +30,7 @@ def run(gpu: GpuSpec = TITAN_XP,
         sweeps: Optional[Dict[str, Sequence[int]]] = None,
         max_ctas: int = 60,
         batch: Optional[int] = None,
-        session=None) -> ExperimentResult:
+        session=None) -> Report:
     """Run all four sensitivity sweeps of Fig. 17.
 
     ``batch`` overrides the reference layer's mini-batch (the batch-size

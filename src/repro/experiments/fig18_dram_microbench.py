@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from ..gpu.devices import all_devices
 from ..gpu.spec import GpuSpec
 from ..sim.microbench import measure_dram_latency_curve
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "fig18"
@@ -23,7 +23,7 @@ TITLE = "Fig. 18: DRAM latency vs offered bandwidth"
 
 @register_experiment(EXPERIMENT_ID, title=TITLE, fast=True)
 def run(devices: Optional[Sequence[GpuSpec]] = None,
-        num_points: int = 48) -> ExperimentResult:
+        num_points: int = 48) -> Report:
     """Sweep offered DRAM bandwidth on every device and record the latency."""
     devices = list(devices) if devices is not None else list(all_devices())
 

@@ -13,7 +13,7 @@ from ..analysis.metrics import AccuracySummary
 from ..analysis.validation import QUICK_VALIDATION, ValidationConfig, validation_report
 from ..gpu.devices import TITAN_XP
 from ..gpu.spec import GpuSpec
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "fig19"
@@ -24,7 +24,7 @@ TITLE = "Fig. 19: execution cycles, DeLTA vs measured (TITAN Xp)"
                      default_gpus=("titanxp",))
 def run(gpu: GpuSpec = TITAN_XP,
         config: ValidationConfig = QUICK_VALIDATION,
-        session=None) -> ExperimentResult:
+        session=None) -> Report:
     """Tabulate estimated and measured cycles for the evaluated layers."""
     report = validation_report(gpu, config, session=session)
 

@@ -17,7 +17,7 @@ from ..analysis.validation import (
 )
 from ..gpu.devices import TITAN_XP
 from ..gpu.spec import GIGA, GpuSpec
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "fig20"
@@ -28,7 +28,7 @@ TITLE = "Fig. 20: absolute memory traffic, DeLTA vs measured (TITAN Xp)"
                      default_gpus=("titanxp",))
 def run(gpu: GpuSpec = TITAN_XP,
         config: ValidationConfig = QUICK_VALIDATION,
-        session=None) -> ExperimentResult:
+        session=None) -> Report:
     """Tabulate absolute traffic volumes per layer and memory level."""
     report = validation_report(gpu, config, session=session)
 

@@ -3,7 +3,8 @@
 Every module in this package registers its ``run`` callable through the
 :func:`register_experiment` decorator, together with the metadata the
 session-based API needs to plan batched runs (does the experiment consume the
-shared validation harness, and on which GPUs by default).
+shared validation harness, and on which GPUs by default).  A runner returns
+the experiment-kind :class:`repro.api.Report` that ``base.make_result`` builds.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .base import ExperimentResult
+from ..api.report import Report
 
-ExperimentRunner = Callable[..., ExperimentResult]
+ExperimentRunner = Callable[..., Report]
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def get_experiment(experiment_id: str) -> ExperimentRunner:
     return get_experiment_spec(experiment_id).runner
 
 
-def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
+def run_experiment(experiment_id: str, **kwargs) -> Report:
     """Run one experiment by identifier."""
     return get_experiment(experiment_id)(**kwargs)
 

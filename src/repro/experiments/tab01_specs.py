@@ -6,7 +6,7 @@ from typing import Sequence
 
 from ..gpu.devices import all_devices
 from ..gpu.spec import GIGA, KIB, MIB, GpuSpec
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "tab01"
@@ -30,7 +30,7 @@ def _spec_row(gpu: GpuSpec) -> dict:
 
 
 @register_experiment(EXPERIMENT_ID, title=TITLE, fast=True)
-def run(devices: Sequence[GpuSpec] | None = None) -> ExperimentResult:
+def run(devices: Sequence[GpuSpec] | None = None) -> Report:
     """Reproduce Table I for the evaluated devices."""
     devices = list(devices) if devices is not None else list(all_devices())
     rows = [_spec_row(gpu) for gpu in devices]

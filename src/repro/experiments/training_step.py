@@ -17,7 +17,7 @@ from ..core.workload import TRAINING_PASSES
 from ..gpu.devices import get_device
 from ..gpu.spec import GpuSpec
 from ..networks.registry import PAPER_NETWORK_ORDER, get_network
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "training"
@@ -31,7 +31,7 @@ SWEEP_BATCHES = (32, 64, 128, 256)
 def run(devices: Optional[Sequence[GpuSpec]] = None,
         networks: Optional[Sequence[str]] = None,
         batch: int = 256,
-        sweep_batches: Sequence[int] = SWEEP_BATCHES) -> ExperimentResult:
+        sweep_batches: Sequence[int] = SWEEP_BATCHES) -> Report:
     """Per-pass training-step estimates for every benchmark network."""
     if devices is None:
         devices = [get_device("titanxp"), get_device("v100")]

@@ -20,7 +20,7 @@ from ..core.workload import TRAINING_PASSES
 from ..gpu.devices import get_device
 from ..gpu.spec import GpuSpec
 from ..networks.transformer import make_transformer_encoder
-from .base import ExperimentResult, make_result
+from .base import Report, make_result
 from .registry import register_experiment
 
 EXPERIMENT_ID = "transformer"
@@ -34,7 +34,7 @@ SWEEP_SEQ_LENS = (128, 256, 512)
 def run(devices: Optional[Sequence[GpuSpec]] = None,
         batch: int = 16, num_layers: int = 12, hidden: int = 768,
         heads: int = 12, ffn: int = 3072, seq_len: int = 512,
-        sweep_seq_lens: Sequence[int] = SWEEP_SEQ_LENS) -> ExperimentResult:
+        sweep_seq_lens: Sequence[int] = SWEEP_SEQ_LENS) -> Report:
     """Per-pass training-step estimates for a BERT-base-style encoder."""
     if devices is None:
         devices = [get_device("titanxp"), get_device("v100")]

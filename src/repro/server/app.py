@@ -48,12 +48,10 @@ from http import HTTPStatus
 from typing import Dict, List, Optional
 
 from .. import faults
+from ..api import catalog
 from ..api.progress import observe_progress
 from ..api.report import Report
 from ..api.session import Session
-from ..experiments.registry import all_experiment_specs
-from ..gpu.devices import device_aliases
-from ..networks.registry import available_networks, paper_subset_networks
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
 from ..resilience import SessionClosedError
@@ -129,9 +127,9 @@ class ReproApp:
         get_routes = {
             "/healthz": lambda: {"status": "ok"},
             "/v1/stats": self._stats_payload,
-            "/v1/networks": lambda: _registry_payload(path),
-            "/v1/gpus": lambda: _registry_payload(path),
-            "/v1/experiments": lambda: _registry_payload(path),
+            "/v1/networks": lambda: _catalog_keys("networks", "paper_subset_variants"),
+            "/v1/gpus": lambda: _catalog_keys("gpus"),
+            "/v1/experiments": lambda: _catalog_keys("experiments"),
             "/v1/jobs": lambda: {"jobs": self.jobs.describe_all()},
         }
         if path == "/metrics":
@@ -350,17 +348,10 @@ def _route_label(path: str) -> str:
     return "other"
 
 
-def _registry_payload(path: str) -> Dict[str, object]:
-    if path == "/v1/networks":
-        return {"networks": available_networks(),
-                "paper_subset_variants": paper_subset_networks()}
-    if path == "/v1/gpus":
-        return {"gpus": [{"name": name, "aliases": list(aliases)}
-                         for name, aliases in device_aliases().items()]}
-    return {"experiments": [{"id": spec.experiment_id, "title": spec.title,
-                             "fast": spec.fast,
-                             "uses_validation": spec.uses_validation}
-                            for spec in all_experiment_specs()]}
+def _catalog_keys(*keys: str) -> Dict[str, object]:
+    """A registry route's payload: its keys of :func:`repro.api.catalog`."""
+    payload = catalog()
+    return {key: payload[key] for key in keys}
 
 
 def _error_status(report: Report) -> HTTPStatus:

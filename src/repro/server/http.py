@@ -111,7 +111,8 @@ class _Connection:
             "server": self.writer.get_extra_info("sockname"),
             "client": self.writer.get_extra_info("peername"),
         }
-        responder = _Responder(self.writer, keep_alive)
+        responder = _Responder(self.writer, keep_alive,
+                               head_only=scope["method"] == "HEAD")
         try:
             await self.app(scope, _receiver(body), responder.send)
         except Exception:
@@ -198,12 +199,15 @@ class _Responder:
 
     Responses with a ``content-length`` header are written as-is; without
     one the body is streamed with chunked transfer-encoding (how the NDJSON
-    event stream stays open while a job runs).
+    event stream stays open while a job runs).  A ``HEAD`` answer
+    (``head_only``) is the ``GET`` answer's header block alone (RFC 9112 6.3).
     """
 
-    def __init__(self, writer: asyncio.StreamWriter, keep_alive: bool) -> None:
+    def __init__(self, writer: asyncio.StreamWriter, keep_alive: bool,
+                 head_only: bool) -> None:
         self.writer = writer
         self.keep_alive = keep_alive
+        self.head_only = head_only
         self.started = False
         self.completed = False
         self.chunked = False
@@ -229,6 +233,9 @@ class _Responder:
             return
         if message["type"] == "http.response.body":
             body = message.get("body", b"")
+            if self.head_only:
+                self.completed = not message.get("more_body", False)
+                return
             if self.chunked:
                 if body:
                     self.writer.write(f"{len(body):x}\r\n".encode("latin-1")
@@ -244,9 +251,10 @@ class _Responder:
 
     async def finalize(self) -> None:
         if self.started and not self.completed and self.chunked:
-            self.writer.write(b"0\r\n\r\n")
             self.completed = True
-            await self.writer.drain()
+            if not self.head_only:
+                self.writer.write(b"0\r\n\r\n")
+                await self.writer.drain()
 
 
 async def _serve(app, host: str, port: int,

@@ -203,7 +203,7 @@ class TestBatchExecution:
         legacy = fig13_perf_titanxp.run(config=TINY_CONFIG, session=Session())
         assert report.summary == legacy.summary
         assert list(report.rows) == list(legacy.rows)
-        assert report.to_experiment().render() == legacy.render()
+        assert report.render() == legacy.render()
 
 
 class TestExperimentOverrides:

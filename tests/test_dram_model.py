@@ -66,19 +66,3 @@ class TestDramTraffic:
         row = estimate_dram_traffic(layer, grid,
                                     DramModelOptions(scheduling="row"))
         assert column.total_bytes < row.total_bytes
-
-    def test_output_write_option_adds_ofmap(self, small_conv_layer):
-        grid = build_grid(small_conv_layer)
-        loads_only = estimate_dram_traffic(small_conv_layer, grid)
-        with_writes = estimate_dram_traffic(
-            small_conv_layer, grid, DramModelOptions(include_output_write=True))
-        assert with_writes.total_bytes == pytest.approx(
-            loads_only.total_bytes + small_conv_layer.ofmap_bytes)
-        assert loads_only.output_bytes == 0.0
-
-    def test_load_bytes_excludes_writes(self, small_conv_layer):
-        grid = build_grid(small_conv_layer)
-        traffic = estimate_dram_traffic(
-            small_conv_layer, grid, DramModelOptions(include_output_write=True))
-        assert traffic.load_bytes == pytest.approx(
-            traffic.ifmap_bytes + traffic.filter_bytes)

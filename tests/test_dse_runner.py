@@ -286,7 +286,7 @@ class TestDseExperiment:
         result = spec.runner(network="alexnet", batch=16,
                              space=grid({"num_sm": (1, 2), "dram_bw": (1, 2)},
                                         network="alexnet", batch=16))
-        assert result.experiment_id == "dse"
+        assert result.report_id == "dse"
         assert result.summary["frontier size"] >= 1
         assert any("scale_next" in row for row in result.rows)
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.validation import ValidationConfig
 from repro.experiments import (
-    ExperimentResult,
     available_experiments,
     get_experiment,
     run_experiment,
@@ -41,8 +40,8 @@ class TestRegistry:
 
     def test_run_experiment_dispatches(self):
         result = run_experiment("tab01")
-        assert isinstance(result, ExperimentResult)
-        assert result.experiment_id == "tab01"
+        assert result.kind == "experiment"
+        assert result.report_id == "tab01"
 
 
 class TestFastExperiments:

@@ -14,7 +14,6 @@ from repro.core.l2 import (
 )
 from repro.core.layer import ConvLayerConfig
 from repro.core.tiling import build_grid
-from repro.gpu import TITAN_XP
 
 
 @pytest.fixture
@@ -93,7 +92,7 @@ class TestTileFootprints:
 class TestL2Totals:
     def test_eq9_total_scales_with_loops_and_ctas(self, conv3x3):
         grid = build_grid(conv3x3)
-        traffic = estimate_l2_traffic(conv3x3, grid, TITAN_XP)
+        traffic = estimate_l2_traffic(conv3x3, grid)
         per_loop = traffic.elements_per_loop * conv3x3.dtype_bytes
         assert traffic.total_bytes == pytest.approx(
             per_loop * grid.main_loops_per_cta * grid.num_ctas)
@@ -102,16 +101,9 @@ class TestL2Totals:
         # with im2col reuse the unique-per-tile volume is far below the
         # replicated matrix volume streamed through L1.
         grid = build_grid(conv3x3)
-        traffic = estimate_l2_traffic(conv3x3, grid, TITAN_XP)
+        traffic = estimate_l2_traffic(conv3x3, grid)
         ifmap_matrix_bytes = conv3x3.gemm_shape().ifmap_matrix_elements * 4
         assert traffic.ifmap_bytes < ifmap_matrix_bytes
-
-    def test_sector_quantization_only_increases_traffic(self, conv3x3):
-        grid = build_grid(conv3x3)
-        plain = estimate_l2_traffic(conv3x3, grid, TITAN_XP)
-        quantized = estimate_l2_traffic(conv3x3, grid, TITAN_XP,
-                                        L2ModelOptions(quantize_to_sectors=True))
-        assert quantized.total_bytes >= plain.total_bytes
 
     def test_larger_feature_means_less_relative_reuse(self):
         # A 1x1 layer has no intra-tile reuse, so its per-loop unique footprint

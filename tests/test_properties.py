@@ -106,7 +106,7 @@ class TestTrafficModelProperties:
     def test_traffic_hierarchy_monotonic(self, layer):
         estimate = DeltaModel(TITAN_XP).traffic(layer)
         assert estimate.l1_bytes >= estimate.l2_bytes - 1e-6
-        assert estimate.l2_bytes >= estimate.dram.load_bytes - 1e-6
+        assert estimate.l2_bytes >= estimate.dram.total_bytes - 1e-6
         assert estimate.dram_bytes > 0
 
     @given(layer=conv_layers())

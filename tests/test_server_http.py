@@ -6,6 +6,7 @@ accept: it must reply with a well-formed error and close the connection,
 never drop it silently or parse leftover body bytes as the next request.
 """
 
+import json
 import socket
 import time
 
@@ -83,3 +84,18 @@ def test_stalled_client_is_disconnected(server, monkeypatch, partial):
     fresh = _exchange(server, b"GET /healthz HTTP/1.1\r\nhost: localhost\r\n"
                               b"connection: close\r\n\r\n", timeout=5)
     assert _status_lines(fresh) == ["HTTP/1.1 200 OK"]
+
+
+def test_head_answer_ends_at_its_header_block(server):
+    """A HEAD answer carries the GET answer's headers and no body, so a
+    pipelined request behind it is framed from the next byte."""
+    raw = _exchange(server, b"HEAD /healthz HTTP/1.1\r\nhost: localhost\r\n\r\n"
+                            b"GET /healthz HTTP/1.1\r\nhost: localhost\r\n"
+                            b"connection: close\r\n\r\n")
+    assert _status_lines(raw) == ["HTTP/1.1 200 OK", "HTTP/1.1 200 OK"]
+    head, _, rest = raw.partition(b"\r\n\r\n")
+    assert b"content-length: 21" in head.lower()
+    assert rest.startswith(b"HTTP/1.1 200")
+    get_head, _, get_body = rest.partition(b"\r\n\r\n")
+    assert b"content-length: 21" in get_head.lower()
+    assert json.loads(get_body) == {"status": "ok"}

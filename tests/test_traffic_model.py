@@ -18,12 +18,12 @@ def model():
 class TestTrafficHierarchy:
     def test_traffic_shrinks_up_the_hierarchy(self, model, reference_conv_layer):
         estimate = model.estimate(reference_conv_layer)
-        assert estimate.l1_bytes >= estimate.l2_bytes >= estimate.dram.load_bytes
+        assert estimate.l1_bytes >= estimate.l2_bytes >= estimate.dram.total_bytes
 
     def test_hierarchy_invariant_across_networks(self, model):
         for layer in googlenet(batch=32).unique_layers():
             estimate = model.estimate(layer)
-            assert estimate.l1_bytes >= estimate.l2_bytes >= estimate.dram.load_bytes, layer.name
+            assert estimate.l1_bytes >= estimate.l2_bytes >= estimate.dram.total_bytes, layer.name
 
     def test_miss_rates_bounded(self, model, reference_conv_layer):
         estimate = model.estimate(reference_conv_layer)
